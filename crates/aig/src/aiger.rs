@@ -13,8 +13,10 @@ use crate::lit::Lit;
 
 /// Serializes `aig` in ASCII AIGER (`aag`) format.
 ///
-/// Node ids are compacted: inputs first, then AND nodes in topological
-/// order, as required by the format.
+/// Node ids are compacted: inputs first, then AND nodes in
+/// [`Aig::for_each_and_topo`] order, as the format requires. That is
+/// ascending id order unless the graph carries forward references
+/// ([`Aig::is_topological`]), so topological graphs keep their bytes.
 ///
 /// # Examples
 ///
@@ -59,7 +61,7 @@ pub fn to_ascii(aig: &Aig) -> String {
         out.push(b'\n');
     }
     let (f0s, f1s) = aig.fanin_arrays();
-    for id in aig.and_ids() {
+    aig.for_each_and_topo(|id| {
         let (f0, f1) = (f0s[id as usize], f1s[id as usize]);
         let lhs = map[id as usize] * 2;
         let (r0, r1) = ordered_rhs(mapped_lit(f0, &map), mapped_lit(f1, &map));
@@ -69,13 +71,14 @@ pub fn to_ascii(aig: &Aig) -> String {
         out.push(b' ');
         push_dec(&mut out, r1);
         out.push(b'\n');
-    }
+    });
     append_symbol_table(&mut out, aig);
     // SAFETY-free guarantee: everything appended is ASCII.
     String::from_utf8(out).expect("AIGER ASCII output is valid UTF-8")
 }
 
-/// Serializes `aig` in binary AIGER (`aig`) format.
+/// Serializes `aig` in binary AIGER (`aig`) format, numbering nodes
+/// as [`to_ascii`] does.
 pub fn to_binary(aig: &Aig) -> Vec<u8> {
     let (map, num_ands) = compact_map(aig);
     let m = aig.num_inputs() + num_ands;
@@ -94,7 +97,7 @@ pub fn to_binary(aig: &Aig) -> Vec<u8> {
         out.push(b'\n');
     }
     let (f0s, f1s) = aig.fanin_arrays();
-    for id in aig.and_ids() {
+    aig.for_each_and_topo(|id| {
         let (f0, f1) = (f0s[id as usize], f1s[id as usize]);
         let lhs = map[id as usize] * 2;
         let (r0, r1) = ordered_rhs(mapped_lit(f0, &map), mapped_lit(f1, &map));
@@ -102,7 +105,7 @@ pub fn to_binary(aig: &Aig) -> Vec<u8> {
         // with r0 >= r1 and lhs > r0.
         push_leb(&mut out, lhs - r0);
         push_leb(&mut out, r0 - r1);
-    }
+    });
     append_symbol_table(&mut out, aig);
     out
 }
@@ -419,7 +422,8 @@ fn parse_err(position: usize, msg: &str) -> AigError {
 }
 
 /// Maps internal node ids to compact AIGER variable indices
-/// (inputs 1..=I, then ANDs I+1..=I+A in topological order).
+/// (inputs 1..=I, then ANDs I+1..=I+A in [`Aig::for_each_and_topo`]
+/// order, so every AND is numbered after its fanins).
 fn compact_map(aig: &Aig) -> (Vec<u32>, usize) {
     let mut map = vec![0u32; aig.num_nodes()];
     let mut next = 1u32;
@@ -428,11 +432,11 @@ fn compact_map(aig: &Aig) -> (Vec<u32>, usize) {
         next += 1;
     }
     let mut num_ands = 0usize;
-    for id in aig.and_ids() {
+    aig.for_each_and_topo(|id| {
         map[id as usize] = next;
         next += 1;
         num_ands += 1;
-    }
+    });
     (map, num_ands)
 }
 
@@ -602,6 +606,39 @@ mod tests {
         assert!(equiv_exhaustive(&b1, &b2).expect("small"));
         let _ = std::fs::remove_file(p_aag);
         let _ = std::fs::remove_file(p_aig);
+    }
+
+    /// A committed forward reference (an AND reading a larger id)
+    /// must still serialize to readable files: both formats round-trip
+    /// to an equivalent graph and re-write byte-identically.
+    #[test]
+    fn forward_references_round_trip() {
+        use crate::incremental::{IncrementalAnalysis, Transaction};
+        let mut g = Aig::new();
+        let [a, b, c, d] = [(); 4].map(|()| g.add_input());
+        let ab = g.and(a, b);
+        let abc = g.and(ab, c);
+        let top = g.and(abc, d);
+        g.add_output(top, Some("f"));
+        let source = g.clone();
+        let mut inc = IncrementalAnalysis::new(&g);
+        let mut txn = Transaction::begin(&mut g, &mut inc);
+        // a & (b & c), appended above `top`, replaces (a & b) & c.
+        let bc = txn.and(b, c);
+        let a_bc = txn.and(a, bc);
+        txn.substitute(abc.var(), a_bc);
+        txn.commit();
+        assert!(!g.is_topological(), "`top` must read a larger id");
+
+        let text = to_ascii(&g);
+        let back = from_ascii(&text).expect("ascii reads back");
+        assert!(equiv_exhaustive(&source, &back).expect("small"));
+        assert_eq!(to_ascii(&back), text);
+
+        let bytes = to_binary(&g);
+        let back = from_binary(&bytes).expect("binary reads back");
+        assert!(equiv_exhaustive(&source, &back).expect("small"));
+        assert_eq!(to_binary(&back), bytes);
     }
 
     #[test]

@@ -598,29 +598,6 @@ impl Clone for CutDb {
             queued: self.queued.clone(),
         }
     }
-
-    /// [`Clone::clone`] into an existing database, reusing its arena,
-    /// span, and version allocations (the speculative engine re-syncs
-    /// worker replicas from the master once per wave — on the steady
-    /// state this copies element-for-element with no heap traffic).
-    /// Semantics match `clone()`: the destination takes a **fresh**
-    /// [`CutDb::instance_id`], so version snapshots taken against
-    /// either database never cross-match.
-    fn clone_from(&mut self, src: &Self) {
-        self.instance_id = next_cutdb_id();
-        self.k = src.k;
-        self.max_cuts = src.max_cuts;
-        self.arena.clone_from(&src.arena);
-        self.span.clone_from(&src.span);
-        self.versions.clone_from(&src.versions);
-        self.vgen = src.vgen;
-        self.live = src.live;
-        self.journal.clone_from(&src.journal);
-        self.merged.clone_from(&src.merged);
-        self.list.clone_from(&src.list);
-        self.heap.clone_from(&src.heap);
-        self.queued.clone_from(&src.queued);
-    }
 }
 
 impl CutDb {
@@ -674,9 +651,8 @@ impl CutDb {
     }
 
     /// Pre-sizes the per-node tables and the cut arena for a graph of
-    /// `nodes` nodes, so a following [`CutDb::build`] (or
-    /// `clone_from` of a database that large) performs no incremental
-    /// regrowth. Capacity only — contents are untouched.
+    /// `nodes` nodes, so a following [`CutDb::build`] performs no
+    /// incremental regrowth. Capacity only — contents are untouched.
     pub fn reserve_nodes(&mut self, nodes: usize) {
         let grow = |cap: usize, len: usize| cap.saturating_sub(len);
         self.span.reserve(grow(nodes, self.span.len()));

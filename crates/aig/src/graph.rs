@@ -10,12 +10,12 @@
 //! (`Node { fanin: [Lit; 2] }`) layout paid for both lanes on every
 //! touch; the split keeps single-lane scans (topological DFS seeding,
 //! liveness marking, fanout counting) at half the bandwidth and makes
-//! whole-graph resyncs (`clone_from`) flat `memcpy`s per lane.
+//! a clone a flat copy per lane.
 //!
 //! # Structural-hash invariants
 //!
 //! The strash table ([`crate::strash::StrashTable`], open addressing,
-//! reservable, rebuild-free on `clone_from`) maps the packed fanin
+//! reservable, rebuild-free on clone) maps the packed fanin
 //! pair `(lo.raw() << 32) | hi.raw()` (with `lo.raw() <= hi.raw()`) of
 //! every *canonically owned* AND node to its id:
 //!
@@ -205,23 +205,6 @@ impl Clone for Aig {
             topo_cache: Mutex::new(self.topo_cache.lock().unwrap().clone()),
             name: self.name.clone(),
         }
-    }
-
-    /// Buffer-reusing whole-graph resync: every lane is copied into
-    /// the destination's existing allocation (growing it at most once
-    /// to the source length), and the strash slot arrays are copied
-    /// flat — no rehash. This is the speculation-slot full-resync
-    /// path; after a first sync at peak size it is allocation-free.
-    fn clone_from(&mut self, src: &Self) {
-        self.fanin0.clone_from(&src.fanin0);
-        self.fanin1.clone_from(&src.fanin1);
-        self.inputs.clone_from(&src.inputs);
-        self.input_names.clone_from(&src.input_names);
-        self.outputs.clone_from(&src.outputs);
-        self.strash.clone_from(&src.strash);
-        self.forward.clone_from(&src.forward);
-        *self.topo_cache.get_mut().unwrap() = src.topo_cache.lock().unwrap().clone();
-        self.name.clone_from(&src.name);
     }
 }
 
@@ -1210,21 +1193,6 @@ mod tests {
         assert_eq!(f0[a.var() as usize], Lit::INVALID);
         for id in [x.var(), y.var()] {
             assert_eq!([f0[id as usize], f1[id as usize]], g.fanins(id));
-        }
-    }
-
-    #[test]
-    fn clone_from_matches_clone() {
-        let g = crate::test_support::random_aig(11, 8, 200, 4);
-        let mut dst = crate::test_support::random_aig(22, 3, 40, 2);
-        dst.clone_from(&g);
-        assert_eq!(crate::aiger::to_ascii(&dst), crate::aiger::to_ascii(&g));
-        // The strash must be live in the destination: probing every
-        // AND pair finds the owning node, exactly as in the source.
-        for id in g.and_ids() {
-            let [f0, f1] = g.fanins(id);
-            assert_eq!(dst.find_and(f0, f1), g.find_and(f0, f1));
-            assert_eq!(dst.find_and(f0, f1), Some(Lit::new(id, false)));
         }
     }
 

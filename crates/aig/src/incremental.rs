@@ -192,22 +192,6 @@ impl DirtyRegion {
         self.nodes.is_empty()
     }
 
-    /// True when the two regions' footprints share any node id, where
-    /// a region's footprint is the union of its three sets. This is
-    /// the conflict test of the speculative SA engine: two moves whose
-    /// regions are disjoint wrote (and re-leveled, and re-counted)
-    /// entirely different nodes. Note the footprint covers *writes*,
-    /// not reads — a rewriting pass also probes levels and structure
-    /// outside its dirty region, so disjointness classifies a
-    /// discarded speculation as merely stale rather than proving it
-    /// replayable verbatim.
-    pub fn overlaps(&self, other: &DirtyRegion) -> bool {
-        let mine = [&self.nodes, &self.edited, &self.fanout_touched];
-        let theirs = [&other.nodes, &other.edited, &other.fanout_touched];
-        mine.iter()
-            .any(|a| theirs.iter().any(|b| sorted_intersects(a, b)))
-    }
-
     /// Accumulates `other` into `self` (per-set sorted union). Used by
     /// [`Transaction::touched_region`] to fold the per-edit regions of
     /// a whole transaction into one footprint.
@@ -228,19 +212,6 @@ impl DirtyRegion {
     }
 }
 
-/// Two-pointer intersection test over ascending id slices.
-fn sorted_intersects(a: &[NodeId], b: &[NodeId]) -> bool {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => return true,
-        }
-    }
-    false
-}
-
 /// Sorted, deduplicated in-place union (`dst` stays ascending).
 fn merge_sorted(dst: &mut Vec<NodeId>, src: &[NodeId]) {
     if src.is_empty() {
@@ -249,92 +220,6 @@ fn merge_sorted(dst: &mut Vec<NodeId>, src: &[NodeId]) {
     dst.extend_from_slice(src);
     dst.sort_unstable();
     dst.dedup();
-}
-
-/// The span of node ids a windowed in-place walk examines: one or two
-/// half-open id intervals (two when the walk wraps past the highest
-/// id back to the low ids, mirroring
-/// `transform::rewrite_inplace_window`'s traversal order).
-///
-/// This is the *partition key* of the speculative SA engine: two
-/// candidate windowed moves whose windows overlap examine the same
-/// nodes and are strongly correlated, so the batch partitioner stops
-/// a speculation wave at the first overlap instead of scoring both.
-/// Like [`DirtyRegion::overlaps`] it is a policy signal, not a
-/// soundness guarantee — substitutions re-level and rewire readers
-/// *above* the window, so correctness of speculative commits never
-/// rests on window disjointness.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ConeWindow {
-    /// Up to two `[lo, hi)` intervals; an interval with `lo >= hi` is
-    /// empty.
-    spans: [(NodeId, NodeId); 2],
-}
-
-impl ConeWindow {
-    /// A window over explicit intervals (second one for wrapped
-    /// walks).
-    pub fn from_intervals(a: (NodeId, NodeId), b: Option<(NodeId, NodeId)>) -> Self {
-        ConeWindow {
-            spans: [a, b.unwrap_or((0, 0))],
-        }
-    }
-
-    /// The window a call to `rewrite_inplace_window(.., start,
-    /// max_nodes)` would traverse on `aig`: walks ids from `start`
-    /// upward (wrapping to 1) counting live AND nodes exactly like the
-    /// rewriter, and covers every id traversed up to the last examined
-    /// one. Costs O(window), not O(graph).
-    pub fn from_live_walk(
-        aig: &Aig,
-        inc: &IncrementalAnalysis,
-        start: NodeId,
-        max_nodes: usize,
-    ) -> Self {
-        let n = aig.num_nodes() as NodeId;
-        if n <= 1 || max_nodes == 0 {
-            return ConeWindow::default();
-        }
-        let start = start.clamp(1, n - 1);
-        let mut examined = 0usize;
-        let mut last = None;
-        for id in (start..n).chain(1..start) {
-            if examined >= max_nodes {
-                break;
-            }
-            if !aig.is_and(id) || inc.fanout(id) == 0 {
-                continue;
-            }
-            examined += 1;
-            last = Some(id);
-        }
-        match last {
-            None => ConeWindow::default(),
-            Some(l) if l >= start => ConeWindow::from_intervals((start, l + 1), None),
-            Some(l) => ConeWindow::from_intervals((start, n), Some((1, l + 1))),
-        }
-    }
-
-    /// Whether the window covers no ids.
-    pub fn is_empty(&self) -> bool {
-        self.spans.iter().all(|&(lo, hi)| lo >= hi)
-    }
-
-    /// Whether `id` lies inside the window.
-    pub fn contains(&self, id: NodeId) -> bool {
-        self.spans.iter().any(|&(lo, hi)| lo <= id && id < hi)
-    }
-
-    /// Whether any id lies in both windows.
-    pub fn overlaps(&self, other: &ConeWindow) -> bool {
-        self.spans.iter().any(|&(lo, hi)| {
-            lo < hi
-                && other
-                    .spans
-                    .iter()
-                    .any(|&(lo2, hi2)| lo2 < hi2 && lo.max(lo2) < hi.min(hi2))
-        })
-    }
 }
 
 /// Undo journal of one [`Transaction`].
@@ -898,11 +783,10 @@ impl<'a> Transaction<'a> {
 
     /// The accumulated [`DirtyRegion`] of every journaled edit so far
     /// (per-set sorted union across substitutions, appends and output
-    /// retargets). This is the transaction's write footprint — the key
-    /// the speculative SA engine uses to classify a discarded
-    /// speculation as conflicting (footprints overlap) versus merely
-    /// stale. Accumulated over the transaction's whole lifetime;
-    /// rolling back does not shrink it.
+    /// retargets). This is the transaction's write footprint — the
+    /// delta the SA loop hands to delta-based evaluators, and the
+    /// region they re-sync over after a rollback. Accumulated over the
+    /// transaction's whole lifetime; rolling back does not shrink it.
     pub fn touched_region(&self) -> &DirtyRegion {
         &self.touched
     }
@@ -1055,69 +939,6 @@ pub struct Savepoint {
     ops: usize,
     min_touched: NodeId,
     touched: DirtyRegion,
-}
-
-/// One replayable operation of an in-place move.
-///
-/// The transform-level windowed moves record their transaction calls
-/// as a sequence of `EditOp`s; replaying the sequence on a
-/// byte-identical graph (same nodes, same strash table) reproduces
-/// the move exactly — appends land on the same fresh ids, strash hits
-/// resolve to the same literals, substitutions rewire the same
-/// consumers — without re-running any resynthesis probe. This is how
-/// the speculative SA engine commits a move scored on a worker
-/// replica to the master graph, and how stale replicas catch up with
-/// the commit log.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EditOp {
-    /// A [`Transaction::and`] call: strashed AND construction, which
-    /// appends a fresh node on a strash miss and resolves to the
-    /// existing literal on a hit. Replay discards the result — the
-    /// recorded follow-up ops already reference the literal it
-    /// produced on the recording run.
-    And(Lit, Lit),
-    /// A [`Transaction::substitute`] call.
-    Substitute(NodeId, Lit),
-}
-
-/// Replays a recorded in-place move through `txn`, keeping `cuts` in
-/// step exactly as the recording pass did: appended nodes are synced
-/// into the database immediately before the substitution that splices
-/// them in, and every substitution's dirty region is invalidated.
-///
-/// Returns the number of substitutions performed.
-///
-/// # Panics
-///
-/// Panics if `cuts` was not in sync with the transaction's graph at
-/// entry, plus everything [`Transaction::substitute`] panics on.
-pub fn replay_ops(
-    txn: &mut Transaction<'_>,
-    cuts: &mut crate::cut::CutDb,
-    ops: &[EditOp],
-) -> usize {
-    debug_assert_eq!(
-        cuts.num_nodes(),
-        txn.base_nodes,
-        "cut database out of sync with the transaction's graph"
-    );
-    let mut substitutions = 0usize;
-    for &op in ops {
-        match op {
-            EditOp::And(a, b) => {
-                txn.and(a, b);
-            }
-            EditOp::Substitute(node, with) => {
-                if cuts.num_nodes() < txn.aig().num_nodes() {
-                    cuts.sync_appends(txn.aig());
-                }
-                txn.substitute(node, with);
-                cuts.invalidate(txn.aig(), txn.analysis(), txn.analysis().last_dirty());
-                substitutions += 1;
-            }
-        }
-    }
-    substitutions
 }
 
 #[cfg(test)]
@@ -1516,8 +1337,8 @@ mod tests {
         inc.assert_matches_oracle(&g);
     }
 
-    /// Two independent cones; edits inside one must not overlap the
-    /// other's region, and a merged region covers both.
+    /// Two independent cones; edits inside one must touch no node of
+    /// the other's region, and a merged region covers both.
     #[test]
     fn dirty_region_overlap_and_merge() {
         let mut g = Aig::new();
@@ -1539,16 +1360,24 @@ mod tests {
         let first_right = g.and_ids().find(|&id| id > left.var()).unwrap();
         let right_dirty = inc.substitute(&mut g, first_right, ins[3]).clone();
 
-        assert!(left_dirty.overlaps(&left_dirty), "overlap is reflexive");
+        let footprint = |r: &DirtyRegion| -> std::collections::BTreeSet<NodeId> {
+            r.nodes()
+                .iter()
+                .chain(r.edited())
+                .chain(r.fanout_touched())
+                .copied()
+                .collect()
+        };
         assert!(
-            !left_dirty.overlaps(&right_dirty),
+            footprint(&left_dirty).is_disjoint(&footprint(&right_dirty)),
             "independent cones must report disjoint regions"
         );
-        assert!(!right_dirty.overlaps(&left_dirty), "overlap is symmetric");
 
         let mut merged = left_dirty.clone();
         merged.merge(&right_dirty);
-        assert!(merged.overlaps(&left_dirty) && merged.overlaps(&right_dirty));
+        let whole = footprint(&merged);
+        assert!(footprint(&left_dirty).is_subset(&whole));
+        assert!(footprint(&right_dirty).is_subset(&whole));
         assert_eq!(
             merged.min_touched(),
             left_dirty.min_touched().min(right_dirty.min_touched())
@@ -1596,63 +1425,7 @@ mod tests {
             expect.fanout_touched()
         );
         assert_eq!(txn.touched_region().min_touched(), expect.min_touched());
-        assert!(txn.touched_region().overlaps(&d1));
-        assert!(txn.touched_region().overlaps(&d2));
+        assert_eq!(txn.touched_region().nodes(), expect.nodes());
         txn.commit();
-    }
-
-    /// Window span arithmetic: containment, overlap, and the wrapped
-    /// two-interval case.
-    #[test]
-    fn cone_window_overlap_cases() {
-        let a = ConeWindow::from_intervals((10, 20), None);
-        let b = ConeWindow::from_intervals((20, 30), None);
-        let c = ConeWindow::from_intervals((15, 25), None);
-        assert!(!a.overlaps(&b), "half-open: touching spans are disjoint");
-        assert!(a.overlaps(&c) && c.overlaps(&b));
-        assert!(a.contains(10) && a.contains(19) && !a.contains(20));
-
-        // Wrapped window [40, 50) ∪ [1, 5).
-        let w = ConeWindow::from_intervals((40, 50), Some((1, 5)));
-        assert!(w.contains(44) && w.contains(3) && !w.contains(30));
-        assert!(w.overlaps(&ConeWindow::from_intervals((2, 3), None)));
-        assert!(!w.overlaps(&ConeWindow::from_intervals((5, 40), None)));
-
-        let empty = ConeWindow::default();
-        assert!(empty.is_empty());
-        assert!(!empty.overlaps(&a) && !a.overlaps(&empty));
-    }
-
-    /// `from_live_walk` mirrors the rewriter's traversal: skips dead
-    /// nodes, caps at `max_nodes` live ANDs, wraps past the top id.
-    #[test]
-    fn cone_window_from_live_walk_matches_traversal() {
-        let mut g = Aig::new();
-        let ins: Vec<Lit> = (0..4).map(|_| g.add_input()).collect();
-        let mut acc = ins[0];
-        for l in &ins[1..] {
-            acc = g.and(acc, *l);
-        }
-        g.add_output(acc, None::<&str>);
-        let inc = IncrementalAnalysis::new(&g);
-        let n = g.num_nodes() as NodeId;
-        let first_and = g.and_ids().next().unwrap();
-
-        // Unbounded walk from 1 covers every live AND.
-        let full = ConeWindow::from_live_walk(&g, &inc, 1, usize::MAX);
-        for id in g.and_ids() {
-            assert!(full.contains(id), "live AND {id} must be covered");
-        }
-        // A single-node window from an input id reaches exactly the
-        // first live AND (inputs are traversed but not examined).
-        let one = ConeWindow::from_live_walk(&g, &inc, 1, 1);
-        assert!(one.contains(first_and));
-        assert!(!one.contains(first_and + 1));
-        // A walk starting at the last id wraps and still finds ANDs.
-        let wrapped = ConeWindow::from_live_walk(&g, &inc, n - 1, 2);
-        assert!(!wrapped.is_empty());
-        assert!(wrapped.overlaps(&full));
-        // Degenerate inputs.
-        assert!(ConeWindow::from_live_walk(&g, &inc, 1, 0).is_empty());
     }
 }

@@ -55,23 +55,6 @@ fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-/// Worker count for long-lived CPU-bound slots ([`par_map_mut`]
-/// callers): [`max_threads`] capped at the machine's available
-/// parallelism. `AIG_THREADS` above the core count only adds spawn
-/// and contention overhead for compute-bound dispatch, so slot pools
-/// never oversubscribe — callers guarantee results are independent of
-/// the worker count either way.
-pub fn worker_threads() -> usize {
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
-    }
-    #[cfg(feature = "parallel")]
-    {
-        max_threads().min(default_threads())
-    }
-}
-
 /// Maps `f` over `items` (with the item index), in parallel, returning
 /// results in input order.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
@@ -160,48 +143,6 @@ where
         .into_iter()
         .map(|s| s.expect("every index claimed by exactly one worker"))
         .collect()
-}
-
-/// Maps `f` over `items` *mutably*, in parallel, returning results in
-/// input order — the helper behind worker-slot dispatch (each item is
-/// a long-lived worker state such as a speculative SA evaluation
-/// slot, mutated in place and reused across calls).
-///
-/// One thread per item (callers bound the slice length by
-/// [`max_threads`]); a nested call — or a single-item slice — runs
-/// serially on the caller's thread. Deterministic for any worker
-/// count: item `i` is always computed by `f(i, &mut items[i])`.
-pub fn par_map_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    if max_threads() <= 1 || items.len() <= 1 {
-        return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    #[cfg(not(feature = "parallel"))]
-    unreachable!("max_threads() is 1 without the parallel feature");
-    #[cfg(feature = "parallel")]
-    {
-        let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(items.len());
-            for (i, item) in items.iter_mut().enumerate() {
-                let f = &f;
-                handles.push(scope.spawn(move || {
-                    IN_PARALLEL_REGION.with(|flag| flag.set(true));
-                    f(i, item)
-                }));
-            }
-            for h in handles {
-                out.push(Some(h.join().expect("par_map_mut worker panicked")));
-            }
-        });
-        out.into_iter()
-            .map(|s| s.expect("joined in order"))
-            .collect()
-    }
 }
 
 /// Splits `0..n` into at most [`max_threads`] contiguous ranges of at
@@ -297,23 +238,6 @@ mod tests {
             assert_eq!(s, 28);
             if cfg!(feature = "parallel") && max_threads() > 1 {
                 assert_eq!(mt, 1, "nested region must be serial");
-            }
-        }
-    }
-
-    #[test]
-    fn par_map_mut_mutates_in_order() {
-        let mut slots: Vec<u64> = (0..6).collect();
-        let out = par_map_mut(&mut slots, |i, s| {
-            *s += 100;
-            (i as u64, *s, max_threads())
-        });
-        assert_eq!(slots, vec![100, 101, 102, 103, 104, 105]);
-        for (i, &(idx, val, mt)) in out.iter().enumerate() {
-            assert_eq!(idx, i as u64);
-            assert_eq!(val, 100 + i as u64);
-            if cfg!(feature = "parallel") && max_threads() > 1 {
-                assert_eq!(mt, 1, "slot workers are a parallel region");
             }
         }
     }

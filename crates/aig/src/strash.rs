@@ -9,9 +9,7 @@
 //!
 //! * lookups in the [`crate::Aig::and`] hot loop touch one contiguous
 //!   cache line instead of chasing SwissTable groups,
-//! * [`StrashTable::clone_from`] is a flat `memcpy` of the slot
-//!   arrays — no rehash — which is what makes speculation-slot full
-//!   resyncs cheap on large designs, and
+//! * a clone is a flat copy of the slot arrays — no rehash — and
 //! * capacity can be reserved up front ([`StrashTable::reserve`]) so
 //!   a known-size build never grows incrementally.
 //!
@@ -37,7 +35,7 @@ const MAX_LOAD_DEN: usize = 8;
 const MIN_CAP: usize = 16;
 
 /// Open-addressing `packed fanin pair -> NodeId` map (see module docs).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct StrashTable {
     /// Packed keys, `EMPTY` marking free slots. Length is zero or a
     /// power of two; `vals` always has the same length.
@@ -51,27 +49,6 @@ pub(crate) struct StrashTable {
 impl Default for StrashTable {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl Clone for StrashTable {
-    fn clone(&self) -> Self {
-        StrashTable {
-            keys: self.keys.clone(),
-            vals: self.vals.clone(),
-            len: self.len,
-            shift: self.shift,
-        }
-    }
-
-    /// Flat slot-array copy into the existing allocations — the
-    /// rebuild-free resync path. No rehashing: the probe layout is a
-    /// pure function of the source's key set and capacity.
-    fn clone_from(&mut self, src: &Self) {
-        self.keys.clone_from(&src.keys);
-        self.vals.clone_from(&src.vals);
-        self.len = src.len;
-        self.shift = src.shift;
     }
 }
 
@@ -264,24 +241,6 @@ mod tests {
         }
         assert_eq!(t.keys.len(), cap, "reserved table must not regrow");
         assert_eq!(t.len(), 1000);
-    }
-
-    #[test]
-    fn clone_from_is_exact() {
-        let mut src = StrashTable::new();
-        for i in 0..300u64 {
-            src.insert(i * 3 + 1, i as NodeId);
-        }
-        let mut dst = StrashTable::new();
-        dst.insert(9999, 1); // pre-existing garbage must vanish
-        dst.clone_from(&src);
-        assert_eq!(dst.len(), src.len());
-        assert_eq!(dst.keys, src.keys);
-        assert_eq!(dst.vals, src.vals);
-        for i in 0..300u64 {
-            assert_eq!(dst.get(i * 3 + 1), Some(i as NodeId));
-        }
-        assert_eq!(dst.get(9999), None);
     }
 
     /// Random interleaved insert/remove against a HashMap oracle, with

@@ -125,7 +125,7 @@ fn bench_fig2(c: &mut Criterion) {
                 let start = state % n.max(2);
                 db.begin_edit();
                 let mut txn = Transaction::begin(&mut current, &mut inc);
-                transform::balance_inplace_window(&mut txn, &mut db, start, 64, None);
+                transform::balance_inplace_window(&mut txn, &mut db, start, 64);
                 let m = e.evaluate(black_box(txn.aig()));
                 txn.rollback();
                 db.rollback_edit();
@@ -152,7 +152,7 @@ fn bench_fig2(c: &mut Criterion) {
                 let start = state % n.max(2);
                 db.begin_edit();
                 let mut txn = Transaction::begin(&mut current, &mut inc);
-                transform::resub_inplace_window(&mut txn, &mut db, start, 64, None);
+                transform::resub_inplace_window(&mut txn, &mut db, start, 64);
                 let m = e.evaluate(black_box(txn.aig()));
                 txn.rollback();
                 db.rollback_edit();
@@ -201,7 +201,6 @@ fn bench_fig2(c: &mut Criterion) {
                     true,
                     start,
                     128,
-                    None,
                 );
                 let m = e.evaluate(black_box(txn.aig()));
                 txn.rollback();

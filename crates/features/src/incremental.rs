@@ -136,7 +136,7 @@ impl IncrementalFeatures {
 
     /// Marks the state stale; the next `sync` takes the `rebuild`
     /// path. Called after whole-graph evaluations (clone-based SA
-    /// candidates) and by forked evaluator slots.
+    /// candidates).
     pub fn invalidate(&mut self) {
         self.valid = false;
     }

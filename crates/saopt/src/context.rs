@@ -58,20 +58,10 @@ pub struct EvalContext {
     inplace: bool,
     /// The in-place engine's warm buffers (see the module docs).
     engine: Option<(IncrementalAnalysis, CutDb)>,
-    /// Pooled worker slots of the speculative engine
-    /// ([`crate::speculate`]): replica graph, analysis, cut database
-    /// and worker context allocations persist across waves *and*
-    /// across runs sharing this context; content is resynced per
-    /// wave. Slots are only ever built when the pool runs dry.
-    spec_slots: Vec<crate::speculate::SpecSlot>,
-    /// Cumulative count of speculative worker slots built for this
-    /// context (pool misses; reuse does not increment it).
-    spec_spawned: usize,
     /// Pool of graph-shaped mapping buffers for ground-truth
     /// evaluators constructed against this context
     /// ([`techmap::MapPool`]): capacity survives across evaluator
-    /// lifetimes exactly like the engine and speculation buffers
-    /// above.
+    /// lifetimes exactly like the engine buffers above.
     map_pool: techmap::MapPool,
 }
 
@@ -104,8 +94,6 @@ impl EvalContext {
             },
             inplace: true,
             engine: None,
-            spec_slots: Vec::new(),
-            spec_spawned: 0,
             map_pool: techmap::MapPool::new(),
         }
     }
@@ -144,32 +132,6 @@ impl EvalContext {
         self.engine = engine;
     }
 
-    /// Takes the pooled speculative worker slots (the speculative
-    /// engine resyncs their content, tops the pool up to its worker
-    /// count, and returns them at run end).
-    pub(crate) fn take_spec_slots(&mut self) -> Vec<crate::speculate::SpecSlot> {
-        std::mem::take(&mut self.spec_slots)
-    }
-
-    /// Returns the worker slots for the next run sharing this context
-    /// and records how many of them had to be newly built.
-    pub(crate) fn put_spec_slots(
-        &mut self,
-        slots: Vec<crate::speculate::SpecSlot>,
-        newly_spawned: usize,
-    ) {
-        self.spec_slots = slots;
-        self.spec_spawned += newly_spawned;
-    }
-
-    /// How many speculative worker slots were ever *built* for this
-    /// context (as opposed to reused from its pool). Flat across
-    /// repeated runs sharing a context — the pooling contract the
-    /// speculation tests assert.
-    pub fn contexts_spawned(&self) -> usize {
-        self.spec_spawned
-    }
-
     /// Whether [`crate::optimize_with`] executes in-place-capable
     /// moves through the edit transaction engine (default `true`).
     pub fn inplace_transactions(&self) -> bool {
@@ -186,19 +148,6 @@ impl EvalContext {
     /// The resynthesis cache recipes are applied against.
     pub fn resynth(&self) -> &ResynthCache {
         &self.resynth
-    }
-
-    /// A clone of the shared cache handle (for sibling contexts).
-    pub fn shared_resynth(&self) -> Arc<ResynthCache> {
-        Arc::clone(&self.resynth)
-    }
-
-    /// Points this context at another run's shared cache (used when a
-    /// pooled worker slot is adopted by a context with a different
-    /// cache; results are unaffected — cached structures are pure
-    /// functions of the cut function).
-    pub(crate) fn repoint_resynth(&mut self, resynth: Arc<ResynthCache>) {
-        self.resynth = resynth;
     }
 
     /// Levels of `aig` computed into the context's reusable buffer.
@@ -235,7 +184,7 @@ mod tests {
     #[test]
     fn shared_handles_point_at_one_cache() {
         let ctx = EvalContext::new();
-        let sibling = EvalContext::with_shared(ctx.shared_resynth());
+        let sibling = EvalContext::with_shared(Arc::clone(&ctx.resynth));
         assert!(Arc::ptr_eq(&ctx.resynth, &sibling.resynth));
         assert!(ctx.resynth().is_enabled());
         assert!(!EvalContext::without_cache().resynth().is_enabled());

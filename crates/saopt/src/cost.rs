@@ -20,8 +20,7 @@ pub struct EditScope<'a> {
     pub cuts: &'a CutDb,
     /// Watermark: every per-node quantity below this id is unchanged
     /// since the evaluator's previous call. `0` declares the whole
-    /// graph suspect (whole-graph accept, compaction sweep, slot
-    /// re-clone).
+    /// graph suspect (whole-graph accept, compaction sweep).
     pub dirty_since: NodeId,
     /// The edit's merged dirty footprint plus the engine's live
     /// [`IncrementalAnalysis`], when the caller maintains them.
@@ -113,27 +112,17 @@ pub trait CostEvaluator {
     /// is a no-op.
     fn resync_edit(&mut self, _aig: &Aig, _scope: &EditScope<'_>, _ctx: &mut EvalContext) {}
 
-    /// Whether the speculative engine must call
-    /// [`CostEvaluator::resync_edit`] after rolling a scored move
-    /// back. Watermark-based evaluators answer `false`: leaving their
-    /// state mirroring the *edited* graph and lowering the watermark
-    /// is cheaper than a second pass per speculated move. Delta-based
-    /// evaluators ([`MlCost`]) answer `true`: their state must track
-    /// the slot's replica exactly, footprint by footprint.
+    /// Describes the evaluator's state model. Delta-based evaluators
+    /// ([`MlCost`]) answer `true`: their per-node state follows the
+    /// graph footprint by footprint, so it is only correct if every
+    /// rollback is followed by [`CostEvaluator::resync_edit`].
+    /// Watermark-based evaluators ([`GroundTruthCost`]) answer
+    /// `false`: a lowered [`EditScope::dirty_since`] on the next call
+    /// is enough for them to catch up. No engine in the workspace
+    /// reads it — the SA loop re-syncs after every rollback either
+    /// way.
     fn wants_rollback_resync(&self) -> bool {
         false
-    }
-
-    /// Forks an independent sibling evaluator for speculative
-    /// scoring: same pricing function — metrics are bit-identical to
-    /// this evaluator's, because evaluator state is pure with respect
-    /// to the evaluated graph — but fresh per-node state, so worker
-    /// slots of the speculative SA engine can price candidate moves
-    /// concurrently. `None` (the default) declares the evaluator
-    /// unforkable; [`crate::optimize_with`] then silently falls back
-    /// to the serial engine even when speculation is requested.
-    fn fork(&self) -> Option<Box<dyn CostEvaluator + Send + '_>> {
-        None
     }
 
     /// Evaluator name for reports (`proxy`, `ground-truth`, `ml`).
@@ -157,10 +146,6 @@ impl CostEvaluator for ProxyCost {
             delay: f64::from(ctx.levels_of(aig).max_level),
             area: aig.num_ands() as f64,
         }
-    }
-
-    fn fork(&self) -> Option<Box<dyn CostEvaluator + Send + '_>> {
-        Some(Box::new(ProxyCost))
     }
 
     fn name(&self) -> &'static str {
@@ -345,27 +330,6 @@ impl CostEvaluator for GroundTruthCost<'_> {
         let _ = self.evaluate_edit(aig, scope, ctx);
     }
 
-    /// Forks share the library and mapping options and *clone the
-    /// warm graph-independent state*: the precomputed match tables
-    /// ([`Mapper::fork`]), the context's cut-function shortlist memo
-    /// ([`MapContext::fork_memo`]) and the [`SizingTable`]. All of it
-    /// is a pure function of the library and options, so metrics stay
-    /// bit-identical to the parent's; graph-shaped state (DP rows,
-    /// persistent design, STA) starts empty per fork.
-    fn fork(&self) -> Option<Box<dyn CostEvaluator + Send + '_>> {
-        Some(Box::new(GroundTruthCost {
-            lib: self.lib,
-            mapper: self.mapper.fork(),
-            map_ctx: self.map_ctx.fork_memo(),
-            sizing: self.sizing.clone(),
-            sta_bufs: sta::StaBuffers::new(),
-            resize_loads: Vec::new(),
-            design: MappedDesign::new(),
-            inc_sta: IncrementalSta::new(),
-            sta_seeds: Vec::new(),
-        }))
-    }
-
     fn name(&self) -> &'static str {
         "ground-truth"
     }
@@ -382,22 +346,18 @@ impl CostEvaluator for GroundTruthCost<'_> {
 /// moved; inference always runs through pre-flattened [`Forest`]s.
 /// Predictions are bit-identical to the whole-graph
 /// `extract` + [`GbtModel::predict_f64`] path (the differential suite
-/// asserts this on random edit walks), so the engine-on/off and
-/// speculation byte-identity guarantees carry over unchanged.
-pub struct MlCost<'a> {
-    delay_model: &'a GbtModel,
-    area_model: &'a GbtModel,
+/// asserts this on random edit walks), so the engine-on/off
+/// byte-identity guarantee carries over unchanged.
+pub struct MlCost {
     delay_forest: Forest,
     area_forest: Forest,
     feats: IncrementalFeatures,
 }
 
-impl<'a> MlCost<'a> {
+impl MlCost {
     /// Creates an ML evaluator from trained delay and area models.
-    pub fn new(delay_model: &'a GbtModel, area_model: &'a GbtModel) -> Self {
+    pub fn new(delay_model: &GbtModel, area_model: &GbtModel) -> Self {
         MlCost {
-            delay_model,
-            area_model,
             delay_forest: Forest::flatten(delay_model),
             area_forest: Forest::flatten(area_model),
             feats: IncrementalFeatures::default(),
@@ -412,7 +372,7 @@ impl<'a> MlCost<'a> {
     }
 }
 
-impl CostEvaluator for MlCost<'_> {
+impl CostEvaluator for MlCost {
     fn evaluate(&mut self, aig: &Aig) -> CostMetrics {
         // Whole-graph path: the persistent feature state no longer
         // mirrors this graph — drop it (the next in-place step
@@ -450,10 +410,6 @@ impl CostEvaluator for MlCost<'_> {
 
     fn wants_rollback_resync(&self) -> bool {
         true
-    }
-
-    fn fork(&self) -> Option<Box<dyn CostEvaluator + Send + '_>> {
-        Some(Box::new(MlCost::new(self.delay_model, self.area_model)))
     }
 
     fn name(&self) -> &'static str {

@@ -1,38 +1,25 @@
 //! The simulated-annealing optimization loop (paper §IV, following
 //! the SA paradigm of Hillier et al. [5]).
 //!
-//! # The speculate → commit → replay protocol
+//! # Determinism
 //!
-//! With [`SaOptions::speculation`] set (and a forkable evaluator),
-//! [`optimize_with`] runs the chain through [`crate::speculate`]: a
-//! *scout* clone of the chain's RNG pre-draws a wave of candidate
-//! moves, worker slots score them concurrently (each on its own
-//! replica graph, `CutDb`, [`EvalContext`] and
-//! [`CostEvaluator::fork`]), and a serial commit loop then consumes
-//! the results in iteration order, re-drawing every RNG sample from
-//! the *true* stream and applying the Metropolis rule to the
-//! speculated metrics. An accepted windowed move is committed by
-//! replaying its recorded substitution journal onto the master graph;
-//! the wave's remaining speculations — now priced against a stale
-//! graph — are re-scored against the committed state (worker replicas
-//! replay the same journal) and the commit loop resumes.
-//!
-//! The determinism contract mirrors the [`aig::incremental`] dirty-
-//! region contracts it is built on: speculated metrics are bitwise
-//! equal to what the serial loop would compute (evaluator state is
-//! pure with respect to the evaluated graph), RNG consumption per
-//! move is a pure function of the recipe draw (see [`metropolis`]),
-//! and the commit loop re-derives every decision — so results are
-//! **byte-identical to the serial engine** for every seed, any batch
-//! size, and any `AIG_THREADS`, as the speculation determinism suites
-//! assert. Speculation off (the default) *is* the serial engine,
-//! kept verbatim as the oracle.
+//! [`optimize_with`] runs one serial chain. Each iteration draws its
+//! recipe (and, for an in-place move, its window start) from the
+//! chain's RNG, prices the candidate, and draws exactly one
+//! acceptance sample ([`metropolis`]), so RNG consumption per move is
+//! a pure function of the recipe draw, never of the move's metrics.
+//! In-place moves run through the edit transaction engine or, with
+//! the engine off, through a clone of the current graph; both paths
+//! execute the same [`run_inplace_plan`], so results are
+//! byte-identical either way, for any context state and any
+//! `AIG_THREADS` (the determinism suites assert this). Parallelism
+//! lives across chains ([`optimize_seeds`], [`crate::sweep`]), never
+//! within one.
 
 use crate::context::EvalContext;
 use crate::cost::{CostEvaluator, CostMetrics, EditScope};
-use crate::speculate::{SpecStats, SpeculationOptions};
 use aig::cut::CutDb;
-use aig::incremental::{DirtyRegion, EditOp, IncrementalAnalysis, Transaction};
+use aig::incremental::{DirtyRegion, IncrementalAnalysis, Transaction};
 use aig::{Aig, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -46,18 +33,18 @@ use transform::{
 /// 4-input cuts *and* to the default `techmap::MapOptions`, so one
 /// database serves both the local rewriter and the incremental
 /// ground-truth evaluator.
-pub(crate) const INPLACE_CUT_SIZE: usize = 4;
-pub(crate) const INPLACE_MAX_CUTS: usize = 8;
+const INPLACE_CUT_SIZE: usize = 4;
+const INPLACE_MAX_CUTS: usize = 8;
 /// Live AND nodes examined by one in-place move
 /// ([`transform::resynth_inplace_window`]); the window start is drawn
 /// from the chain's RNG as part of the move, so edits stay local and
 /// the per-iteration cost is independent of the graph size.
-pub(crate) const INPLACE_WINDOW: usize = 64;
+const INPLACE_WINDOW: usize = 64;
 
 /// Window width of an in-place move: refactor-flavor moves scan twice
 /// the baseline window (their whole-graph counterpart works on larger
 /// cones; the in-place flavor compensates with coverage).
-pub(crate) fn plan_window(plan: InplacePlan) -> usize {
+fn plan_window(plan: InplacePlan) -> usize {
     match plan {
         InplacePlan::Refactor(_) => 2 * INPLACE_WINDOW,
         _ => INPLACE_WINDOW,
@@ -65,57 +52,51 @@ pub(crate) fn plan_window(plan: InplacePlan) -> usize {
 }
 
 /// Executes one in-place SA move according to its plan. The single
-/// definition is shared by the serial engine path, the clone-oracle
-/// path and the speculative scorer, so all three are bitwise
-/// interchangeable by construction.
-pub(crate) fn run_inplace_plan(
+/// definition is shared by the engine path and the clone-oracle path,
+/// so the two are bitwise interchangeable by construction.
+fn run_inplace_plan(
     plan: InplacePlan,
     txn: &mut Transaction<'_>,
     db: &mut CutDb,
     cache: &ResynthCache,
     start: NodeId,
-    ops: Option<&mut Vec<EditOp>>,
 ) -> InplaceStats {
     let window = plan_window(plan);
     match plan {
         InplacePlan::Rewrite(mode) => {
-            resynth_inplace_window(txn, db, cache, mode, false, start, window, ops)
+            resynth_inplace_window(txn, db, cache, mode, false, start, window)
         }
         InplacePlan::Refactor(mode) => {
-            resynth_inplace_window(txn, db, cache, mode, true, start, window, ops)
+            resynth_inplace_window(txn, db, cache, mode, true, start, window)
         }
-        InplacePlan::Balance => balance_inplace_window(txn, db, start, window, ops),
-        InplacePlan::Resub => resub_inplace_window(txn, db, start, window, ops),
+        InplacePlan::Balance => balance_inplace_window(txn, db, start, window),
+        InplacePlan::Resub => resub_inplace_window(txn, db, start, window),
     }
 }
 
-/// Deterministic dead-logic compaction checkpoint (both serial paths
-/// and the speculative commit loop apply it identically, so it is
-/// part of the byte-identity contract): after the `it`-th iteration's
-/// *accepted* move, the graph is swept when less than a quarter of
-/// its nodes are live. Append-capable moves strand their replaced
+/// Deterministic dead-logic compaction checkpoint (both paths apply
+/// it identically, so it is part of the byte-identity contract):
+/// after the `it`-th iteration's *accepted* move, the graph is swept
+/// when less than a quarter of its nodes are live. Append-capable moves strand their replaced
 /// cones as dead nodes; without a liveness-aware bound the arena (and
 /// every analysis over it) would grow without limit over a long
 /// chain. This is purely a garbage-ratio policy: the mapper's per-row
 /// cutoff and the design's in-place grow path stay active on
 /// uncompacted (non-topological) graphs, so sweeping is never needed
 /// to restore per-step speed.
-pub(crate) fn should_compact(it: usize, aig: &Aig) -> bool {
+fn should_compact(it: usize, aig: &Aig) -> bool {
     (it & 15) == 15 && aig.num_live_ands() * 4 < aig.num_ands()
 }
 
 /// The Metropolis acceptance rule. One definition on purpose: the
-/// serial paths (engine-on and whole-graph) and the speculative
-/// commit loop must draw from the RNG identically for the
-/// byte-identity contracts to hold.
+/// engine-on and whole-graph paths must draw from the RNG identically
+/// for the byte-identity contracts to hold.
 ///
 /// The sample is drawn **unconditionally** — even though a downhill
 /// move accepts regardless of it — so the stream advances by exactly
 /// one `f64` per evaluated move: RNG consumption is a pure function
-/// of the recipe draw, never of the move's metrics. The speculative
-/// engine's scout relies on this to pre-draw whole waves of moves
-/// before any of them is scored.
-pub(crate) fn metropolis(delta: f64, temp: f64, rng: &mut SmallRng) -> bool {
+/// of the recipe draw, never of the move's metrics.
+fn metropolis(delta: f64, temp: f64, rng: &mut SmallRng) -> bool {
     let sample: f64 = rng.gen();
     delta <= 0.0 || sample < (-delta / temp.max(1e-12)).exp()
 }
@@ -139,11 +120,6 @@ pub struct SaOptions {
     pub weight_area: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Speculative within-chain parallelism (`None`, the default,
-    /// runs the serial engine; see the [module docs](self) and
-    /// [`crate::speculate`]). Results are byte-identical either way,
-    /// for any `AIG_THREADS`.
-    pub speculation: Option<SpeculationOptions>,
 }
 
 impl Default for SaOptions {
@@ -155,7 +131,6 @@ impl Default for SaOptions {
             weight_delay: 0.7,
             weight_area: 0.3,
             seed: 1,
-            speculation: None,
         }
     }
 }
@@ -176,10 +151,6 @@ pub struct SaResult {
     pub accepted: usize,
     /// Scalar cost after each iteration (current state).
     pub history: Vec<f64>,
-    /// Counters of the speculative engine (`None` for serial runs).
-    /// Never part of the byte-identity contract — every other field
-    /// is independent of whether (and how wide) the run speculated.
-    pub spec: Option<SpecStats>,
 }
 
 /// Runs simulated annealing from `aig` under the given evaluator.
@@ -263,15 +234,8 @@ pub fn optimize(
 /// `AIG_THREADS` and any context state, as the determinism suite
 /// asserts.
 ///
-/// # Speculation
-///
-/// With [`SaOptions::speculation`] set, the transaction engine on,
-/// and a forkable evaluator ([`CostEvaluator::fork`]), the chain runs
-/// through the speculative batch engine instead (see the
-/// [module docs](self) and [`crate::speculate`]); outputs are
-/// byte-identical to this serial loop, and [`SaResult::spec`] carries
-/// the wave counters. Otherwise the request silently degrades to the
-/// serial engine.
+/// The chain itself is serial; to spend more cores, run independent
+/// restarts with [`optimize_seeds`] / [`optimize_best_of`].
 ///
 /// # Panics
 ///
@@ -285,17 +249,6 @@ pub fn optimize_with(
 ) -> SaResult {
     assert!(!actions.is_empty(), "need at least one action");
     assert!(opts.iterations > 0, "iterations must be positive");
-    if let Some(spec) = opts.speculation {
-        if ctx.inplace_transactions() {
-            // Declines (None) when the evaluator is unforkable; the
-            // serial loop below is then the fallback.
-            if let Some(result) =
-                crate::speculate::try_optimize(aig, evaluator, actions, opts, spec, ctx)
-            {
-                return result;
-            }
-        }
-    }
     let mut rng = SmallRng::seed_from_u64(opts.seed);
     let initial = evaluator.evaluate_ctx(aig, ctx);
     assert!(
@@ -360,7 +313,7 @@ pub fn optimize_with(
                 }
                 db.begin_edit();
                 let mut txn = Transaction::begin(&mut current, inc);
-                run_inplace_plan(plan, &mut txn, db, ctx.resynth(), start, None);
+                run_inplace_plan(plan, &mut txn, db, ctx.resynth(), start);
                 let move_min = txn.min_touched();
                 let scope = EditScope::new(db, rows_since.min(move_min))
                     .with_delta(txn.touched_region(), txn.analysis());
@@ -400,7 +353,7 @@ pub fn optimize_with(
                         let mut db = CutDb::new(INPLACE_CUT_SIZE, INPLACE_MAX_CUTS);
                         db.build(&cand);
                         let mut txn = Transaction::begin(&mut cand, &mut inc);
-                        run_inplace_plan(plan, &mut txn, &mut db, ctx.resynth(), start, None);
+                        run_inplace_plan(plan, &mut txn, &mut db, ctx.resynth(), start);
                         txn.commit();
                         cand
                     }
@@ -445,7 +398,6 @@ pub fn optimize_with(
         evaluated,
         accepted,
         history,
-        spec: None,
     }
 }
 
@@ -707,6 +659,90 @@ mod tests {
             on.evaluated, off.evaluated,
             "ground-truth: metrics diverged"
         );
+    }
+
+    /// Four constant cones `AND(AND(x, e), AND(!x, f))` whose readers
+    /// `AND(k, y)` sit past ~90 live filler ANDs, so a move window that
+    /// reaches a cone ends before its reader.
+    fn constant_cone_graph() -> Aig {
+        let mut g = Aig::new();
+        let ins: Vec<aig::Lit> = (0..8).map(|_| g.add_input()).collect();
+        let cones: Vec<aig::Lit> = (0..4)
+            .map(|i| {
+                let t = g.and(ins[i], ins[4]);
+                let u = g.and(!ins[i], ins[5 + i % 3]);
+                g.and(t, u)
+            })
+            .collect();
+        let mut acc = ins[0];
+        for j in 0..30 {
+            acc = g.xor(acc, ins[(3 * j + 1) % 8]);
+        }
+        g.add_output(acc, None::<&str>);
+        for (i, &k) in cones.iter().enumerate() {
+            let r = g.and(k, ins[7 - i]);
+            g.add_output(r, None::<&str>);
+        }
+        g
+    }
+
+    /// A constant substitution whose reader lies outside the window
+    /// used to leave a live `AND(0, y)` that no cell maps. Now the
+    /// reader is simplified within the move: the ground-truth
+    /// evaluator prices the edit exactly like a fresh evaluation, and
+    /// SA chains stay byte-identical with the engine on or off.
+    #[test]
+    fn constant_substitutions_leave_mappable_graphs() {
+        let g = constant_cone_graph();
+        let lib = cells::sky130ish();
+        let cone = g.and_ids().nth(2).expect("first cone root");
+        let mut edited = g.clone();
+        let mut inc = IncrementalAnalysis::new(&edited);
+        let mut db = CutDb::new(INPLACE_CUT_SIZE, INPLACE_MAX_CUTS);
+        db.build(&edited);
+        let mut ctx = EvalContext::new();
+        let mut gt = crate::GroundTruthCost::new(&lib);
+        let before = gt.evaluate_edit(&edited, &EditScope::new(&db, 0), &mut ctx);
+        assert!(before.area > 0.0);
+        let mut txn = Transaction::begin(&mut edited, &mut inc);
+        let plan = InplacePlan::Rewrite(transform::InplaceMode::Standard);
+        run_inplace_plan(plan, &mut txn, &mut db, ctx.resynth(), cone);
+        for o in &txn.aig().outputs()[1..] {
+            assert_eq!(o.lit, aig::Lit::FALSE, "each reader folds to 0");
+        }
+        let scope =
+            EditScope::new(&db, txn.min_touched()).with_delta(txn.touched_region(), txn.analysis());
+        let priced = gt.evaluate_edit(txn.aig(), &scope, &mut ctx);
+        txn.commit();
+        assert_eq!(priced, crate::GroundTruthCost::new(&lib).evaluate(&edited));
+
+        let actions = vec![
+            Recipe(vec![transform::Transform::Rewrite]),
+            Recipe(vec![transform::Transform::RewriteZero]),
+        ];
+        // Seeds whose chains hit a cone without its reader (both
+        // panicked with `NoMatch` before readers were simplified).
+        for seed in [7u64, 9] {
+            let opts = SaOptions {
+                iterations: 24,
+                seed,
+                ..SaOptions::default()
+            };
+            let run = |inplace: bool| {
+                let mut ctx = EvalContext::new();
+                ctx.set_inplace_transactions(inplace);
+                let mut gt = crate::GroundTruthCost::new(&lib);
+                optimize_with(&g, &mut gt, &actions, &opts, &mut ctx)
+            };
+            let (on, off) = (run(true), run(false));
+            assert_eq!(
+                aig::aiger::to_ascii(&on.best),
+                aig::aiger::to_ascii(&off.best),
+                "seed {seed}"
+            );
+            assert_eq!(on.history, off.history, "seed {seed}");
+            assert_eq!(on.evaluated, off.evaluated, "seed {seed}");
+        }
     }
 
     /// In-place moves preserve the Boolean function end to end.

@@ -22,11 +22,6 @@ pub struct SweepConfig {
     pub iterations: usize,
     /// Base RNG seed (each run derives its own).
     pub seed: u64,
-    /// Speculative within-chain parallelism passed to every run
-    /// ([`SaOptions::speculation`]). Point results are byte-identical
-    /// either way; note [`aig::par`] never oversubscribes, so inside
-    /// a parallel sweep each chain speculates with a single worker.
-    pub speculation: Option<crate::SpeculationOptions>,
 }
 
 impl Default for SweepConfig {
@@ -36,7 +31,6 @@ impl Default for SweepConfig {
             decays: vec![0.85, 0.92, 0.97],
             iterations: 40,
             seed: 7,
-            speculation: None,
         }
     }
 }
@@ -101,7 +95,6 @@ where
                 weight_delay: wd,
                 weight_area: wa,
                 seed: cfg.seed.wrapping_add(i as u64 * 0x9E37_79B9),
-                speculation: cfg.speculation,
                 ..SaOptions::default()
             };
             let res = optimize_with(aig, eval, actions, &opts, ctx);
@@ -136,7 +129,6 @@ mod tests {
             decays: vec![0.9, 0.95],
             iterations: 5,
             seed: 3,
-            ..SweepConfig::default()
         };
         let actions = recipes();
         let pts = sweep(&g, || ProxyCost, &actions, &cfg);

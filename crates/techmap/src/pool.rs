@@ -4,7 +4,7 @@
 //! and one [`MappedDesign`] for its lifetime, so *within* a run the
 //! mapping stack is allocation-free on the steady state. Across
 //! evaluator lifetimes, though — `optimize_seeds` restarts, datagen
-//! sweeps, speculative forks — every fresh evaluator used to regrow
+//! sweeps — every fresh evaluator used to regrow
 //! all of its graph-shaped tables from zero, which on a million-node
 //! design is tens of reallocation storms per experiment.
 //!

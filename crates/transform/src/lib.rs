@@ -57,6 +57,6 @@ pub use resub::{resub, resub_inplace_window};
 pub use rewrite::{
     perturb, perturb_with, refactor, refactor_with, refactor_zero, refactor_zero_with,
     resynth_inplace_window, resynthesize, resynthesize_with, rewrite, rewrite_inplace,
-    rewrite_inplace_window, rewrite_inplace_window_recorded, rewrite_with, rewrite_zero,
-    rewrite_zero_with, InplaceMode, InplaceStats, ResynthOptions,
+    rewrite_inplace_window, rewrite_with, rewrite_zero, rewrite_zero_with, InplaceMode,
+    InplaceStats, ResynthOptions,
 };

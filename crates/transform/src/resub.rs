@@ -13,9 +13,9 @@
 //! same cone. The replacement is *exact* (truth-table equality over a
 //! complete cut), so no SAT or fraiging is needed for soundness.
 
-use crate::rewrite::{substitution_is_acyclic, InplaceStats};
+use crate::rewrite::{substitute_simplifying, substitution_is_acyclic, InplaceStats};
 use aig::cut::{enumerate_cuts, expand_tt, CutDb};
-use aig::incremental::{EditOp, Transaction};
+use aig::incremental::Transaction;
 use aig::{Aig, Lit, NodeId};
 
 /// Applies cone-internal resubstitution with 6-input cuts.
@@ -163,8 +163,8 @@ const MAX_CONE_NODES: usize = 32;
 /// substitution can neither create a combinational cycle nor increase
 /// the node's level — resubstitution appends nothing and strictly
 /// frees the node's exclusive cone. The cut database is kept in step,
-/// and `ops`, when provided, records the move for exact replay
-/// ([`aig::incremental::replay_ops`]).
+/// and readers a substitution leaves degenerate are simplified in the
+/// same move.
 ///
 /// # Panics
 ///
@@ -175,7 +175,6 @@ pub fn resub_inplace_window(
     cuts: &mut CutDb,
     start: NodeId,
     max_nodes: usize,
-    mut ops: Option<&mut Vec<EditOp>>,
 ) -> InplaceStats {
     debug_assert_eq!(
         cuts.num_nodes(),
@@ -299,12 +298,7 @@ pub fn resub_inplace_window(
         if let Some((_, with)) = best {
             // Candidates live in TFI(id): cycle-free by construction.
             debug_assert!(substitution_is_acyclic(txn.aig(), id, with));
-            txn.substitute(id, with);
-            cuts.invalidate(txn.aig(), txn.analysis(), txn.analysis().last_dirty());
-            stats.substitutions += 1;
-            if let Some(rec) = ops.as_deref_mut() {
-                rec.push(EditOp::Substitute(id, with));
-            }
+            stats.substitutions += substitute_simplifying(txn, cuts, id, with);
         }
     }
     stats
@@ -401,11 +395,10 @@ mod tests {
     }
 
     /// The in-place windowed move preserves function for any window,
-    /// never appends, keeps analysis and cut database exact, and its
-    /// recorded ops replay to identical bytes.
+    /// never appends, and keeps analysis and cut database exact.
     #[test]
-    fn inplace_window_preserves_function_and_replays() {
-        use aig::incremental::{replay_ops, IncrementalAnalysis, Transaction};
+    fn inplace_window_preserves_function() {
+        use aig::incremental::{IncrementalAnalysis, Transaction};
         let mut substituted_any = false;
         for seed in 0..8u64 {
             let g0 = random_aig(seed + 300, 7, 80);
@@ -416,9 +409,8 @@ mod tests {
                 let mut inc = IncrementalAnalysis::new(&g);
                 let mut db = aig::cut::CutDb::new(6, 5);
                 db.build(&g);
-                let mut ops = Vec::new();
                 let mut txn = Transaction::begin(&mut g, &mut inc);
-                let stats = resub_inplace_window(&mut txn, &mut db, start, 24, Some(&mut ops));
+                let stats = resub_inplace_window(&mut txn, &mut db, start, 24);
                 txn.commit();
                 assert_eq!(stats.appended_nodes, 0, "resub never appends");
                 assert_eq!(g.num_nodes(), before);
@@ -428,16 +420,6 @@ mod tests {
                 );
                 db.assert_matches_fresh(&g);
                 inc.assert_matches_oracle(&g);
-
-                let mut twin = g0.clone();
-                let mut twin_inc = IncrementalAnalysis::new(&twin);
-                let mut twin_db = aig::cut::CutDb::new(6, 5);
-                twin_db.build(&twin);
-                let mut twin_txn = Transaction::begin(&mut twin, &mut twin_inc);
-                let replayed = replay_ops(&mut twin_txn, &mut twin_db, &ops);
-                twin_txn.commit();
-                assert_eq!(replayed, stats.substitutions);
-                assert_eq!(aig::aiger::to_ascii(&g), aig::aiger::to_ascii(&twin));
                 substituted_any |= stats.substitutions > 0;
             }
         }
@@ -463,7 +445,7 @@ mod tests {
         let mut db = aig::cut::CutDb::new(6, 5);
         db.build(&g);
         let mut txn = Transaction::begin(&mut g, &mut inc);
-        let stats = resub_inplace_window(&mut txn, &mut db, 1, usize::MAX, None);
+        let stats = resub_inplace_window(&mut txn, &mut db, 1, usize::MAX);
         txn.commit();
         assert!(stats.substitutions >= 1);
         assert!(equiv_exhaustive(&g0, &g).expect("small"));

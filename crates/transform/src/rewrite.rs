@@ -17,7 +17,7 @@ use crate::cache::ResynthCache;
 use crate::structure::SmallStructure;
 use aig::analysis::levels;
 use aig::cut::{enumerate_cuts, CutDb};
-use aig::incremental::{EditOp, Transaction};
+use aig::incremental::Transaction;
 use aig::{Aig, Lit, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -252,6 +252,72 @@ pub(crate) fn substitution_is_acyclic(g: &Aig, node: NodeId, with: Lit) -> bool 
     !g.reaches(w, node)
 }
 
+/// Substitutes `node` by `with` inside `txn`, keeps `cuts` in step,
+/// and then simplifies every reader the rewire left degenerate.
+///
+/// [`Transaction::substitute`] rewires readers verbatim, so a
+/// substitution by a constant, or by a literal the reader already
+/// reads, can leave `AND(0, x)` or `AND(x, !x)` (constant 0), or
+/// `AND(1, x)` or `AND(x, x)` (just `x`): a live AND whose cut
+/// functions are all constant, which no library cell implements.
+/// Each such reader with fanout is substituted in turn by its
+/// simplified literal — and its own readers checked the same way —
+/// in the same transaction, so rollback, the analysis and the cut
+/// database stay exact. Every in-place pass substitutes through here.
+///
+/// Returns the number of substitutions performed: 1 plus the
+/// simplified readers.
+pub(crate) fn substitute_simplifying(
+    txn: &mut Transaction<'_>,
+    cuts: &mut CutDb,
+    node: NodeId,
+    with: Lit,
+) -> usize {
+    fn push_degenerate(txn: &Transaction<'_>, pending: &mut Vec<NodeId>) {
+        let g = txn.aig();
+        let readers = txn.analysis().last_dirty().edited();
+        pending.extend(
+            readers
+                .iter()
+                .filter(|&&r| simplified(g.fanins(r)).is_some()),
+        );
+    }
+    txn.substitute(node, with);
+    cuts.invalidate(txn.aig(), txn.analysis(), txn.analysis().last_dirty());
+    let mut done = 1;
+    let mut pending = Vec::new();
+    push_degenerate(txn, &mut pending);
+    while let Some(reader) = pending.pop() {
+        // Read the literal now: a substitution since the push may
+        // have rewired the reader's fanins. A reader simplified
+        // already has no fanout left.
+        let lit = match simplified(txn.aig().fanins(reader)) {
+            Some(lit) if txn.analysis().fanout(reader) > 0 => lit,
+            _ => continue,
+        };
+        txn.substitute(reader, lit);
+        cuts.invalidate(txn.aig(), txn.analysis(), txn.analysis().last_dirty());
+        done += 1;
+        push_degenerate(txn, &mut pending);
+    }
+    done
+}
+
+/// The literal an AND with degenerate fanins equals: `AND(0, x)` and
+/// `AND(x, !x)` are 0, `AND(1, x)` and `AND(x, x)` are `x`; `None`
+/// for a proper AND.
+fn simplified([a, b]: [Lit; 2]) -> Option<Lit> {
+    if a == Lit::FALSE || b == Lit::FALSE || a == !b {
+        Some(Lit::FALSE)
+    } else if a == Lit::TRUE {
+        Some(b)
+    } else if b == Lit::TRUE || a == b {
+        Some(a)
+    } else {
+        None
+    }
+}
+
 /// [`rewrite_inplace`] restricted to a *window* of the graph: at most
 /// `max_nodes` live AND nodes are examined, beginning at the first
 /// AND node with id `>= start` and wrapping around to the low ids.
@@ -276,35 +342,7 @@ pub fn rewrite_inplace_window(
     start: NodeId,
     max_nodes: usize,
 ) -> usize {
-    resynth_inplace_window(txn, cuts, cache, mode, false, start, max_nodes, None).substitutions
-}
-
-/// [`rewrite_inplace_window`] that additionally records every
-/// transaction call as [`EditOp`]s, appended to `ops` in execution
-/// order. The recorded sequence fully determines the move: replaying
-/// it on a byte-identical graph
-/// ([`aig::incremental::replay_ops`]) reproduces the move exactly
-/// (graph, strash table, cut database and analysis included) without
-/// re-running the resynthesis probe — which is how the speculative SA
-/// engine commits a move scored on a worker replica to the master
-/// graph.
-///
-/// Returns the number of substitutions performed.
-///
-/// # Panics
-///
-/// Panics (debug) if `cuts` is out of sync with the transaction's
-/// graph.
-pub fn rewrite_inplace_window_recorded(
-    txn: &mut Transaction<'_>,
-    cuts: &mut CutDb,
-    cache: &ResynthCache,
-    mode: InplaceMode,
-    start: NodeId,
-    max_nodes: usize,
-    ops: &mut Vec<EditOp>,
-) -> usize {
-    resynth_inplace_window(txn, cuts, cache, mode, false, start, max_nodes, Some(ops)).substitutions
+    resynth_inplace_window(txn, cuts, cache, mode, false, start, max_nodes).substitutions
 }
 
 /// Fresh AND nodes one windowed pass may append before further
@@ -341,9 +379,9 @@ type ConeCandidate = (u32, usize, Arc<SmallStructure>, [Lit; 6], usize);
 ///
 /// The cut database is kept in step throughout: appended cones are
 /// synced immediately before the substitution that splices them in,
-/// and every substitution's dirty region is invalidated. `ops`, when
-/// provided, records the move for exact replay
-/// ([`aig::incremental::replay_ops`]).
+/// and every substitution's dirty region is invalidated. Readers a
+/// substitution leaves degenerate (`AND(0, x)`, `AND(x, x)`, ...) are
+/// simplified in the same move.
 ///
 /// The result is a pure function of `(graph, mode, allow_appends,
 /// start, max_nodes)` — warm or fresh caches and databases never
@@ -362,7 +400,6 @@ pub fn resynth_inplace_window(
     allow_appends: bool,
     start: NodeId,
     max_nodes: usize,
-    mut ops: Option<&mut Vec<EditOp>>,
 ) -> InplaceStats {
     debug_assert_eq!(
         cuts.num_nodes(),
@@ -474,12 +511,7 @@ pub fn resynth_inplace_window(
                 stats.skipped_nontopo += 1;
                 continue;
             }
-            txn.substitute(id, with);
-            cuts.invalidate(txn.aig(), txn.analysis(), txn.analysis().last_dirty());
-            stats.substitutions += 1;
-            if let Some(rec) = ops.as_deref_mut() {
-                rec.push(EditOp::Substitute(id, with));
-            }
+            stats.substitutions += substitute_simplifying(txn, cuts, id, with);
             applied = true;
             break;
         }
@@ -489,8 +521,7 @@ pub fn resynth_inplace_window(
         if let Some((_, _, structure, leaves, nv)) = best_cone {
             let sp = txn.savepoint();
             let before = txn.aig().num_nodes();
-            let mut cone_ops = Vec::new();
-            let root = structure.instantiate_txn(txn, &leaves[..nv], &mut cone_ops);
+            let root = structure.instantiate_txn(txn, &leaves[..nv]);
             let fresh = txn.aig().num_nodes() - before;
             if root.var() == id {
                 // The cone folded back onto the node itself: no-op.
@@ -502,14 +533,8 @@ pub fn resynth_inplace_window(
                 if fresh > 0 {
                     cuts.sync_appends(txn.aig());
                 }
-                txn.substitute(id, root);
-                cuts.invalidate(txn.aig(), txn.analysis(), txn.analysis().last_dirty());
-                stats.substitutions += 1;
+                stats.substitutions += substitute_simplifying(txn, cuts, id, root);
                 stats.appended_nodes += fresh;
-                if let Some(rec) = ops.as_deref_mut() {
-                    rec.extend(cone_ops);
-                    rec.push(EditOp::Substitute(id, root));
-                }
             }
         }
     }
@@ -956,60 +981,6 @@ mod tests {
         }
     }
 
-    /// The recorded edit sequence fully reproduces the move:
-    /// replaying the [`EditOp`]s on a twin graph lands on the same
-    /// bytes — graph AND cut database — as the probing pass, with no
-    /// probe.
-    #[test]
-    fn recorded_substitutions_replay_to_identical_graph() {
-        use aig::incremental::{replay_ops, IncrementalAnalysis, Transaction};
-        let g0 = random_aig(5200, 7, 90);
-        let n = g0.num_nodes() as NodeId;
-        let mut replayed_any = false;
-        for (start, appends) in [(1u32, false), (n / 3, true), (n - 2, true)] {
-            let mut g = g0.clone();
-            let mut inc = IncrementalAnalysis::new(&g);
-            let mut db = aig::cut::CutDb::new(4, 8);
-            db.build(&g);
-            let cache = ResynthCache::new();
-            let mut ops = Vec::new();
-            let mut txn = Transaction::begin(&mut g, &mut inc);
-            let stats = resynth_inplace_window(
-                &mut txn,
-                &mut db,
-                &cache,
-                InplaceMode::ZeroCost,
-                appends,
-                start,
-                24,
-                Some(&mut ops),
-            );
-            txn.commit();
-            let subs = ops
-                .iter()
-                .filter(|op| matches!(op, EditOp::Substitute(..)))
-                .count();
-            assert_eq!(stats.substitutions, subs);
-
-            let mut twin = g0.clone();
-            let mut twin_inc = IncrementalAnalysis::new(&twin);
-            let mut twin_db = aig::cut::CutDb::new(4, 8);
-            twin_db.build(&twin);
-            let mut twin_txn = Transaction::begin(&mut twin, &mut twin_inc);
-            let replayed = replay_ops(&mut twin_txn, &mut twin_db, &ops);
-            twin_txn.commit();
-            assert_eq!(replayed, stats.substitutions);
-            assert_eq!(aig::aiger::to_ascii(&g), aig::aiger::to_ascii(&twin));
-            assert_eq!(db.num_nodes(), twin_db.num_nodes());
-            for id in 0..g.num_nodes() as NodeId {
-                assert_eq!(db.version(id), twin_db.version(id), "node {id} version");
-            }
-            twin_inc.assert_matches_oracle(&twin);
-            replayed_any |= stats.substitutions > 0;
-        }
-        assert!(replayed_any, "test graph produced no substitutions at all");
-    }
-
     /// Append-mode resynthesis (the refactor-flavor SA move) preserves
     /// function for any window, splices fresh cones above the
     /// high-water mark, and never exceeds the per-window budget.
@@ -1036,7 +1007,6 @@ mod tests {
                     true,
                     start,
                     32,
-                    None,
                 );
                 txn.commit();
                 assert!(stats.appended_nodes <= MAX_WINDOW_APPENDS);
@@ -1077,12 +1047,69 @@ mod tests {
                 true,
                 1,
                 usize::MAX,
-                None,
             ));
             txn.commit();
             assert!(equiv_exhaustive(&g0, &g).expect("small"), "seed {seed}");
         }
         assert!(total.substitutions > 0);
+    }
+
+    /// A window that reaches a constant cone but not its readers
+    /// substitutes the cone by 0; the readers it leaves as `AND(0, d)`
+    /// and `AND(1, d)` are simplified in the same move, so no AND with
+    /// fanout keeps degenerate fanins, and a rollback still restores
+    /// everything exactly.
+    #[test]
+    fn constant_substitution_simplifies_degenerate_readers() {
+        use aig::incremental::{IncrementalAnalysis, Transaction};
+        let mut g0 = Aig::new();
+        let [a, b, c, d] = [(); 4].map(|()| g0.add_input());
+        let t = g0.and(a, b);
+        let u = g0.and(!a, c);
+        let k = g0.and(t, u); // a & b & !a & c == 0
+        let r0 = g0.and(k, d);
+        let r1 = g0.and(!k, d);
+        let s = g0.and(r1, b);
+        g0.add_output(r0, None::<&str>);
+        g0.add_output(s, None::<&str>);
+
+        for commit in [true, false] {
+            let mut g = g0.clone();
+            let mut inc = IncrementalAnalysis::new(&g);
+            let mut db = aig::cut::CutDb::new(4, 8);
+            db.build(&g);
+            let cache = ResynthCache::new();
+            db.begin_edit();
+            let mut txn = Transaction::begin(&mut g, &mut inc);
+            // Only `k` is examined: its readers lie outside the window.
+            let subs = rewrite_inplace_window(
+                &mut txn,
+                &mut db,
+                &cache,
+                InplaceMode::Standard,
+                k.var(),
+                1,
+            );
+            assert_eq!(subs, 3, "k, then its readers r0 and r1");
+            for id in txn.aig().and_ids() {
+                if txn.analysis().fanout(id) > 0 {
+                    assert_eq!(simplified(txn.aig().fanins(id)), None, "node {id}");
+                }
+            }
+            assert_eq!(txn.aig().outputs()[0].lit, Lit::FALSE);
+            assert_eq!(txn.aig().fanins(s.var()), [b, d]);
+            if commit {
+                txn.commit();
+                db.commit_edit();
+                assert!(equiv_exhaustive(&g0, &g).expect("small"));
+            } else {
+                txn.rollback();
+                db.rollback_edit();
+                assert_eq!(aig::aiger::to_ascii(&g), aig::aiger::to_ascii(&g0));
+            }
+            db.assert_matches_fresh(&g);
+            inc.assert_matches_oracle(&g);
+        }
     }
 
     /// A rolled-back in-place rewrite leaves no trace: graph bytes and

@@ -7,7 +7,7 @@
 //! [`SmallStructure::dry_cost`], and instantiates the winner with
 //! [`SmallStructure::instantiate`].
 
-use aig::incremental::{EditOp, Transaction};
+use aig::incremental::Transaction;
 use aig::{Aig, Lit};
 
 /// Reference to a value inside a [`SmallStructure`].
@@ -106,24 +106,16 @@ impl SmallStructure {
 
     /// [`SmallStructure::instantiate`] through a [`Transaction`]: every
     /// AND goes through [`Transaction::and`] so fresh nodes are
-    /// journaled (and exactly rollbackable), and each call is recorded
-    /// into `ops` so the whole cone can be replayed on a byte-identical
-    /// graph (see [`EditOp`]).
+    /// journaled (and exactly rollbackable).
     ///
     /// # Panics
     ///
     /// Panics if a leaf index exceeds `leaves.len()`.
-    pub fn instantiate_txn(
-        &self,
-        txn: &mut Transaction<'_>,
-        leaves: &[Lit],
-        ops: &mut Vec<EditOp>,
-    ) -> Lit {
+    pub fn instantiate_txn(&self, txn: &mut Transaction<'_>, leaves: &[Lit]) -> Lit {
         let mut vals: Vec<Lit> = Vec::with_capacity(self.ops.len());
         for &(a, b) in &self.ops {
             let la = self.resolve(a, leaves, &vals);
             let lb = self.resolve(b, leaves, &vals);
-            ops.push(EditOp::And(la, lb));
             vals.push(txn.and(la, lb));
         }
         self.resolve(self.out, leaves, &vals)

@@ -97,37 +97,6 @@ fn sa_runs_replay_with_seed() {
     assert_eq!(aig::aiger::to_ascii(&a.best), aig::aiger::to_ascii(&b.best));
 }
 
-/// The speculative batch engine replays exactly with the seed *and*
-/// reproduces the serial engine byte for byte on a real benchmark
-/// (the full on-vs-off × batch-size matrix lives in the `speculation`
-/// test binary; the `AIG_THREADS` half in `npn_thread_determinism`).
-#[test]
-fn speculative_sa_replays_with_seed() {
-    let d = benchgen::ex68();
-    let actions = recipes();
-    let serial_opts = SaOptions {
-        iterations: 8,
-        seed: 77,
-        ..SaOptions::default()
-    };
-    let spec_opts = SaOptions {
-        speculation: Some(saopt::SpeculationOptions::default()),
-        ..serial_opts
-    };
-    let serial = optimize(&d.aig, &mut ProxyCost, &actions, &serial_opts);
-    let a = optimize(&d.aig, &mut ProxyCost, &actions, &spec_opts);
-    let b = optimize(&d.aig, &mut ProxyCost, &actions, &spec_opts);
-    assert!(a.spec.is_some(), "speculation must engage");
-    assert_eq!(a.spec, b.spec, "counters replay with the seed");
-    assert_eq!(a.history, b.history);
-    assert_eq!(a.history, serial.history);
-    assert_eq!(a.evaluated, serial.evaluated);
-    assert_eq!(
-        aig::aiger::to_ascii(&a.best),
-        aig::aiger::to_ascii(&serial.best)
-    );
-}
-
 #[test]
 fn mapping_and_sizing_are_deterministic() {
     let lib = sky130ish();

@@ -250,7 +250,7 @@ fn drive_append_walk(g0: &Aig, seed: u64, steps: usize) -> bool {
         let mut txn = Transaction::begin(&mut g, &mut inc);
         match step % 3 {
             0 => {
-                transform::balance_inplace_window(&mut txn, &mut db, start, 48, None);
+                transform::balance_inplace_window(&mut txn, &mut db, start, 48);
             }
             1 => {
                 transform::resynth_inplace_window(
@@ -261,11 +261,10 @@ fn drive_append_walk(g0: &Aig, seed: u64, steps: usize) -> bool {
                     true,
                     start,
                     64,
-                    None,
                 );
             }
             _ => {
-                transform::resub_inplace_window(&mut txn, &mut db, start, 48, None);
+                transform::resub_inplace_window(&mut txn, &mut db, start, 48);
             }
         }
         let since = txn.min_touched();
@@ -377,7 +376,6 @@ fn recompute_count_stays_footprint_bounded_under_forward_refs() {
             true,
             start,
             96,
-            None,
         );
         let since = txn.min_touched();
         txn.commit();

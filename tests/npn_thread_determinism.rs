@@ -44,7 +44,6 @@ fn shared_cache_outputs_independent_of_worker_count() {
         decays: vec![0.9, 0.95],
         iterations: 4,
         seed: 13,
-        ..SweepConfig::default()
     };
 
     std::env::set_var("AIG_THREADS", "1");
@@ -106,63 +105,31 @@ fn shared_cache_outputs_independent_of_worker_count() {
         assert_eq!(s.evaluated, p.evaluated, "in-place chain {i}");
     }
 
-    // The speculative batch engine: its worker count *and* its
-    // default wave size follow `AIG_THREADS`, and neither may leak
-    // into results — speculation on/off × 1/4 workers, all four runs
-    // byte-identical per seed (proxy and ground truth).
-    let spec_opts = SaOptions {
-        speculation: Some(saopt::SpeculationOptions::default()),
-        ..opts
-    };
+    // The ground-truth evaluator on the same in-place mix: mapping,
+    // sizing and STA must not depend on the worker count either.
     let lib = cells::sky130ish();
     let gt_opts = SaOptions {
         iterations: 8,
         ..opts
     };
-    let gt_spec_opts = SaOptions {
-        speculation: Some(saopt::SpeculationOptions::default()),
-        ..gt_opts
-    };
-    let gt = |opts: &SaOptions| {
+    let gt = || {
         saopt::optimize_with(
             &g,
             &mut saopt::GroundTruthCost::new(&lib),
             &inplace_actions,
-            opts,
+            &gt_opts,
             &mut saopt::EvalContext::new(),
         )
     };
     std::env::set_var("AIG_THREADS", "1");
-    let spec_1 = optimize_seeds(&g, || ProxyCost, &inplace_actions, &spec_opts, &seeds);
-    let gt_1 = gt(&gt_opts);
-    let gt_spec_1 = gt(&gt_spec_opts);
+    let gt_1 = gt();
     std::env::set_var("AIG_THREADS", "4");
-    let spec_4 = optimize_seeds(&g, || ProxyCost, &inplace_actions, &spec_opts, &seeds);
-    let gt_spec_4 = gt(&gt_spec_opts);
-    for (i, ((s1, s4), ser)) in spec_1.iter().zip(&spec_4).zip(&serial).enumerate() {
-        assert!(s1.spec.is_some() && s4.spec.is_some(), "chain {i}: engaged");
-        assert_eq!(
-            to_ascii(&s1.best),
-            to_ascii(&s4.best),
-            "speculative chain {i}: best AIG differs between 1 and 4 workers"
-        );
-        assert_eq!(s1.history, s4.history, "speculative chain {i}");
-        assert_eq!(s1.evaluated, s4.evaluated, "speculative chain {i}");
-        assert_eq!(
-            to_ascii(&s1.best),
-            to_ascii(&ser.best),
-            "speculative chain {i}: diverged from the serial oracle"
-        );
-        assert_eq!(s1.history, ser.history, "speculative chain {i} vs serial");
-    }
-    for (what, run) in [("1 worker", &gt_spec_1), ("4 workers", &gt_spec_4)] {
-        assert!(run.spec.is_some(), "ground truth must fork");
-        assert_eq!(
-            to_ascii(&gt_1.best),
-            to_ascii(&run.best),
-            "ground-truth speculation at {what} diverged"
-        );
-        assert_eq!(gt_1.history, run.history, "ground truth at {what}");
-        assert_eq!(gt_1.evaluated, run.evaluated, "ground truth at {what}");
-    }
+    let gt_4 = gt();
+    assert_eq!(
+        to_ascii(&gt_1.best),
+        to_ascii(&gt_4.best),
+        "ground truth: best AIG differs between 1 and 4 workers"
+    );
+    assert_eq!(gt_1.history, gt_4.history, "ground truth");
+    assert_eq!(gt_1.evaluated, gt_4.evaluated, "ground truth");
 }
