@@ -120,7 +120,9 @@ pub fn from_ascii(text: &str) -> Result<Aig, AigError> {
     let mut lines = text.lines().enumerate();
     let (_, header) = lines.next().ok_or_else(|| parse_err(1, "empty input"))?;
     let h = parse_header(header, "aag", 1)?;
-    let mut lits: Vec<u32> = Vec::with_capacity(h.i);
+    // Every input and output line takes at least 2 bytes ("2\n"),
+    // every AND line at least 6 ("2 0 0\n").
+    let mut lits: Vec<u32> = Vec::with_capacity(capacity_for(h.i, text.len(), 2));
     for _ in 0..h.i {
         let (n, line) = lines
             .next()
@@ -131,7 +133,7 @@ pub fn from_ascii(text: &str) -> Result<Aig, AigError> {
             .map_err(|_| parse_err(n + 1, "bad input literal"))?;
         lits.push(v);
     }
-    let mut out_lits: Vec<u32> = Vec::with_capacity(h.o);
+    let mut out_lits: Vec<u32> = Vec::with_capacity(capacity_for(h.o, text.len(), 2));
     for _ in 0..h.o {
         let (n, line) = lines
             .next()
@@ -142,7 +144,7 @@ pub fn from_ascii(text: &str) -> Result<Aig, AigError> {
             .map_err(|_| parse_err(n + 1, "bad output literal"))?;
         out_lits.push(v);
     }
-    let mut ands: Vec<(u32, u32, u32)> = Vec::with_capacity(h.a);
+    let mut ands: Vec<(u32, u32, u32)> = Vec::with_capacity(capacity_for(h.a, text.len(), 6));
     for _ in 0..h.a {
         let (n, line) = lines
             .next()
@@ -177,8 +179,8 @@ pub fn from_binary(bytes: &[u8]) -> Result<Aig, AigError> {
     let header = std::str::from_utf8(&bytes[..nl]).map_err(|_| parse_err(1, "non-utf8 header"))?;
     let h = parse_header(header, "aig", 1)?;
     let mut pos = nl + 1;
-    // Outputs: one ASCII literal per line.
-    let mut out_lits = Vec::with_capacity(h.o);
+    // Outputs: one ASCII literal per line (at least 2 bytes each).
+    let mut out_lits = Vec::with_capacity(capacity_for(h.o, bytes.len() - pos, 2));
     for _ in 0..h.o {
         let end = bytes[pos..]
             .iter()
@@ -193,8 +195,9 @@ pub fn from_binary(bytes: &[u8]) -> Result<Aig, AigError> {
         );
         pos += end + 1;
     }
-    // ANDs: delta coded.
-    let mut ands = Vec::with_capacity(h.a);
+    // ANDs: delta coded, at least one byte per delta. `parse_header`
+    // bounds `I + A` by a 31-bit `M`, so `lhs` fits a `u32`.
+    let mut ands = Vec::with_capacity(capacity_for(h.a, bytes.len() - pos, 2));
     for k in 0..h.a {
         let lhs = 2 * (h.i + 1 + k) as u32;
         let d0 = read_leb(bytes, &mut pos)?;
@@ -284,10 +287,28 @@ fn parse_header(line: &str, magic: &str, lineno: usize) -> Result<Header, AigErr
             "{l} latches (only combinational AIGs are supported)"
         )));
     }
-    if m < i + a {
+    // Literals are `2 * var + 1` in 32 bits, so no variable index
+    // exceeds `u32::MAX >> 1`.
+    if m > MAX_VAR {
+        return Err(parse_err(
+            lineno,
+            "header M exceeds the 32-bit literal range",
+        ));
+    }
+    if i.checked_add(a).is_none_or(|n| m < n) {
         return Err(parse_err(lineno, "header M < I + A"));
     }
     Ok(Header { i, o, a })
+}
+
+/// Largest variable index a 32-bit AIGER literal can name.
+const MAX_VAR: usize = (u32::MAX >> 1) as usize;
+
+/// Capacity to reserve for `count` header-announced items that each
+/// take at least `min_bytes` of the `remaining` input: a header cannot
+/// reserve more than the bytes behind it can fill.
+fn capacity_for(count: usize, remaining: usize, min_bytes: usize) -> usize {
+    count.min(remaining / min_bytes)
 }
 
 fn build(
@@ -297,47 +318,11 @@ fn build(
     ands: &[(u32, u32, u32)],
     symbols: &[&str],
 ) -> Result<Aig, AigError> {
-    let mut g = Aig::new();
-    // The header names the exact shape: reserve the node lanes and
-    // the strash table once instead of growing through ~20 rehashes
-    // on a 1M-node ingest.
-    g.reserve_nodes(1 + h.i + h.a, h.a);
-    // var (aiger) -> literal in our graph
-    let max_var = h.i + h.a;
-    let mut map: Vec<Lit> = vec![Lit::INVALID; max_var + 1];
-    map[0] = Lit::FALSE;
-    for (k, &l) in in_lits.iter().enumerate() {
-        if l % 2 != 0 || l == 0 {
-            return Err(parse_err(k + 2, "input literal must be even and nonzero"));
-        }
-        let v = (l / 2) as usize;
-        if v > max_var || map[v] != Lit::INVALID {
-            return Err(parse_err(
-                k + 2,
-                "input variable out of range or duplicated",
-            ));
-        }
-        map[v] = g.add_input();
-    }
-    for &(lhs, r0, r1) in ands {
-        if lhs % 2 != 0 {
-            return Err(parse_err(0, "AND lhs must be even"));
-        }
-        let v = (lhs / 2) as usize;
-        if v > max_var || map[v] != Lit::INVALID {
-            return Err(parse_err(0, "AND lhs out of range or duplicated"));
-        }
-        let a = lookup(&map, r0)?;
-        let b = lookup(&map, r1)?;
-        map[v] = g.and(a, b);
-    }
-    for &l in out_lits {
-        let lit = lookup(&map, l)?;
-        g.add_output(lit, None::<&str>);
-    }
-    // Symbol table + comments. The first comment line is the design
-    // name by this module's own convention (see `append_symbol_table`),
-    // so a write/read/write cycle is byte-identical, name included.
+    // Symbol table + comments, read first so inputs and outputs are
+    // created with their names. The first comment line is the design
+    // name by this module's own convention (see
+    // `append_symbol_table`), so a write/read/write cycle is
+    // byte-identical, name included.
     let mut out_names: Vec<Option<String>> = vec![None; h.o];
     let mut in_names: Vec<Option<String>> = vec![None; h.i];
     let mut design_name: Option<&str> = None;
@@ -361,34 +346,43 @@ fn build(
             }
         }
     }
-    let mut named = Aig::new();
-    // Rebuild names in-place instead: Aig has no rename API for
-    // inputs, so rebuild with names when any symbol is present.
-    if in_names.iter().any(Option::is_some) {
-        let mut map2: Vec<Lit> = vec![Lit::INVALID; g.num_nodes()];
-        map2[0] = Lit::FALSE;
-        for (idx, &pi) in g.inputs().iter().enumerate() {
-            map2[pi as usize] = named.add_named_input(in_names[idx].clone());
+    let mut g = Aig::new();
+    // The parsed sections give the exact shape: reserve the node
+    // lanes and the strash table once instead of growing through ~20
+    // rehashes on a 1M-node ingest.
+    g.reserve_nodes(1 + in_lits.len() + ands.len(), ands.len());
+    // var (aiger) -> literal in our graph
+    let max_var = h.i + h.a;
+    let mut map: Vec<Lit> = vec![Lit::INVALID; max_var + 1];
+    map[0] = Lit::FALSE;
+    for (k, (&l, name)) in in_lits.iter().zip(in_names).enumerate() {
+        if l % 2 != 0 || l == 0 {
+            return Err(parse_err(k + 2, "input literal must be even and nonzero"));
         }
-        for id in g.and_ids() {
-            let [f0, f1] = g.fanins(id);
-            let a = map2[f0.var() as usize].complement_if(f0.is_complement());
-            let b = map2[f1.var() as usize].complement_if(f1.is_complement());
-            map2[id as usize] = named.and(a, b);
+        let v = (l / 2) as usize;
+        if v > max_var || map[v] != Lit::INVALID {
+            return Err(parse_err(
+                k + 2,
+                "input variable out of range or duplicated",
+            ));
         }
-        for (k, o) in g.outputs().iter().enumerate() {
-            let l = map2[o.lit.var() as usize].complement_if(o.lit.is_complement());
-            named.add_output(l, out_names[k].clone());
-        }
-        if let Some(n) = design_name {
-            named.set_name(n);
-        }
-        return Ok(named);
+        map[v] = g.add_named_input(name);
     }
-    for (k, name) in out_names.into_iter().enumerate() {
-        if name.is_some() {
-            g.rename_output(k, name);
+    for &(lhs, r0, r1) in ands {
+        if lhs % 2 != 0 {
+            return Err(parse_err(0, "AND lhs must be even"));
         }
+        let v = (lhs / 2) as usize;
+        if v > max_var || map[v] != Lit::INVALID {
+            return Err(parse_err(0, "AND lhs out of range or duplicated"));
+        }
+        let a = lookup(&map, r0)?;
+        let b = lookup(&map, r1)?;
+        map[v] = g.and(a, b);
+    }
+    for (&l, name) in out_lits.iter().zip(out_names) {
+        let lit = lookup(&map, l)?;
+        g.add_output(lit, name);
     }
     if let Some(n) = design_name {
         g.set_name(n);
@@ -639,6 +633,48 @@ mod tests {
         let back = from_binary(&bytes).expect("binary reads back");
         assert!(equiv_exhaustive(&source, &back).expect("small"));
         assert_eq!(to_binary(&back), bytes);
+    }
+
+    fn assert_parse_error(result: Result<Aig, AigError>) {
+        assert!(
+            matches!(result, Err(AigError::ParseAiger { .. })),
+            "expected a typed parse error, got {result:?}"
+        );
+    }
+
+    /// A 32-byte header announcing four billion ANDs used to reserve
+    /// 48 GB and abort the process.
+    #[test]
+    fn oversized_ascii_header_is_rejected() {
+        assert_parse_error(from_ascii("aag 4000000000 0 0 0 4000000000\n"));
+    }
+
+    #[test]
+    fn oversized_binary_header_is_rejected() {
+        assert_parse_error(from_binary(b"aig 4000000000 0 0 0 4000000000\n"));
+    }
+
+    /// `I + A` overflowing `usize` used to pass the `M` check and
+    /// panic with `capacity overflow`.
+    #[test]
+    fn overflowing_header_counts_are_rejected() {
+        assert_parse_error(from_ascii(
+            "aag 18446744073709551615 18446744073709551615 0 0 1\n",
+        ));
+    }
+
+    /// `I + A` wrapping to a value below `M` used to pass the check.
+    #[test]
+    fn wrapping_header_sum_is_rejected() {
+        assert_parse_error(from_ascii("aag 5 18446744073709551615 0 0 2\n"));
+    }
+
+    /// An in-range header over a truncated body reserves no more than
+    /// the body can fill and reports the truncation.
+    #[test]
+    fn in_range_header_over_truncated_body_is_rejected() {
+        assert_parse_error(from_ascii("aag 2000000000 0 0 1 2000000000\n0\n"));
+        assert_parse_error(from_binary(b"aig 2000000000 0 0 1 2000000000\n0\n"));
     }
 
     #[test]

@@ -208,6 +208,24 @@ impl Clone for Aig {
     }
 }
 
+/// Content equality: both fanin lanes (node ids included), the
+/// primary inputs and their names, the outputs with their names, and
+/// the design name. The strash table, the forward-reference set and
+/// the topological-order cache are bookkeeping over that content and
+/// are not compared.
+impl PartialEq for Aig {
+    fn eq(&self, other: &Aig) -> bool {
+        self.fanin0 == other.fanin0
+            && self.fanin1 == other.fanin1
+            && self.inputs == other.inputs
+            && self.input_names == other.input_names
+            && self.outputs == other.outputs
+            && self.name == other.name
+    }
+}
+
+impl Eq for Aig {}
+
 impl Default for Aig {
     fn default() -> Self {
         Self::new()
@@ -1217,5 +1235,36 @@ mod tests {
             bytes,
             "reserved lanes and strash must not regrow"
         );
+    }
+
+    #[test]
+    fn equality_is_over_content() {
+        let mut g = Aig::new();
+        let a = g.add_named_input(Some("a"));
+        let b = g.add_input();
+        let f = g.and(a, b);
+        g.add_output(f, Some("f"));
+        // Reserved capacity and a filled topological cache are not
+        // content.
+        let mut h = g.clone();
+        h.reserve_nodes(100, 90);
+        let _ = h.topo_and_order();
+        assert_eq!(g, h);
+
+        let mut renamed = g.clone();
+        renamed.rename_output(0, Some("g".to_owned()));
+        assert_ne!(g, renamed);
+        let mut titled = g.clone();
+        titled.set_name("top");
+        assert_ne!(g, titled);
+        let mut grown = g.clone();
+        let _ = grown.and(a, !b); // a dead AND still counts
+        assert_ne!(g, grown);
+        let mut swapped = Aig::new();
+        let b2 = swapped.add_input();
+        let a2 = swapped.add_named_input(Some("a"));
+        let f2 = swapped.and(a2, b2);
+        swapped.add_output(f2, Some("f"));
+        assert_ne!(g, swapped, "input names are compared per position");
     }
 }

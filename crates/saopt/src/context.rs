@@ -13,6 +13,13 @@
 //!   every recipe application — one cache serves a whole run *and*
 //!   all parallel chains of [`crate::optimize_seeds`] /
 //!   [`crate::sweep`];
+//! * a [`RecipeMemo`] of the whole-graph moves' recipe prefixes on the
+//!   chain's current graph ([`EvalContext::apply_recipe`]): the chain
+//!   rejects most moves and draws from a fixed action set, so the same
+//!   prefixes keep meeting the same graph, and each is now applied at
+//!   most once per graph. The memo is keyed on graph content, so a
+//!   context reused for another run (or another input) needs no
+//!   reset;
 //! * a reusable [`Levels`] buffer for proxy evaluations
 //!   ([`aig::analysis::levels_into`]), so the per-candidate analysis
 //!   allocates nothing on the steady state;
@@ -32,8 +39,9 @@
 //!
 //! Results never depend on the context: every cached value is a pure
 //! function of its key, so [`crate::optimize`] with a fresh, shared,
-//! or disabled cache produces byte-identical outputs (asserted by the
-//! determinism integration tests). For *edit-level* incrementality —
+//! or disabled cache, and with the recipe memo on or off, produces
+//! byte-identical outputs (asserted by the determinism integration
+//! tests). For *edit-level* incrementality —
 //! levels/fanout maintained through in-place graph edits rather than
 //! recomputed per candidate — see [`aig::incremental`], which the
 //! differential tests and benchmarks exercise directly.
@@ -43,12 +51,18 @@ use aig::cut::CutDb;
 use aig::incremental::IncrementalAnalysis;
 use aig::Aig;
 use std::sync::Arc;
-use transform::ResynthCache;
+use transform::{Recipe, RecipeMemo, ResynthCache};
 
 /// Reusable evaluation state for one SA run (see the module docs).
+///
+/// It owns both memo layers of the whole-graph moves: the recipe memo
+/// (per graph, per prefix) and a handle on the resynthesis cache (per
+/// cut function). [`EvalContext::without_cache`] turns both off.
 #[derive(Debug)]
 pub struct EvalContext {
     resynth: Arc<ResynthCache>,
+    /// Recipe-prefix results on the chain's current graph.
+    memo: RecipeMemo,
     levels: Levels,
     /// Whether in-place-capable SA moves run through the edit
     /// transaction engine (`true`, the default) or through the
@@ -77,17 +91,22 @@ impl EvalContext {
         Self::with_shared(Arc::new(ResynthCache::new()))
     }
 
-    /// A context whose resynthesis cache never memoizes — the oracle
-    /// side of the cache-on-vs-off determinism tests.
+    /// A context that memoizes nothing — neither recipe prefixes nor
+    /// cut resyntheses. The oracle side of the cache-on-vs-off
+    /// determinism tests.
     pub fn without_cache() -> Self {
-        Self::with_shared(Arc::new(ResynthCache::disabled()))
+        EvalContext {
+            memo: RecipeMemo::disabled(),
+            ..Self::with_shared(Arc::new(ResynthCache::disabled()))
+        }
     }
 
     /// A context over an existing shared cache; parallel chains each
-    /// get their own context but one cache.
+    /// get their own context (and recipe memo) but one cache.
     pub fn with_shared(resynth: Arc<ResynthCache>) -> Self {
         EvalContext {
             resynth,
+            memo: RecipeMemo::new(),
             levels: Levels {
                 level: Vec::new(),
                 max_level: 0,
@@ -150,6 +169,20 @@ impl EvalContext {
         &self.resynth
     }
 
+    /// Applies `recipe` to `aig` through the context's recipe memo and
+    /// resynthesis cache: exactly [`Recipe::apply_with`]`(aig,
+    /// self.resynth())`, computing only the steps the memo does not
+    /// hold for `aig`.
+    pub fn apply_recipe(&mut self, recipe: &Recipe, aig: &Aig) -> Aig {
+        self.memo.apply(aig, recipe, &self.resynth)
+    }
+
+    /// The recipe memo behind [`EvalContext::apply_recipe`] (its
+    /// hit and miss counters).
+    pub fn recipe_memo(&self) -> &RecipeMemo {
+        &self.memo
+    }
+
     /// Levels of `aig` computed into the context's reusable buffer.
     pub fn levels_of(&mut self, aig: &Aig) -> &Levels {
         aig::analysis::levels_into(aig, &mut self.levels);
@@ -187,6 +220,9 @@ mod tests {
         let sibling = EvalContext::with_shared(Arc::clone(&ctx.resynth));
         assert!(Arc::ptr_eq(&ctx.resynth, &sibling.resynth));
         assert!(ctx.resynth().is_enabled());
-        assert!(!EvalContext::without_cache().resynth().is_enabled());
+        assert!(ctx.recipe_memo().is_enabled());
+        let off = EvalContext::without_cache();
+        assert!(!off.resynth().is_enabled());
+        assert!(!off.recipe_memo().is_enabled());
     }
 }

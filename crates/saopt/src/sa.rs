@@ -15,6 +15,18 @@
 //! `AIG_THREADS` (the determinism suites assert this). Parallelism
 //! lives across chains ([`optimize_seeds`], [`crate::sweep`]), never
 //! within one.
+//!
+//! # The whole-graph path
+//!
+//! Recipes without an in-place plan (every multi-step recipe, `sw`,
+//! `bd`, `rs`, `pt`) rebuild the graph. On the paper's flows this is
+//! where a step's time goes, and much of it repeats: the chain rejects
+//! most moves, so it applies the same recipe prefixes to the same
+//! current graph again and again. These moves go through the
+//! context's recipe memo ([`EvalContext::apply_recipe`]), which
+//! applies each prefix at most once per graph and returns exactly
+//! what [`Recipe::apply_with`] would, so results stay byte-identical
+//! with the memo on or off. Every candidate is still priced.
 
 use crate::context::EvalContext;
 use crate::cost::{CostEvaluator, CostMetrics, EditScope};
@@ -200,12 +212,16 @@ pub fn optimize(
 /// iterations.
 ///
 /// The context's shared resynthesis cache is threaded into every
-/// recipe application ([`Recipe::apply_with`]) and its analysis
-/// buffers into every evaluation ([`CostEvaluator::evaluate_ctx`]),
-/// so iteration cost no longer includes rebuilding either from
-/// scratch. Results are byte-identical to [`optimize`] for any
-/// context state — warm, cold, shared with other chains, or with the
-/// cache disabled (the determinism tests assert this).
+/// recipe application and its analysis buffers into every evaluation
+/// ([`CostEvaluator::evaluate_ctx`]), so iteration cost no longer
+/// includes rebuilding either from scratch. Whole-graph moves go
+/// through the context's recipe memo ([`EvalContext::apply_recipe`]):
+/// a move starts from the longest prefix of its recipe already
+/// computed on the current graph. Results are byte-identical to
+/// [`optimize`] for any context state — warm, cold, shared with other
+/// chains, or with both memo layers disabled
+/// ([`EvalContext::without_cache`]; the determinism tests assert
+/// this).
 ///
 /// # The in-place transaction engine
 ///
@@ -357,7 +373,7 @@ pub fn optimize_with(
                         txn.commit();
                         cand
                     }
-                    None => recipe.apply_with(&current, ctx.resynth()),
+                    None => ctx.apply_recipe(recipe, &current),
                 };
                 metrics = evaluator.evaluate_ctx(&candidate, ctx);
                 cost = scalar(&metrics);

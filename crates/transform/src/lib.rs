@@ -12,7 +12,9 @@
 //! synthesized once per NPN class and derived by leaf relabeling, and
 //! one cache may be carried across SA iterations and parallel sweep
 //! chains (`*_with` variants accept it; the plain entry points create
-//! a transient one, with byte-identical results either way).
+//! a transient one, with byte-identical results either way). Whole
+//! recipes are memoized per graph through [`RecipeMemo`], which
+//! applies each recipe prefix at most once to a given graph.
 //!
 //! All transforms preserve Boolean function; the test suites verify
 //! this with exhaustive simulation on every transform and on sampled
@@ -45,6 +47,7 @@
 mod balance;
 mod cache;
 pub mod factor;
+mod memo;
 mod recipes;
 mod resub;
 mod rewrite;
@@ -52,6 +55,7 @@ pub mod structure;
 
 pub use balance::{balance, balance_dup, balance_inplace_window, reshape};
 pub use cache::ResynthCache;
+pub use memo::RecipeMemo;
 pub use recipes::{apply, apply_with, recipes, InplacePlan, ParseRecipeError, Recipe, Transform};
 pub use resub::{resub, resub_inplace_window};
 pub use rewrite::{

@@ -5,6 +5,9 @@
 //! action space: short compositions of our ten primitives
 //! (optimizers, trade-off moves and diversifiers), truncated to the
 //! same count of 103.
+//!
+//! Every primitive keeps the purity contract stated on [`apply_with`],
+//! which [`crate::RecipeMemo`] relies on.
 
 use crate::balance::{balance, balance_dup, reshape};
 use crate::cache::ResynthCache;
@@ -122,6 +125,20 @@ pub fn apply(aig: &Aig, t: Transform) -> Aig {
 /// read and populate `cache`; the others ignore it. Results are
 /// byte-identical to [`apply`] for any cache state, so a single cache
 /// can be carried across SA iterations and parallel chains.
+///
+/// # Purity contract
+///
+/// [`crate::RecipeMemo`] hands out stored results in place of
+/// recomputed ones. That is exact because every primitive keeps three
+/// properties, which a new primitive must keep too:
+///
+/// * it is a deterministic function of its input graph's content (the
+///   fields [`Aig`]'s equality compares): each one starts from
+///   [`Aig::sweep`] of its input and builds a fresh graph;
+/// * the randomized primitives, `rs` and `pt`, use fixed seeds, so
+///   their diversity comes from the input's structure alone;
+/// * its result does not depend on the `cache` state (cached
+///   structures are pure functions of their key).
 pub fn apply_with(aig: &Aig, t: Transform, cache: &ResynthCache) -> Aig {
     match t {
         Transform::Balance => balance(aig),
@@ -151,12 +168,16 @@ impl Recipe {
 
     /// Applies the recipe against a shared resynthesis `cache`
     /// (byte-identical to [`Recipe::apply`]; see [`apply_with`]).
+    ///
+    /// This is the reference [`crate::RecipeMemo::apply`] is tested
+    /// against. The empty recipe returns a copy of `aig`.
     pub fn apply_with(&self, aig: &Aig, cache: &ResynthCache) -> Aig {
-        let mut g = aig.clone();
-        for &t in &self.0 {
-            g = apply_with(&g, t, cache);
-        }
-        g
+        let Some((&first, rest)) = self.0.split_first() else {
+            return aig.clone();
+        };
+        rest.iter().fold(apply_with(aig, first, cache), |g, &t| {
+            apply_with(&g, t, cache)
+        })
     }
 
     /// The in-place execution plan of this recipe, when it has one.

@@ -432,7 +432,7 @@ pub fn resynth_inplace_window(
             if cut.size() == 1 && cut.leaves()[0] == id {
                 continue; // trivial cut: a node cannot define itself
             }
-            match shrink_support_u64(cut.masked_tt(), cut.leaves()) {
+            match shrink_support(cut.masked_tt(), cut.leaves()) {
                 None => {
                     // Constant cone: always the best possible outcome.
                     let lit = if cut.masked_tt() & 1 == 1 {
@@ -443,12 +443,13 @@ pub fn resynth_inplace_window(
                     cands.push((0, lit));
                     break;
                 }
-                Some((tt, kept)) => {
+                Some((tt, kept, nv)) => {
+                    let kept = &kept[..nv];
                     // One-variable functions resolve without touching
                     // the cache: identity or NOT of the surviving
                     // leaf — exactly what the synthesized structure's
                     // probe would return (pinned by a unit test).
-                    if kept.len() == 1 {
+                    if nv == 1 {
                         let lit = Lit::new(kept[0], false).complement_if(tt & 0b11 == 0b01);
                         let lv = txn.analysis().level(lit.var());
                         if improves(mode, lv, node_level) {
@@ -460,8 +461,8 @@ pub fn resynth_inplace_window(
                     for (j, &l) in kept.iter().enumerate() {
                         leaves[j] = Lit::new(l, false);
                     }
-                    let structure = cache.structure_for(kept.len(), tt);
-                    match structure.find(txn.aig(), &leaves[..kept.len()]) {
+                    let structure = cache.structure_for(nv, tt);
+                    match structure.find(txn.aig(), &leaves[..nv]) {
                         Some(lit) => {
                             if lit.var() == id {
                                 continue; // the node's own structure
@@ -483,7 +484,7 @@ pub fn resynth_inplace_window(
                             if !improves(mode, est_depth, node_level) {
                                 continue;
                             }
-                            let est_cost = structure.dry_cost(txn.aig(), &leaves[..kept.len()]);
+                            let est_cost = structure.dry_cost(txn.aig(), &leaves[..nv]);
                             if stats.appended_nodes + est_cost > MAX_WINDOW_APPENDS {
                                 continue;
                             }
@@ -492,8 +493,7 @@ pub fn resynth_inplace_window(
                                 Some((d, c, ..)) => (est_depth, est_cost) < (*d, *c),
                             };
                             if better {
-                                best_cone =
-                                    Some((est_depth, est_cost, structure, leaves, kept.len()));
+                                best_cone = Some((est_depth, est_cost, structure, leaves, nv));
                             }
                         }
                         None => {}
@@ -552,12 +552,13 @@ fn improves(mode: InplaceMode, replacement_level: u32, node_level: u32) -> bool 
 enum Candidate {
     /// The node's function over some cut is constant.
     Const(bool),
-    /// A resynthesized structure over mapped leaves.
+    /// A resynthesized structure over its first `nv` mapped leaves.
     Structure {
         cost: usize,
         depth: u32,
         s: Arc<SmallStructure>,
-        leaves: Vec<Lit>,
+        leaves: [Lit; 6],
+        nv: usize,
     },
 }
 
@@ -626,6 +627,9 @@ pub fn resynthesize_with(aig: &Aig, opts: &ResynthOptions, cache: &ResynthCache)
     let mut rng = opts
         .perturb
         .map(|(seed, prob)| (SmallRng::seed_from_u64(seed), prob));
+    // Perturbation candidates of the current node (scratch reused
+    // across nodes).
+    let mut pool: Vec<(Arc<SmallStructure>, [Lit; 6], usize)> = Vec::new();
 
     for id in old.and_ids() {
         let [f0, f1] = old.fanins(id);
@@ -636,7 +640,7 @@ pub fn resynthesize_with(aig: &Aig, opts: &ResynthOptions, cache: &ResynthCache)
 
         let mut best: Option<Candidate> = None;
         let mut best_rank = (usize::MAX, u32::MAX);
-        let mut pool: Vec<(Arc<SmallStructure>, Vec<Lit>)> = Vec::new();
+        pool.clear();
         let perturb_here = match &mut rng {
             Some((r, prob)) => r.gen::<f64>() < *prob,
             None => false,
@@ -645,17 +649,20 @@ pub fn resynthesize_with(aig: &Aig, opts: &ResynthOptions, cache: &ResynthCache)
             if cut.size() == 1 && cut.leaves()[0] == id {
                 continue; // trivial cut: a node cannot define itself
             }
-            match shrink_support_u64(cut.masked_tt(), cut.leaves()) {
+            match shrink_support(cut.masked_tt(), cut.leaves()) {
                 None => {
                     best = Some(Candidate::Const(cut.masked_tt() & 1 == 1));
                     break;
                 }
-                Some((tt, kept)) => {
-                    let nv = kept.len();
-                    let mapped: Vec<Lit> = kept.iter().map(|&l| map[l as usize]).collect();
-                    debug_assert!(mapped.iter().all(|&l| l != Lit::INVALID));
+                Some((tt, kept, nv)) => {
+                    let kept = &kept[..nv];
+                    let mut mapped = [Lit::INVALID; 6];
+                    for (m, &l) in mapped.iter_mut().zip(kept) {
+                        *m = map[l as usize];
+                    }
+                    debug_assert!(mapped[..nv].iter().all(|&l| l != Lit::INVALID));
                     let structure = cache.structure_for(nv, tt);
-                    let cost = structure.dry_cost(&new, &mapped);
+                    let cost = structure.dry_cost(&new, &mapped[..nv]);
                     let depth = structure.depth()
                         + kept
                             .iter()
@@ -663,7 +670,7 @@ pub fn resynthesize_with(aig: &Aig, opts: &ResynthOptions, cache: &ResynthCache)
                             .max()
                             .unwrap_or(0);
                     if perturb_here {
-                        pool.push((Arc::clone(&structure), mapped.clone()));
+                        pool.push((Arc::clone(&structure), mapped, nv));
                     }
                     if (cost, depth) < best_rank {
                         best_rank = (cost, depth);
@@ -672,6 +679,7 @@ pub fn resynthesize_with(aig: &Aig, opts: &ResynthOptions, cache: &ResynthCache)
                             depth,
                             s: structure,
                             leaves: mapped,
+                            nv,
                         });
                     }
                 }
@@ -679,8 +687,8 @@ pub fn resynthesize_with(aig: &Aig, opts: &ResynthOptions, cache: &ResynthCache)
         }
         if perturb_here && !pool.is_empty() {
             if let Some((r, _)) = &mut rng {
-                let (s, leaves) = pool.swap_remove(r.gen_range(0..pool.len()));
-                map[id as usize] = s.instantiate(&mut new, &leaves);
+                let (s, leaves, nv) = pool.swap_remove(r.gen_range(0..pool.len()));
+                map[id as usize] = s.instantiate(&mut new, &leaves[..nv]);
                 continue;
             }
         }
@@ -698,10 +706,11 @@ pub fn resynthesize_with(aig: &Aig, opts: &ResynthOptions, cache: &ResynthCache)
                 depth,
                 s,
                 leaves,
+                nv,
             }) if cost < default_cost
                 || (opts.zero_cost && cost == default_cost && depth < default_depth) =>
             {
-                s.instantiate(&mut new, &leaves)
+                s.instantiate(&mut new, &leaves[..nv])
             }
             _ => new.and(a, b),
         };
@@ -715,8 +724,11 @@ pub fn resynthesize_with(aig: &Aig, opts: &ResynthOptions, cache: &ResynthCache)
 }
 
 /// Drops non-support variables from a `u64` truth table over sorted
-/// leaves; `None` when the function is constant.
-fn shrink_support_u64(tt: u64, leaves: &[NodeId]) -> Option<(u64, Vec<NodeId>)> {
+/// leaves: returns the shrunk table and the `nv` surviving leaves (in
+/// order, the first `nv` array entries), or `None` when the function
+/// is constant. Allocation-free; both resynthesis loops call it once
+/// per cut.
+fn shrink_support(tt: u64, leaves: &[NodeId]) -> Option<(u64, [NodeId; 6], usize)> {
     let nv = leaves.len();
     debug_assert!(nv <= 6);
     const KEEP: [u64; 6] = [
@@ -733,28 +745,32 @@ fn shrink_support_u64(tt: u64, leaves: &[NodeId]) -> Option<(u64, Vec<NodeId>)> 
     } else {
         (1u64 << bits) - 1
     };
-    let mut kept = Vec::with_capacity(nv);
+    // Surviving leaves and their original variable positions.
+    let mut kept: [NodeId; 6] = [0; 6];
+    let mut orig = [0usize; 6];
+    let mut knv = 0;
     for (i, &leaf) in leaves.iter().enumerate() {
         let shift = 1usize << i;
         let lo = tt & KEEP[i] & mask;
         let hi = (tt >> shift) & KEEP[i] & mask;
         if lo != hi {
-            kept.push((i, leaf));
+            kept[knv] = leaf;
+            orig[knv] = i;
+            knv += 1;
         }
     }
-    if kept.is_empty() {
+    if knv == 0 {
         return None;
     }
-    let knv = kept.len();
     let mut out = 0u64;
     for m in 0..(1usize << knv) {
         let mut src = 0usize;
-        for (jj, &(orig, _)) in kept.iter().enumerate() {
-            src |= ((m >> jj) & 1) << orig;
+        for (jj, &o) in orig[..knv].iter().enumerate() {
+            src |= ((m >> jj) & 1) << o;
         }
         out |= ((tt >> src) & 1) << m;
     }
-    Some((out, kept.into_iter().map(|(_, l)| l).collect()))
+    Some((out, kept, knv))
 }
 
 #[cfg(test)]
@@ -874,11 +890,11 @@ mod tests {
     #[test]
     fn shrink_support_examples() {
         // f = x1 over leaves {10, 20}: drops leaf 10.
-        let (tt, kept) = shrink_support_u64(0b1100, &[10, 20]).expect("non-const");
-        assert_eq!(kept, vec![20]);
+        let (tt, kept, nv) = shrink_support(0b1100, &[10, 20]).expect("non-const");
+        assert_eq!(kept[..nv], [20]);
         assert_eq!(tt & 0b11, 0b10);
-        assert!(shrink_support_u64(0b1111, &[10, 20]).is_none());
-        assert!(shrink_support_u64(0, &[10, 20]).is_none());
+        assert!(shrink_support(0b1111, &[10, 20]).is_none());
+        assert!(shrink_support(0, &[10, 20]).is_none());
     }
 
     /// In-place rewriting preserves function, never creates nodes,

@@ -138,28 +138,31 @@ impl SmallStructure {
     /// Estimates how many fresh AND nodes [`SmallStructure::instantiate`]
     /// would create in `g` — an upper bound: ops whose operands are
     /// unresolved are pessimistically counted as new nodes.
+    ///
+    /// Allocation-free like [`SmallStructure::find`]: whole-graph
+    /// resynthesis prices every cut of every node with it.
     pub fn dry_cost(&self, g: &Aig, leaves: &[Lit]) -> usize {
-        let mut vals: Vec<Option<Lit>> = Vec::with_capacity(self.ops.len());
-        let mut cost = 0usize;
-        for &(a, b) in &self.ops {
-            let la = self.try_resolve(a, leaves, &vals);
-            let lb = self.try_resolve(b, leaves, &vals);
-            let v = match (la, lb) {
-                (Some(x), Some(y)) => {
-                    let found = g.find_and(x, y);
-                    if found.is_none() {
-                        cost += 1;
+        with_scratch(self.ops.len(), None, |vals| {
+            let mut cost = 0usize;
+            for (i, &(a, b)) in self.ops.iter().enumerate() {
+                let la = self.try_resolve(a, leaves, &vals[..i]);
+                let lb = self.try_resolve(b, leaves, &vals[..i]);
+                vals[i] = match (la, lb) {
+                    (Some(x), Some(y)) => {
+                        let found = g.find_and(x, y);
+                        if found.is_none() {
+                            cost += 1;
+                        }
+                        found
                     }
-                    found
-                }
-                _ => {
-                    cost += 1;
-                    None
-                }
-            };
-            vals.push(v);
-        }
-        cost
+                    _ => {
+                        cost += 1;
+                        None
+                    }
+                };
+            }
+            cost
+        })
     }
 
     /// Resolves the structure against `g` **without creating nodes**:
@@ -174,20 +177,14 @@ impl SmallStructure {
     /// NPN class factors well below that); the probe is on the SA
     /// loop's per-move hot path.
     pub fn find(&self, g: &Aig, leaves: &[Lit]) -> Option<Lit> {
-        let mut buf = [None; 32];
-        let mut heap;
-        let vals: &mut [Option<Lit>] = if self.ops.len() <= buf.len() {
-            &mut buf[..self.ops.len()]
-        } else {
-            heap = vec![None; self.ops.len()];
-            &mut heap
-        };
-        for (i, &(a, b)) in self.ops.iter().enumerate() {
-            let la = self.try_resolve(a, leaves, &vals[..i])?;
-            let lb = self.try_resolve(b, leaves, &vals[..i])?;
-            vals[i] = Some(g.find_and(la, lb)?);
-        }
-        self.try_resolve(self.out, leaves, vals)
+        with_scratch(self.ops.len(), None, |vals| {
+            for (i, &(a, b)) in self.ops.iter().enumerate() {
+                let la = self.try_resolve(a, leaves, &vals[..i])?;
+                let lb = self.try_resolve(b, leaves, &vals[..i])?;
+                vals[i] = Some(g.find_and(la, lb)?);
+            }
+            self.try_resolve(self.out, leaves, vals)
+        })
     }
 
     fn try_resolve(&self, r: SRef, leaves: &[Lit], vals: &[Option<Lit>]) -> Option<Lit> {
@@ -200,14 +197,16 @@ impl SmallStructure {
 
     /// Depth (in AND levels) of the structure, assuming all leaves at
     /// level 0. Used as a tie-break favoring shallower replacements.
+    /// Allocation-free like [`SmallStructure::find`].
     pub fn depth(&self) -> u32 {
-        let mut lv: Vec<u32> = Vec::with_capacity(self.ops.len());
-        for &(a, b) in &self.ops {
-            let la = self.ref_level(a, &lv);
-            let lb = self.ref_level(b, &lv);
-            lv.push(1 + la.max(lb));
-        }
-        self.ref_level(self.out, &lv)
+        with_scratch(self.ops.len(), 0, |lv| {
+            for (i, &(a, b)) in self.ops.iter().enumerate() {
+                let la = self.ref_level(a, &lv[..i]);
+                let lb = self.ref_level(b, &lv[..i]);
+                lv[i] = 1 + la.max(lb);
+            }
+            self.ref_level(self.out, lv)
+        })
     }
 
     fn ref_level(&self, r: SRef, lv: &[u32]) -> u32 {
@@ -300,6 +299,19 @@ impl SmallStructure {
         } else {
             base
         }
+    }
+}
+
+/// Runs `f` over `n` copies of `init`, on the stack for up to 32
+/// entries (every 4-input NPN class factors well below that) and on
+/// the heap beyond, so per-op scratch of the hot structure queries
+/// allocates nothing in the common case.
+fn with_scratch<T: Copy, R>(n: usize, init: T, f: impl FnOnce(&mut [T]) -> R) -> R {
+    let mut buf = [init; 32];
+    if n <= buf.len() {
+        f(&mut buf[..n])
+    } else {
+        f(&mut vec![init; n])
     }
 }
 

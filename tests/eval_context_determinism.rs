@@ -1,11 +1,11 @@
-//! Determinism guarantees of the shared NPN resynthesis cache and the
-//! SA evaluation context: optimization outputs must be byte-identical
-//! whether the cache is cold, warm, shared, or disabled. (The
-//! `AIG_THREADS` 1-vs-many half of the guarantee lives in its own
-//! test binary, `npn_thread_determinism`, because the env var is
-//! process-global.)
+//! Determinism guarantees of the shared NPN resynthesis cache, the
+//! recipe memo and the SA evaluation context: optimization outputs
+//! must be byte-identical whether the caches are cold, warm, shared,
+//! or disabled. (The `AIG_THREADS` 1-vs-many half of the guarantee
+//! lives in its own test binary, `npn_thread_determinism`, because
+//! the env var is process-global.)
 
-use aig::aiger::to_ascii;
+use aig::aiger::{to_ascii, to_binary};
 use saopt::{optimize, optimize_with, EvalContext, ProxyCost, SaOptions};
 use std::sync::Arc;
 use transform::{recipes, Recipe, ResynthCache, Transform};
@@ -119,6 +119,48 @@ fn optimize_transaction_engine_on_vs_off_is_byte_identical() {
     assert_eq!(to_ascii(&on.best), to_ascii(&off.best), "ground truth");
     assert_eq!(on.history, off.history);
     assert_eq!(on.evaluated, off.evaluated);
+}
+
+/// Both memo layers on (`EvalContext::new`) vs off
+/// (`EvalContext::without_cache`) on the paper's ground-truth flow: a
+/// chain over the 103 recipes, most of whose moves take the memoized
+/// whole-graph path, must be byte-identical, with the recipe memo
+/// serving primitive applications. A context reused for a second run
+/// on the same input (its memo warm from the first) matches too.
+#[test]
+fn recipe_memo_on_vs_off_is_byte_identical() {
+    let g = random_aig_with(47, 10, 300, 12);
+    let lib = cells::sky130ish();
+    let actions = recipes();
+    let opts = SaOptions {
+        iterations: 120,
+        seed: 13,
+        ..SaOptions::default()
+    };
+    let run = |ctx: &mut EvalContext| {
+        optimize_with(
+            &g,
+            &mut saopt::GroundTruthCost::new(&lib),
+            &actions,
+            &opts,
+            ctx,
+        )
+    };
+    let assert_same = |a: &saopt::SaResult, b: &saopt::SaResult, what: &str| {
+        assert_eq!(a.history, b.history, "{what}: history");
+        assert_eq!(a.evaluated, b.evaluated, "{what}: evaluated");
+        assert_eq!(a.accepted, b.accepted, "{what}: accepted");
+        assert_eq!(to_binary(&a.best), to_binary(&b.best), "{what}: best AIG");
+    };
+    let mut ctx = EvalContext::new();
+    let on = run(&mut ctx);
+    let off = run(&mut EvalContext::without_cache());
+    assert_same(&on, &off, "memo on vs off");
+    let first_hits = ctx.recipe_memo().hits();
+    assert!(first_hits > 0, "the recipe memo never hit");
+    let again = run(&mut ctx);
+    assert_same(&on, &again, "reused context");
+    assert!(ctx.recipe_memo().hits() > first_hits);
 }
 
 /// A cache pre-warmed by *other* graphs must not perturb results:
