@@ -37,35 +37,19 @@ pub struct Levels {
 /// assert_eq!(levels(&g).max_level, 2);
 /// ```
 pub fn levels(aig: &Aig) -> Levels {
-    let mut out = Levels {
-        level: Vec::new(),
-        max_level: 0,
-    };
-    levels_into(aig, &mut out);
-    out
-}
-
-/// [`levels`] into a caller-owned buffer, reusing its allocation.
-///
-/// The evaluation contexts of the SA loop call this once per
-/// candidate; reusing `out.level` keeps the per-iteration analysis
-/// allocation-free once the buffer has grown to the largest graph
-/// seen.
-pub fn levels_into(aig: &Aig, out: &mut Levels) {
-    out.level.clear();
-    out.level.resize(aig.num_nodes(), 0);
-    let level = &mut out.level;
+    let mut level = vec![0u32; aig.num_nodes()];
     let (f0s, f1s) = aig.fanin_arrays();
     aig.for_each_and_topo(|id| {
         let (f0, f1) = (f0s[id as usize], f1s[id as usize]);
         level[id as usize] = 1 + level[f0.var() as usize].max(level[f1.var() as usize]);
     });
-    out.max_level = aig
+    let max_level = aig
         .outputs()
         .iter()
         .map(|o| level[o.lit.var() as usize])
         .max()
         .unwrap_or(0);
+    Levels { level, max_level }
 }
 
 /// Computes the fanout count of every node.
@@ -80,7 +64,7 @@ pub fn fanout_counts(aig: &Aig) -> Vec<u32> {
 }
 
 /// [`fanout_counts`] into a caller-owned buffer, reusing its
-/// allocation (see [`levels_into`] for the rationale).
+/// allocation.
 pub fn fanout_counts_into(aig: &Aig, fanout: &mut Vec<u32>) {
     fanout.clear();
     fanout.resize(aig.num_nodes(), 0);
@@ -219,89 +203,6 @@ pub fn long_path_nodes(aig: &Aig) -> Vec<NodeId> {
         .collect()
 }
 
-/// Size of the maximum fanout-free cone (MFFC) of `root`: the number
-/// of AND nodes that would become dangling if `root` were removed.
-///
-/// `fanout` must come from [`fanout_counts`] on the same graph.
-pub fn mffc_size(aig: &Aig, root: NodeId, fanout: &[u32]) -> usize {
-    if !aig.is_and(root) {
-        return 0;
-    }
-    // Simulated deref: count nodes whose fanout drops to zero.
-    let mut deref: std::collections::HashMap<NodeId, u32> = std::collections::HashMap::new();
-    let mut stack = vec![root];
-    let mut count = 0usize;
-    while let Some(id) = stack.pop() {
-        count += 1;
-        let [f0, f1] = aig.fanins(id);
-        for f in [f0, f1] {
-            let v = f.var();
-            if !aig.is_and(v) {
-                continue;
-            }
-            let d = deref.entry(v).or_insert(0);
-            *d += 1;
-            if *d == fanout[v as usize] {
-                stack.push(v);
-            }
-        }
-    }
-    count
-}
-
-/// Extracts the transitive fanin cone of the given outputs as a
-/// standalone [`Aig`].
-///
-/// Inputs of the original graph that feed the cone become the inputs
-/// of the extracted graph (in original input order); `output_indices`
-/// select which outputs to keep.
-///
-/// # Panics
-///
-/// Panics if any index in `output_indices` is out of bounds.
-pub fn extract_cone(aig: &Aig, output_indices: &[usize]) -> Aig {
-    let mut live = vec![false; aig.num_nodes()];
-    let mut stack: Vec<NodeId> = output_indices
-        .iter()
-        .map(|&i| aig.outputs()[i].lit.var())
-        .collect();
-    while let Some(id) = stack.pop() {
-        if live[id as usize] {
-            continue;
-        }
-        live[id as usize] = true;
-        if aig.is_and(id) {
-            let [f0, f1] = aig.fanins(id);
-            stack.push(f0.var());
-            stack.push(f1.var());
-        }
-    }
-    let mut out = Aig::new();
-    out.set_name(format!("{}_cone", aig.name()));
-    let mut map = vec![crate::Lit::INVALID; aig.num_nodes()];
-    map[0] = crate::Lit::FALSE;
-    for (idx, &pi) in aig.inputs().iter().enumerate() {
-        if live[pi as usize] {
-            map[pi as usize] = out.add_named_input(aig.input_name(idx).map(str::to_owned));
-        }
-    }
-    aig.for_each_and_topo(|id| {
-        if !live[id as usize] {
-            return;
-        }
-        let [f0, f1] = aig.fanins(id);
-        let a = map[f0.var() as usize].complement_if(f0.is_complement());
-        let b = map[f1.var() as usize].complement_if(f1.is_complement());
-        map[id as usize] = out.and(a, b);
-    });
-    for &i in output_indices {
-        let o = &aig.outputs()[i];
-        let l = map[o.lit.var() as usize].complement_if(o.lit.is_complement());
-        out.add_output(l, o.name.clone());
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,48 +305,5 @@ mod tests {
         }
         // The final AND is certainly on the longest path.
         assert!(nodes.contains(&g.outputs()[0].lit.var()));
-    }
-
-    #[test]
-    fn mffc_of_private_cone() {
-        let mut g = Aig::new();
-        let a = g.add_input();
-        let b = g.add_input();
-        let c = g.add_input();
-        let ab = g.and(a, b);
-        let abc = g.and(ab, c);
-        g.add_output(abc, None::<&str>);
-        let fo = fanout_counts(&g);
-        assert_eq!(mffc_size(&g, abc.var(), &fo), 2);
-    }
-
-    #[test]
-    fn mffc_stops_at_shared() {
-        let mut g = Aig::new();
-        let a = g.add_input();
-        let b = g.add_input();
-        let c = g.add_input();
-        let ab = g.and(a, b);
-        let abc = g.and(ab, c);
-        g.add_output(abc, None::<&str>);
-        g.add_output(ab, None::<&str>); // ab now shared
-        let fo = fanout_counts(&g);
-        assert_eq!(mffc_size(&g, abc.var(), &fo), 1);
-    }
-
-    #[test]
-    fn cone_extraction() {
-        let mut g = Aig::new();
-        let a = g.add_input();
-        let b = g.add_input();
-        let c = g.add_input();
-        let f0 = g.and(a, b);
-        let f1 = g.and(b, c);
-        g.add_output(f0, Some("f0"));
-        g.add_output(f1, Some("f1"));
-        let cone = extract_cone(&g, &[0]);
-        assert_eq!(cone.num_inputs(), 2); // a, b only
-        assert_eq!(cone.num_outputs(), 1);
-        assert_eq!(cone.num_ands(), 1);
     }
 }

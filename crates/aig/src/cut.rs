@@ -253,17 +253,6 @@ impl CutSet {
     pub fn num_cuts(&self) -> usize {
         self.arena.len()
     }
-
-    /// Pre-sizes the span table and cut arena for a graph of `nodes`
-    /// nodes at up to `max_cuts` cuts each (capacity only; contents
-    /// untouched). A following [`enumerate_cuts_into`] then performs
-    /// no incremental regrowth.
-    pub fn reserve_nodes(&mut self, nodes: usize, max_cuts: usize) {
-        let grow = |cap: usize, len: usize| cap.saturating_sub(len);
-        self.span.reserve(grow(nodes, self.span.len()));
-        let cuts = nodes.saturating_mul(max_cuts.min(8) + 1);
-        self.arena.reserve(grow(cuts, self.arena.len()));
-    }
 }
 
 /// Duplicates each `2^p`-bit block of `tt`, i.e. inserts a don't-care
@@ -648,18 +637,6 @@ impl CutDb {
     fn bump(&mut self) -> u64 {
         self.vgen += 1;
         self.vgen
-    }
-
-    /// Pre-sizes the per-node tables and the cut arena for a graph of
-    /// `nodes` nodes, so a following [`CutDb::build`] performs no
-    /// incremental regrowth. Capacity only — contents are untouched.
-    pub fn reserve_nodes(&mut self, nodes: usize) {
-        let grow = |cap: usize, len: usize| cap.saturating_sub(len);
-        self.span.reserve(grow(nodes, self.span.len()));
-        self.versions.reserve(grow(nodes, self.versions.len()));
-        self.queued.reserve(grow(nodes, self.queued.len()));
-        let cuts = nodes.saturating_mul(self.max_cuts.min(8) + 1);
-        self.arena.reserve(grow(cuts, self.arena.len()));
     }
 
     /// The cut-size bound `k`.

@@ -38,7 +38,6 @@ use benchgen::{large_100k, large_10k, large_1m, Design};
 use criterion::{criterion_group, criterion_main, Criterion};
 use saopt::{CostEvaluator, EditScope, EvalContext, GroundTruthCost};
 use std::hint::black_box;
-use techmap::MapOptions;
 
 /// Fixed length of the deterministic counter walk per size, so the
 /// recorded row counters are pure functions of the design — sampling
@@ -166,14 +165,10 @@ fn bench_scale(c: &mut Criterion) {
         // Pricing state shared by the counter walk and the timed
         // series, built ONCE per size: the bench harness re-invokes
         // the closure per sample, and at the 1M tier the cut-database
-        // build plus the first full map are seconds each. The
-        // ground-truth evaluator checks its mapping buffers out of
-        // the context's pool (the arena-reuse path SA runs on).
+        // build plus the first full map are seconds each.
         let mut current = base;
         let mut ctx = EvalContext::new();
-        ctx.reserve_nodes(nodes);
-        let mut e = GroundTruthCost::with_pool(&lib, MapOptions::default(), ctx.map_pool());
-        e.reserve_nodes(nodes);
+        let mut e = GroundTruthCost::new(&lib);
         let mut inc = IncrementalAnalysis::new(&current);
         let mut db = CutDb::new(4, 8);
         db.build(&current);
@@ -224,10 +219,6 @@ fn bench_scale(c: &mut Criterion) {
                 m
             })
         });
-        // Return the mapping buffers to the pool: the next size's
-        // evaluator checks them back out (capacity ratchets up the
-        // sweep; content is invalidated at return).
-        e.recycle(ctx.map_pool());
     }
     g.finish();
     for (name, value) in &recorded {

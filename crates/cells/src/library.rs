@@ -97,11 +97,6 @@ impl Cell {
     pub fn delay_ps(&self, pin: usize, load_ff: f64) -> f64 {
         self.pins[pin].intrinsic_ps + self.drive_res * load_ff
     }
-
-    /// Worst-case pin-to-output delay at the given load.
-    pub fn worst_delay_ps(&self, load_ff: f64) -> f64 {
-        self.pins.iter().map(|p| p.intrinsic_ps).fold(0.0, f64::max) + self.drive_res * load_ff
-    }
 }
 
 /// An ordered collection of cells plus global interconnect constants.
@@ -490,7 +485,6 @@ mod tests {
         let lib = sky130ish();
         let c = lib.cell(lib.find("NAND2_X1").expect("exists"));
         assert!(c.delay_ps(0, 10.0) > c.delay_ps(0, 2.0));
-        assert!(c.worst_delay_ps(5.0) >= c.delay_ps(0, 5.0));
     }
 
     #[test]

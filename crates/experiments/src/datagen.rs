@@ -14,7 +14,7 @@ use features::{extract, FeatureVector, NUM_FEATURES};
 use gbt::Dataset;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use techmap::{MapContext, MapOptions, Mapper};
+use saopt::{CostEvaluator, GroundTruthCost};
 use transform::{recipes, Recipe, ResynthCache};
 
 /// One labeled AIG variant.
@@ -174,28 +174,17 @@ pub fn degrade(aig: &Aig, seed: u64) -> Aig {
 }
 
 /// Labels variants with post-mapping delay/area via mapping, greedy
-/// gate sizing, and STA, in parallel (one mapper per worker, via
-/// [`aig::par::par_map_with`]; worker count follows `AIG_THREADS`).
-/// Identical to one [`saopt::GroundTruthCost`] evaluation, so labels
-/// and flow costs stay in lockstep (enforced by an integration test).
+/// gate sizing, and STA, in parallel (one [`GroundTruthCost`] per
+/// worker, via [`aig::par::par_map_with`]; worker count follows
+/// `AIG_THREADS`), so labels are exactly the ground-truth flow's
+/// costs.
 pub fn label_variants(variants: &[Aig], lib: &Library) -> Vec<(f64, f64)> {
     par::par_map_with(
         variants,
-        || {
-            (
-                Mapper::new(lib, MapOptions::default()),
-                MapContext::new(),
-                techmap::SizingTable::new(lib),
-                Vec::new(),
-                sta::StaBuffers::new(),
-            )
-        },
-        |(mapper, ctx, sizing, loads, sta_bufs), _i, aig| {
-            let mut nl = mapper
-                .map_with(ctx, aig)
-                .expect("builtin library maps all AIGs");
-            techmap::resize_greedy_with(&mut nl, lib, sizing, 2, loads);
-            sta::delay_and_area_into(&nl, lib, sta_bufs)
+        || GroundTruthCost::new(lib),
+        |gt, _i, aig| {
+            let m = gt.evaluate(aig);
+            (m.delay, m.area)
         },
     )
 }

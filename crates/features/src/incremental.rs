@@ -191,7 +191,7 @@ impl IncrementalFeatures {
         self.fwd_heap.clear();
         self.bwd_heap.clear();
 
-        // Levels (identical recurrence to `analysis::levels_into`).
+        // Levels (identical recurrence to `analysis::levels`).
         aig.for_each_and_topo(|id| {
             let [f0, f1] = aig.fanins(id);
             self.level[id as usize] =

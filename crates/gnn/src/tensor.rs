@@ -79,12 +79,6 @@ impl Tensor {
         self.data[r * self.cols + c]
     }
 
-    /// Mutable element access.
-    #[inline]
-    pub fn at_mut(&mut self, r: usize, c: usize) -> &mut f32 {
-        &mut self.data[r * self.cols + c]
-    }
-
     /// `out += self * x` for a column vector `x` (`len == cols`),
     /// writing into `out` (`len == rows`).
     pub fn matvec_add(&self, x: &[f32], out: &mut [f32]) {

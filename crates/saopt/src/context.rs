@@ -1,13 +1,10 @@
 //! The reusable evaluation context carried across SA iterations.
 //!
-//! One SA run prices thousands of candidate AIGs, and before this
-//! subsystem every candidate paid three graph-sized setup costs: the
-//! resynthesis transforms rebuilt their `(nv, tt) -> SmallStructure`
-//! cache from scratch, the proxy evaluator allocated a fresh level
-//! table, and the ground-truth evaluator allocated the mapper's DP
-//! tables (the mapper side lives in [`techmap::MapContext`], held by
-//! [`crate::GroundTruthCost`]). [`EvalContext`] owns the pieces that
-//! persist across iterations:
+//! One SA run prices thousands of candidate AIGs. [`EvalContext`]
+//! owns the chain state that persists across iterations; evaluators
+//! keep their own pricing buffers (the ground-truth mapper's
+//! [`techmap::MapContext`] lives in [`crate::GroundTruthCost`]). The
+//! context holds:
 //!
 //! * a shared [`ResynthCache`] (`Arc`, NPN-canonical) threaded into
 //!   every recipe application — one cache serves a whole run *and*
@@ -20,9 +17,6 @@
 //!   most once per graph. The memo is keyed on graph content, so a
 //!   context reused for another run (or another input) needs no
 //!   reset;
-//! * a reusable [`Levels`] buffer for proxy evaluations
-//!   ([`aig::analysis::levels_into`]), so the per-candidate analysis
-//!   allocates nothing on the steady state;
 //! * the in-place engine's [`IncrementalAnalysis`] + [`CutDb`]
 //!   buffers: [`crate::optimize_with`] used to build both from
 //!   scratch per run (and per whole-graph accept), so
@@ -46,7 +40,6 @@
 //! recomputed per candidate — see [`aig::incremental`], which the
 //! differential tests and benchmarks exercise directly.
 
-use aig::analysis::Levels;
 use aig::cut::CutDb;
 use aig::incremental::IncrementalAnalysis;
 use aig::Aig;
@@ -63,7 +56,6 @@ pub struct EvalContext {
     resynth: Arc<ResynthCache>,
     /// Recipe-prefix results on the chain's current graph.
     memo: RecipeMemo,
-    levels: Levels,
     /// Whether in-place-capable SA moves run through the edit
     /// transaction engine (`true`, the default) or through the
     /// clone-based oracle path. Results are byte-identical either
@@ -72,11 +64,6 @@ pub struct EvalContext {
     inplace: bool,
     /// The in-place engine's warm buffers (see the module docs).
     engine: Option<(IncrementalAnalysis, CutDb)>,
-    /// Pool of graph-shaped mapping buffers for ground-truth
-    /// evaluators constructed against this context
-    /// ([`techmap::MapPool`]): capacity survives across evaluator
-    /// lifetimes exactly like the engine buffers above.
-    map_pool: techmap::MapPool,
 }
 
 impl Default for EvalContext {
@@ -107,36 +94,9 @@ impl EvalContext {
         EvalContext {
             resynth,
             memo: RecipeMemo::new(),
-            levels: Levels {
-                level: Vec::new(),
-                max_level: 0,
-            },
             inplace: true,
             engine: None,
-            map_pool: techmap::MapPool::new(),
         }
-    }
-
-    /// The context's pool of graph-shaped mapping buffers (hand it to
-    /// [`crate::GroundTruthCost::with_pool`] /
-    /// [`crate::GroundTruthCost::recycle`]).
-    pub fn map_pool(&mut self) -> &mut techmap::MapPool {
-        &mut self.map_pool
-    }
-
-    /// Pre-sizes the context's reusable buffers for an `nodes`-node
-    /// graph (capacity only): the proxy level table, the in-place
-    /// engine's cut database when present, and the mapping pool's
-    /// checkout floor. Call once before a large-tier run so nothing
-    /// graph-shaped grows mid-flight.
-    pub fn reserve_nodes(&mut self, nodes: usize) {
-        let lv = &mut self.levels.level;
-        lv.reserve(nodes.saturating_sub(lv.len()));
-        if let Some((_, db)) = &mut self.engine {
-            db.reserve_nodes(nodes);
-        }
-        self.map_pool
-            .reserve_nodes(nodes, techmap::MapOptions::default().max_cuts);
     }
 
     /// Takes the warm engine buffers (the SA loop re-fills them for
@@ -182,37 +142,11 @@ impl EvalContext {
     pub fn recipe_memo(&self) -> &RecipeMemo {
         &self.memo
     }
-
-    /// Levels of `aig` computed into the context's reusable buffer.
-    pub fn levels_of(&mut self, aig: &Aig) -> &Levels {
-        aig::analysis::levels_into(aig, &mut self.levels);
-        &self.levels
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn levels_buffer_matches_oracle_across_graphs() {
-        let mut ctx = EvalContext::new();
-        for (inputs, chain) in [(4usize, 10usize), (2, 3), (6, 30)] {
-            let mut g = Aig::new();
-            let mut acc = g.add_input();
-            for _ in 0..inputs.max(1) {
-                for _ in 0..chain / inputs.max(1) {
-                    let x = g.add_input();
-                    acc = g.and(acc, x);
-                }
-            }
-            g.add_output(acc, None::<&str>);
-            let oracle = aig::analysis::levels(&g);
-            let got = ctx.levels_of(&g);
-            assert_eq!(got.level, oracle.level);
-            assert_eq!(got.max_level, oracle.max_level);
-        }
-    }
 
     #[test]
     fn shared_handles_point_at_one_cache() {

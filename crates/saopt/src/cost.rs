@@ -72,19 +72,13 @@ pub trait CostEvaluator {
     /// Estimates delay and area of `aig`.
     fn evaluate(&mut self, aig: &Aig) -> CostMetrics;
 
-    /// [`CostEvaluator::evaluate`] with access to the SA loop's
-    /// reusable [`EvalContext`]; identical metrics, but evaluators may
-    /// lean on the context's buffers to skip per-candidate
-    /// allocations. The default ignores the context.
-    fn evaluate_ctx(&mut self, aig: &Aig, _ctx: &mut EvalContext) -> CostMetrics {
-        self.evaluate(aig)
-    }
-
     /// Prices a graph that was **edited in place** since this
     /// evaluator's previous call: `scope` carries the live cut
-    /// database, the clean-prefix watermark (accumulated by the SA
-    /// loop across rejected moves) and, on the transaction-engine
-    /// path, the edit's dirty footprint plus the live analysis.
+    /// database, the clean-prefix watermark
+    /// ([`EditScope::dirty_since`]: the SA loop passes the move's
+    /// lowest touched id, or `0` when the evaluator last priced a
+    /// different graph) and, on the transaction-engine path, the
+    /// edit's dirty footprint plus the live analysis.
     /// Metrics are identical to [`CostEvaluator::evaluate`]; the
     /// point is cost — evaluators with per-node state reuse
     /// everything outside the edit (the ground-truth mapper its
@@ -94,9 +88,9 @@ pub trait CostEvaluator {
         &mut self,
         aig: &Aig,
         _scope: &EditScope<'_>,
-        ctx: &mut EvalContext,
+        _ctx: &mut EvalContext,
     ) -> CostMetrics {
-        self.evaluate_ctx(aig, ctx)
+        self.evaluate(aig)
     }
 
     /// Notifies an evaluator with per-node state that the graph it
@@ -141,13 +135,6 @@ impl CostEvaluator for ProxyCost {
         }
     }
 
-    fn evaluate_ctx(&mut self, aig: &Aig, ctx: &mut EvalContext) -> CostMetrics {
-        CostMetrics {
-            delay: f64::from(ctx.levels_of(aig).max_level),
-            area: aig.num_ands() as f64,
-        }
-    }
-
     fn name(&self) -> &'static str {
         "proxy"
     }
@@ -186,14 +173,9 @@ pub struct GroundTruthCost<'a> {
 impl<'a> GroundTruthCost<'a> {
     /// Creates a ground-truth evaluator (delay-oriented mapping).
     pub fn new(lib: &'a Library) -> Self {
-        Self::with_options(lib, MapOptions::default())
-    }
-
-    /// Creates an evaluator with custom mapping options.
-    pub fn with_options(lib: &'a Library, opts: MapOptions) -> Self {
         GroundTruthCost {
             lib,
-            mapper: Mapper::new(lib, opts),
+            mapper: Mapper::new(lib, MapOptions::default()),
             map_ctx: MapContext::new(),
             sizing: SizingTable::new(lib),
             sta_bufs: sta::StaBuffers::new(),
@@ -202,44 +184,6 @@ impl<'a> GroundTruthCost<'a> {
             inc_sta: IncrementalSta::new(),
             sta_seeds: Vec::new(),
         }
-    }
-
-    /// Creates an evaluator whose graph-shaped mapping buffers are
-    /// checked out of `pool` instead of built from scratch — pair
-    /// with [`GroundTruthCost::recycle`] at teardown so the grown
-    /// capacity survives into the next evaluator (see
-    /// [`techmap::MapPool`]). Metrics are identical to
-    /// [`GroundTruthCost::with_options`]'s: pooled buffers carry
-    /// capacity (and the graph-independent shortlist memo), never
-    /// per-graph content.
-    pub fn with_pool(lib: &'a Library, opts: MapOptions, pool: &mut techmap::MapPool) -> Self {
-        GroundTruthCost {
-            lib,
-            mapper: Mapper::new(lib, opts),
-            map_ctx: pool.take_context(),
-            sizing: SizingTable::new(lib),
-            sta_bufs: sta::StaBuffers::new(),
-            resize_loads: Vec::new(),
-            design: pool.take_design(),
-            inc_sta: IncrementalSta::new(),
-            sta_seeds: Vec::new(),
-        }
-    }
-
-    /// Returns the evaluator's mapping buffers to `pool` for the next
-    /// [`GroundTruthCost::with_pool`] checkout.
-    pub fn recycle(self, pool: &mut techmap::MapPool) {
-        pool.put_context(self.map_ctx);
-        pool.put_design(self.design);
-    }
-
-    /// Pre-sizes every graph-shaped buffer this evaluator owns for an
-    /// `nodes`-node AIG (capacity only), so a large-tier run grows
-    /// nothing mid-flight.
-    pub fn reserve_nodes(&mut self, nodes: usize) {
-        let max_cuts = self.mapper.options().max_cuts;
-        self.map_ctx.reserve_nodes(nodes, max_cuts);
-        self.design.reserve_nodes(nodes);
     }
 
     /// Enables or disables the mapper's per-row DP cutoff (default
@@ -452,25 +396,6 @@ mod tests {
         assert!(m1.delay > 0.0 && m1.area > 0.0);
         assert_eq!(m1, m2, "evaluation must be deterministic");
         assert_eq!(gt.name(), "ground-truth");
-    }
-
-    #[test]
-    fn pooled_ground_truth_matches_fresh_and_reuses() {
-        let lib = sky130ish();
-        let g = sample_aig();
-        let baseline = GroundTruthCost::new(&lib).evaluate(&g);
-        let mut pool = techmap::MapPool::new();
-        pool.reserve_nodes(g.num_nodes(), MapOptions::default().max_cuts);
-        for _ in 0..3 {
-            let mut gt = GroundTruthCost::with_pool(&lib, MapOptions::default(), &mut pool);
-            assert_eq!(gt.evaluate(&g), baseline, "pooled buffers carry no content");
-            gt.recycle(&mut pool);
-        }
-        assert_eq!(
-            pool.misses(),
-            2,
-            "one context and one design are built, every later run reuses them"
-        );
     }
 
     #[test]

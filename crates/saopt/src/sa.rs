@@ -212,9 +212,8 @@ pub fn optimize(
 /// iterations.
 ///
 /// The context's shared resynthesis cache is threaded into every
-/// recipe application and its analysis buffers into every evaluation
-/// ([`CostEvaluator::evaluate_ctx`]), so iteration cost no longer
-/// includes rebuilding either from scratch. Whole-graph moves go
+/// recipe application, so iteration cost no longer includes
+/// rebuilding it from scratch. Whole-graph moves go
 /// through the context's recipe memo ([`EvalContext::apply_recipe`]):
 /// a move starts from the longest prefix of its recipe already
 /// computed on the current graph. Results are byte-identical to
@@ -266,7 +265,7 @@ pub fn optimize_with(
     assert!(!actions.is_empty(), "need at least one action");
     assert!(opts.iterations > 0, "iterations must be positive");
     let mut rng = SmallRng::seed_from_u64(opts.seed);
-    let initial = evaluator.evaluate_ctx(aig, ctx);
+    let initial = evaluator.evaluate(aig);
     assert!(
         initial.delay > 0.0 && initial.area > 0.0,
         "initial metrics must be positive for normalization, got {initial:?}"
@@ -292,13 +291,13 @@ pub fn optimize_with(
     // in-place use and re-synced after whole-graph accepts.
     let mut engine = ctx.take_engine();
     let mut engine_synced = false;
-    // First node id whose evaluator-side per-node state (mapper DP
-    // rows, the persistent mapped design) may disagree with
-    // `current`. Rejected in-place moves re-sync the evaluator
-    // immediately (`CostEvaluator::resync_edit`), so on the engine
-    // path this stays `MAX`; whole-graph evaluations leave rows of a
-    // different graph entirely and reset it to 0.
-    let mut rows_since: NodeId = 0;
+    // Whether the evaluator's per-node state (mapper DP rows, the
+    // persistent mapped design) mirrors `current`. In-place moves
+    // leave it synced: accepts keep the priced graph, and rejects
+    // re-sync the evaluator at once (`CostEvaluator::resync_edit`).
+    // Whole-graph evaluations and compaction leave state of a
+    // different graph, so the next in-place move's watermark is 0.
+    let mut rows_synced = false;
     // A rejected move's footprint, captured before the rollback so
     // delta-based evaluators can re-sync over exactly the nodes the
     // rollback restored (the buffer is reused across iterations).
@@ -330,8 +329,8 @@ pub fn optimize_with(
                 db.begin_edit();
                 let mut txn = Transaction::begin(&mut current, inc);
                 run_inplace_plan(plan, &mut txn, db, ctx.resynth(), start);
-                let move_min = txn.min_touched();
-                let scope = EditScope::new(db, rows_since.min(move_min))
+                let dirty_since = if rows_synced { txn.min_touched() } else { 0 };
+                let scope = EditScope::new(db, dirty_since)
                     .with_delta(txn.touched_region(), txn.analysis());
                 metrics = evaluator.evaluate_edit(txn.aig(), &scope, ctx);
                 cost = scalar(&metrics);
@@ -352,11 +351,10 @@ pub fn optimize_with(
                     // (cost bounded by the rejected edit), instead of
                     // letting watermarks accumulate toward a
                     // whole-graph DP recompute.
-                    let scope =
-                        EditScope::new(db, rows_since.min(move_min)).with_delta(&move_region, inc);
+                    let scope = EditScope::new(db, dirty_since).with_delta(&move_region, inc);
                     evaluator.resync_edit(&current, &scope, ctx);
                 }
-                rows_since = NodeId::MAX; // rows now match `current`
+                rows_synced = true;
             }
             _ => {
                 // The whole-graph path: recipes without an in-place
@@ -375,14 +373,14 @@ pub fn optimize_with(
                     }
                     None => ctx.apply_recipe(recipe, &current),
                 };
-                metrics = evaluator.evaluate_ctx(&candidate, ctx);
+                metrics = evaluator.evaluate(&candidate);
                 cost = scalar(&metrics);
                 accept = metropolis(cost - current_cost, temp, &mut rng);
                 if accept {
                     current = candidate;
                     engine_synced = false;
                 }
-                rows_since = 0;
+                rows_synced = false;
             }
         }
         evaluated.push(metrics);
@@ -400,7 +398,7 @@ pub fn optimize_with(
             if should_compact(it, &current) {
                 current = current.sweep();
                 engine_synced = false;
-                rows_since = 0;
+                rows_synced = false;
             }
         }
         temp *= opts.decay;

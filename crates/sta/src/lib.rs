@@ -289,16 +289,6 @@ pub fn worst_output_paths(nl: &Netlist, lib: &Library, n: usize) -> Vec<PathRepo
         .collect()
 }
 
-/// Arrival times of every primary output (ps), in port order.
-pub fn output_arrivals_ps(nl: &Netlist, lib: &Library) -> Vec<f64> {
-    let loads = nl.net_loads_ff(lib);
-    let arrival = arrivals(nl, lib, &loads);
-    nl.outputs()
-        .iter()
-        .map(|o| arrival[o.net.0 as usize])
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,20 +418,5 @@ mod tests {
         assert!(reports[0].arrival_ps > reports[1].arrival_ps);
         // Truncation honored.
         assert_eq!(worst_output_paths(&nl, &lib, 1).len(), 1);
-    }
-
-    #[test]
-    fn output_arrivals_per_port() {
-        let lib = sky130ish();
-        let inv = lib.smallest_inverter();
-        let mut nl = Netlist::new();
-        let a = nl.add_input();
-        let x = nl.add_gate(inv, vec![a]);
-        let y = nl.add_gate(inv, vec![x]);
-        nl.add_output(x, Some("short"));
-        nl.add_output(y, Some("long"));
-        let arr = output_arrivals_ps(&nl, &lib);
-        assert_eq!(arr.len(), 2);
-        assert!(arr[1] > arr[0]);
     }
 }

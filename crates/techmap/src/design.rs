@@ -206,26 +206,6 @@ impl MappedDesign {
         self.initialized = false;
     }
 
-    /// Pre-sizes the per-node cover tables for an `nodes`-node AIG
-    /// (capacity only; contents untouched), so the first
-    /// [`Mapper::sync_design`] rebuild at that size performs no table
-    /// regrowth. Gate-indexed state (`topo`, the netlist itself) grows
-    /// with the cover as usual.
-    pub fn reserve_nodes(&mut self, nodes: usize) {
-        fn up<T>(v: &mut Vec<T>, cap: usize) {
-            v.reserve(cap.saturating_sub(v.len()));
-        }
-        up(&mut self.base_refs, nodes);
-        up(&mut self.compl_refs, nodes);
-        up(&mut self.planned, nodes);
-        up(&mut self.main_gate, nodes);
-        up(&mut self.post_inv, nodes);
-        up(&mut self.compl_inv, nodes);
-        up(&mut self.base_net, nodes);
-        up(&mut self.emitted, nodes);
-        up(&mut self.reemit_mark, nodes);
-    }
-
     /// Runs the ground-truth flow's two sizing passes in full on the
     /// freshly (re)built design, capturing the per-pass state for
     /// later incremental updates. Pair with `IncrementalSta::build`.

@@ -51,7 +51,6 @@ mod design;
 mod mapper;
 mod matcher;
 mod netlist;
-mod pool;
 mod sizing;
 mod verilog;
 
@@ -59,7 +58,6 @@ pub use design::MappedDesign;
 pub use mapper::{MapContext, MapError, MapGoal, MapOptions, Mapper};
 pub use matcher::{CellMatch, Matcher};
 pub use netlist::{Gate, GateId, NetDriver, NetId, Netlist, OutputPort, Sink};
-pub use pool::MapPool;
 pub use sizing::{
     resize_greedy, resize_greedy_capture, resize_greedy_incremental, resize_greedy_with, SizeState,
     SizingTable,

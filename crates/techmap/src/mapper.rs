@@ -334,31 +334,20 @@ impl MapContext {
         self.last_recomputed_rows
     }
 
-    /// Pre-sizes every graph-shaped buffer for an `nodes`-node AIG
-    /// (capacity only; contents untouched): the DP tables, the cut
-    /// arena, netlist-construction scratch, and the per-row-cutoff
-    /// state. A context reserved for the largest graph it will see
-    /// performs no buffer regrowth across an SA run — the point of
-    /// the owner-supplied [`crate::MapPool`].
-    pub fn reserve_nodes(&mut self, nodes: usize, max_cuts: usize) {
-        fn up<T>(v: &mut Vec<T>, cap: usize) {
-            v.reserve(cap.saturating_sub(v.len()));
+    /// The liveness check every entry point ends its DP with: an
+    /// unmatchable row is an error only when the outputs reach it.
+    /// Such rows are rare, so the output DFS runs only when one
+    /// exists. `none_rows` ascends, so the reported node is the first
+    /// live unmatchable id, whatever order the rows settled in.
+    fn check_unmatched(&mut self, aig: &Aig) -> Result<(), MapError> {
+        if self.none_rows.is_empty() {
+            return Ok(());
         }
-        self.cuts.reserve_nodes(nodes, max_cuts);
-        up(&mut self.fanout, nodes);
-        up(&mut self.chosen, nodes);
-        up(&mut self.arrival, nodes);
-        up(&mut self.flow, nodes);
-        up(&mut self.net_of, nodes);
-        up(&mut self.inv_of, nodes);
-        up(&mut self.live, nodes);
-        up(&mut self.seen_versions, nodes);
-        up(&mut self.row_changed, nodes);
-        up(&mut self.fanout_scratch, nodes);
-        up(&mut self.consumers, nodes);
-        up(&mut self.prev_fanins, nodes);
-        up(&mut self.queued, nodes);
-        up(&mut self.remove_cnt, nodes);
+        mark_live(aig, &mut self.live, &mut self.build_stack);
+        match self.none_rows.iter().find(|&&id| self.live[id as usize]) {
+            Some(&node) => Err(MapError::NoMatch { node }),
+            None => Ok(()),
+        }
     }
 
     /// Resets the accumulated changed-row record after a design has
@@ -478,8 +467,8 @@ impl<'a> Mapper<'a> {
         ctx.changed_rows.clear();
         ctx.changed_since = 0;
         enumerate_cuts_into(aig, self.opts.cut_size, self.opts.max_cuts, &mut ctx.cuts);
-        aig::analysis::fanout_counts_into(aig, &mut ctx.fanout);
-
+        // Every row is recomputed, and non-AND rows (inputs of this
+        // graph that may have been ANDs of the last one) must read 0.
         let n = aig.num_nodes();
         ctx.chosen.clear();
         ctx.chosen.resize(n, None);
@@ -487,55 +476,10 @@ impl<'a> Mapper<'a> {
         ctx.arrival.resize(n, 0.0);
         ctx.flow.clear();
         ctx.flow.resize(n, 0.0);
-        let MapContext {
-            cuts,
-            fanout,
-            chosen,
-            arrival,
-            flow,
-            shortlists,
-            build_stack,
-            live,
-            none_rows,
-            ..
-        } = ctx;
-        mark_live(aig, live, build_stack);
-        none_rows.clear();
-
-        // The DP reads leaf rows, so rows must settle in dependency
-        // order: ascending ids, except when committed forward
-        // references exist (in-place appended cones spliced into
-        // earlier nodes), where a leaf can carry a higher id than its
-        // reader. `for_each_and_topo` serves the cached dependency
-        // order in that case — no per-call allocation either way.
-        let mut recomputed = 0usize;
-        aig.for_each_and_topo(|id| {
-            recomputed += 1;
-            let Some(best) =
-                self.choose_for_node(id, cuts.cuts(id), fanout, arrival, flow, shortlists)
-            else {
-                chosen[id as usize] = None;
-                arrival[id as usize] = 0.0;
-                flow[id as usize] = 0.0;
-                none_rows.push(id);
-                return;
-            };
-            arrival[id as usize] = best.arrival_ps;
-            flow[id as usize] = best.area_flow;
-            chosen[id as usize] = Some(best);
-        });
-        // Liveness is checked after the sweep so the error names the
-        // first live unmatchable node in *ascending* id order — the
-        // incremental entry points' report — whatever row order ran.
-        if !none_rows.is_empty() {
-            none_rows.sort_unstable();
-            for &id in none_rows.iter() {
-                if live[id as usize] {
-                    return Err(MapError::NoMatch { node: id });
-                }
-            }
-        }
-        ctx.last_recomputed_rows = recomputed;
+        let cuts = std::mem::take(&mut ctx.cuts);
+        ctx.last_recomputed_rows = self.dp_sweep(ctx, aig, |id| cuts.cuts(id), 0);
+        ctx.cuts = cuts;
+        ctx.check_unmatched(aig)?;
         ctx.rows_for = Some(n);
 
         Ok(self.build_netlist(
@@ -774,19 +718,7 @@ impl<'a> Mapper<'a> {
                 ctx.seen_versions[id as usize] = cuts.version(id);
             }
         }
-        // Unmatchable rows are rare; liveness (the expensive global
-        // DFS deciding whether one is an error) is computed only when
-        // at least one exists. `none_rows` ascends, so the reported
-        // node is the first live unmatchable one — exactly
-        // `Mapper::map`'s.
-        if !ctx.none_rows.is_empty() {
-            mark_live(aig, &mut ctx.live, &mut ctx.build_stack);
-            for &id in ctx.none_rows.iter() {
-                if ctx.live[id as usize] {
-                    return Err(MapError::NoMatch { node: id });
-                }
-            }
-        }
+        ctx.check_unmatched(aig)?;
         ctx.rows_for = Some(n);
         if !ctx.cutoff_disabled {
             ctx.seen_db = Some(cuts.instance_id());
@@ -794,11 +726,10 @@ impl<'a> Mapper<'a> {
         Ok(since)
     }
 
-    /// The watermark fallback of [`Mapper::dp_update`]: recomputes
-    /// every row at or above `since`, rebuilds the unmatchable-row
-    /// set, and (cutoff enabled) rebuilds the consumer adjacency the
-    /// next call's worklist propagates along. Returns the number of
-    /// rows recomputed.
+    /// The watermark fallback of [`Mapper::dp_update`]: the
+    /// [`Mapper::dp_sweep`] from `since` on, after (cutoff enabled)
+    /// rebuilding the consumer adjacency the next call's worklist
+    /// propagates along. Returns the number of rows recomputed.
     fn dp_rows_watermark(
         &self,
         ctx: &mut MapContext,
@@ -806,7 +737,6 @@ impl<'a> Mapper<'a> {
         cuts: &CutDb,
         since: NodeId,
     ) -> usize {
-        aig::analysis::fanout_counts_into(aig, &mut ctx.fanout);
         if !ctx.cutoff_disabled {
             // Fresh adjacency baseline for the next cutoff call
             // (same lineage as the version snapshot).
@@ -825,6 +755,24 @@ impl<'a> Mapper<'a> {
                 ctx.prev_fanins[id as usize] = [f0, f1];
             }
         }
+        self.dp_sweep(ctx, aig, |id| cuts.cuts(id), since)
+    }
+
+    /// The DP sweep shared by [`Mapper::map_with`] (`since = 0`, cut
+    /// lists from a fresh enumeration) and the watermark path of
+    /// [`Mapper::dp_update`] (cut lists from the caller's [`CutDb`]):
+    /// recounts fanout, recomputes every row at or above `since`
+    /// from the cut lists `cut_list` serves, and rebuilds the
+    /// ascending unmatchable-row set. Returns the number of rows
+    /// recomputed.
+    fn dp_sweep<'c>(
+        &self,
+        ctx: &mut MapContext,
+        aig: &Aig,
+        cut_list: impl Fn(NodeId) -> &'c [Cut],
+        since: NodeId,
+    ) -> usize {
+        aig::analysis::fanout_counts_into(aig, &mut ctx.fanout);
         let MapContext {
             fanout,
             chosen,
@@ -859,7 +807,7 @@ impl<'a> Mapper<'a> {
             }
             recomputed += 1;
             let Some(best) =
-                self.choose_for_node(id, cuts.cuts(id), fanout, arrival, flow, shortlists)
+                self.choose_for_node(id, cut_list(id), fanout, arrival, flow, shortlists)
             else {
                 chosen[id as usize] = None;
                 arrival[id as usize] = 0.0;
@@ -1729,6 +1677,51 @@ mod tests {
                 assert_eq!(a, e.var());
             }
             (a, b) => panic!("outcome diverged: {a:?} vs {b:?}"),
+        }
+    }
+
+    /// `map_with` skips unmatchable rows the outputs do not reach, and
+    /// once such rows are live it names the first one in ascending id
+    /// order, whatever order the outputs list them in.
+    #[test]
+    fn map_with_skips_dead_unmatchable_rows_and_names_first_live() {
+        use aig::incremental::{IncrementalAnalysis, Transaction};
+        let lib = sky130ish();
+        let mapper = Mapper::new(&lib, MapOptions::default());
+        let mut g = Aig::new();
+        let x = g.add_input();
+        let y = g.add_input();
+        let w = g.add_input();
+        let z = g.add_input();
+        // Two real AND(x, !x) nodes (every cut function constant),
+        // made by rewiring their second fanins as an in-place edit
+        // would; `and` itself folds the pattern away.
+        let e1 = g.and(x, y);
+        let e2 = g.and(x, w);
+        let mut inc = IncrementalAnalysis::new(&g);
+        let mut txn = Transaction::begin(&mut g, &mut inc);
+        txn.substitute(y.var(), !x);
+        txn.substitute(w.var(), !x);
+        txn.commit();
+        let f = g.and(x, z);
+        g.add_output(f, None::<&str>);
+        let mut ctx = MapContext::new();
+        let warm = random_aig(3, 6, 40);
+        mapper.map_with(&mut ctx, &warm).expect("mappable");
+        let nl = mapper
+            .map_with(&mut ctx, &g)
+            .expect("dead unmatchable rows are skipped");
+        verify_mapping(&g, &nl, &lib);
+        assert_eq!(format!("{nl:?}"), format!("{:?}", mapper.map(&g).unwrap()));
+
+        g.add_output(e2, None::<&str>);
+        g.add_output(e1, None::<&str>);
+        assert!(e1.var() < e2.var());
+        for got in [mapper.map_with(&mut ctx, &g), mapper.map(&g)] {
+            match got {
+                Err(MapError::NoMatch { node }) => assert_eq!(node, e1.var()),
+                other => panic!("expected NoMatch, got {other:?}"),
+            }
         }
     }
 

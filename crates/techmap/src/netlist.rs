@@ -420,11 +420,6 @@ impl Netlist {
         self.tracking = Some(t);
     }
 
-    /// Whether [`Netlist::enable_tracking`] has been called.
-    pub fn tracking_enabled(&self) -> bool {
-        self.tracking.is_some()
-    }
-
     /// The tracked sink pins of `net`.
     ///
     /// # Panics

@@ -159,7 +159,7 @@ pub fn refactor_zero_with(aig: &Aig, cache: &ResynthCache) -> Aig {
     )
 }
 
-/// Acceptance rule of [`rewrite_inplace`].
+/// Acceptance rule of [`rewrite_inplace_window`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum InplaceMode {
     /// Substitute only when the replacement literal sits at a
@@ -169,42 +169,6 @@ pub enum InplaceMode {
     /// restructurings that redirect fanout onto shared logic,
     /// diversifying the search like the `-z` transforms).
     ZeroCost,
-}
-
-/// In-place local rewriting: the transaction-native sibling of
-/// [`rewrite`], for the SA loop's cheap moves.
-///
-/// Where [`rewrite`] rebuilds the whole graph, this walks the current
-/// graph's AND nodes in ascending id order and applies **zero-new-node**
-/// replacements through `txn`: for each live node, each cached cut
-/// function (from `cuts`) is resynthesized via `cache`, and if the
-/// resulting structure already exists in the graph *below* the node
-/// (probed with [`SmallStructure::find`]; constants count), the node
-/// is substituted by that literal — rewiring its readers, re-leveling
-/// its transitive fanout, and invalidating exactly the affected cut
-/// lists before the walk proceeds. Among acceptable candidates the
-/// one with the smallest `(level, literal)` wins, so the result is a
-/// pure function of the inputs.
-///
-/// The graph's function is preserved (cut functions are exact and the
-/// probe is strashed), no nodes are created, and ids are stable;
-/// replaced nodes go dangling until a later sweep. Because everything
-/// flows through `txn`, the whole move can be rolled back exactly —
-/// pair with [`CutDb::begin_edit`]/[`CutDb::rollback_edit`].
-///
-/// Returns the number of substitutions performed.
-///
-/// # Panics
-///
-/// Panics (debug) if `cuts` is out of sync with the transaction's
-/// graph.
-pub fn rewrite_inplace(
-    txn: &mut Transaction<'_>,
-    cuts: &mut CutDb,
-    cache: &ResynthCache,
-    mode: InplaceMode,
-) -> usize {
-    rewrite_inplace_window(txn, cuts, cache, mode, 1, usize::MAX)
 }
 
 /// Counters of one in-place resynthesis pass
@@ -318,11 +282,33 @@ fn simplified([a, b]: [Lit; 2]) -> Option<Lit> {
     }
 }
 
-/// [`rewrite_inplace`] restricted to a *window* of the graph: at most
-/// `max_nodes` live AND nodes are examined, beginning at the first
-/// AND node with id `>= start` and wrapping around to the low ids.
-/// This is the SA loop's actual in-place move: the examined set — and
-/// with it the edit footprint — is a constant, so the per-iteration
+/// In-place local rewriting: the transaction-native sibling of
+/// [`rewrite`], for the SA loop's cheap moves.
+///
+/// Where [`rewrite`] rebuilds the whole graph, this walks the current
+/// graph's AND nodes and applies **zero-new-node** replacements
+/// through `txn`: for each live node, each cached cut function (from
+/// `cuts`) is resynthesized via `cache`, and if the resulting
+/// structure already exists in the graph (probed with
+/// [`SmallStructure::find`]; constants count), the node is
+/// substituted by that literal — rewiring its readers, re-leveling
+/// its transitive fanout, and invalidating exactly the affected cut
+/// lists before the walk proceeds. Among acceptable candidates the
+/// one with the smallest `(level, literal)` wins, so the result is a
+/// pure function of the inputs.
+///
+/// The graph's function is preserved (cut functions are exact and the
+/// probe is strashed), no nodes are created, and ids are stable;
+/// replaced nodes go dangling until a later sweep. Because everything
+/// flows through `txn`, the whole move can be rolled back exactly —
+/// pair with [`CutDb::begin_edit`]/[`CutDb::rollback_edit`].
+///
+/// The walk covers a *window* of the graph: at most `max_nodes` live
+/// AND nodes are examined, beginning at the first AND node with id
+/// `>= start` and wrapping around to the low ids (`start = 1`,
+/// `max_nodes = usize::MAX` walks the whole graph in ascending id
+/// order). This is the SA loop's actual in-place move: the examined
+/// set — and with it the edit footprint — is a constant, so the per-iteration
 /// cost is independent of the graph size, which is the paper's
 /// O(edit) claim. The window position is part of the move (SA draws
 /// it from the chain's RNG), so the result stays a pure function of
@@ -914,7 +900,7 @@ mod tests {
                 db.build(&g);
                 let cache = ResynthCache::new();
                 let mut txn = Transaction::begin(&mut g, &mut inc);
-                let subs = rewrite_inplace(&mut txn, &mut db, &cache, mode);
+                let subs = rewrite_inplace_window(&mut txn, &mut db, &cache, mode, 1, usize::MAX);
                 txn.commit();
                 assert_eq!(g.num_nodes(), before_nodes, "zero-new-node contract");
                 assert!(
@@ -947,7 +933,14 @@ mod tests {
         db.build(&g);
         let cache = ResynthCache::new();
         let mut txn = Transaction::begin(&mut g, &mut inc);
-        let subs = rewrite_inplace(&mut txn, &mut db, &cache, InplaceMode::Standard);
+        let subs = rewrite_inplace_window(
+            &mut txn,
+            &mut db,
+            &cache,
+            InplaceMode::Standard,
+            1,
+            usize::MAX,
+        );
         txn.commit();
         assert!(subs >= 1, "the OR node reduces to `a`");
         assert!(equiv_exhaustive(&g0, &g).expect("small"));
@@ -1141,7 +1134,14 @@ mod tests {
         let cache = ResynthCache::new();
         db.begin_edit();
         let mut txn = Transaction::begin(&mut g, &mut inc);
-        rewrite_inplace(&mut txn, &mut db, &cache, InplaceMode::ZeroCost);
+        rewrite_inplace_window(
+            &mut txn,
+            &mut db,
+            &cache,
+            InplaceMode::ZeroCost,
+            1,
+            usize::MAX,
+        );
         txn.rollback();
         db.rollback_edit();
         assert_eq!(aig::aiger::to_ascii(&g), aig::aiger::to_ascii(&g0));

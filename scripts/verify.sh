@@ -5,13 +5,17 @@
 #      --all-targets -- -D warnings` (style/lint gates — tests and
 #      benches are linted too, the whole tree stays warning-free);
 #   2. release build + full `cargo test -q --workspace` (tier-1);
-#   3. `cargo bench -p bench` with short samples, writing reports to a
+#   3. the end-to-end benchmark package (`e2ebench/`, a package of
+#      its own outside the workspace): release build and its tests,
+#      so a workspace API change that breaks its traced evaluators
+#      fails here instead of in a benchmark run;
+#   4. `cargo bench -p bench` with short samples, writing reports to a
 #      scratch dir (`BENCH_JSON_DIR`), so the committed BENCH_*.json
 #      at the repo root are left untouched;
-#   4. a key diff of every BENCH_*.json: any series present in the
+#   5. a key diff of every BENCH_*.json: any series present in the
 #      committed report but missing from the fresh run fails loudly —
 #      silently dropped bench series do not get to ride along;
-#   5. the tracked speedup ratios on the fresh run: cut enumeration
+#   6. the tracked speedup ratios on the fresh run: cut enumeration
 #      >= 2x over the naive reference, the incremental engines
 #      (analysis, cut database, SA step, STA, ground-truth eval,
 #      feature maintenance) >= 5x over their full-recompute
@@ -22,7 +26,7 @@
 #      on the feature replay must stay well below their fallbacks'
 #      recompute sets, and the recipe memo must serve part of the
 #      primitive applications of the paper-recipe SA chain;
-#   6. the large-tier scaling-exponent ceilings: per-step DP work on
+#   7. the large-tier scaling-exponent ceilings: per-step DP work on
 #      the size sweep (deterministic counters from BENCH_scale.json)
 #      must grow <= 3x while the design grows 100x (10k -> 1M).
 #
@@ -50,6 +54,10 @@ cargo build --release
 
 echo "== tests (workspace) =="
 cargo test -q --workspace
+
+echo "== e2ebench (build + tests) =="
+cargo build --release --manifest-path e2ebench/Cargo.toml
+cargo test --release --manifest-path e2ebench/Cargo.toml
 
 scratch="$(mktemp -d)"
 trap 'rm -rf "$scratch"' EXIT
