@@ -490,8 +490,9 @@ fn bench_components(c: &mut Criterion) {
     // most steps take the whole-graph path through the recipe memo. A
     // fresh context per iteration starts every chain with a cold memo,
     // as a run does. The memo's counters give the deterministic work
-    // bound: primitive applications the chain requested vs computed.
-    let (prims_requested, prims_computed) = {
+    // bounds: primitive applications and whole-graph candidate prices
+    // the chain requested vs computed.
+    let (prims_requested, prims_computed, prices_requested, prices_computed) = {
         let actions = transform::recipes();
         let opts = saopt::SaOptions {
             iterations: 150,
@@ -508,7 +509,12 @@ fn bench_components(c: &mut Criterion) {
         let mut ctx = saopt::EvalContext::new();
         saopt::optimize_with(&large.aig, &mut eval, &actions, &opts, &mut ctx);
         let memo = ctx.recipe_memo();
-        (memo.hits() + memo.misses(), memo.misses())
+        (
+            memo.hits() + memo.misses(),
+            memo.misses(),
+            memo.prices_requested(),
+            memo.prices_computed(),
+        )
     };
     g.finish();
 
@@ -558,9 +564,20 @@ fn bench_components(c: &mut Criterion) {
         "sa_paper_prims_computed_ex28",
         prims_computed as f64,
     );
+    c.record_value(
+        "components",
+        "sa_paper_prices_requested_ex28",
+        prices_requested as f64,
+    );
+    c.record_value(
+        "components",
+        "sa_paper_prices_computed_ex28",
+        prices_computed as f64,
+    );
     eprintln!(
         "sa_chain_paper_ex28: {prims_computed}/{prims_requested} primitive applications \
-         computed (recipe memo; tracked requested >= 1.25x computed)"
+         computed (recipe memo; tracked requested >= 1.25x computed), \
+         {prices_computed}/{prices_requested} candidate prices computed (tracked >= 2x)"
     );
     if let (Some(full), Some(incr)) = (
         c.median_ns("components", "feat_full_ex28"),

@@ -10,13 +10,17 @@
 //!   every recipe application — one cache serves a whole run *and*
 //!   all parallel chains of [`crate::optimize_seeds`] /
 //!   [`crate::sweep`];
-//! * a [`RecipeMemo`] of the whole-graph moves' recipe prefixes on the
-//!   chain's current graph ([`EvalContext::apply_recipe`]): the chain
-//!   rejects most moves and draws from a fixed action set, so the same
-//!   prefixes keep meeting the same graph, and each is now applied at
-//!   most once per graph. The memo is keyed on graph content, so a
-//!   context reused for another run (or another input) needs no
-//!   reset;
+//! * a [`RecipeMemo`] of the graphs the whole-graph moves reach from
+//!   the chain's current graph, with their prices: the chain rejects
+//!   most moves and draws from a fixed action set, so it keeps
+//!   reaching the same few graphs. The memo holds each distinct graph
+//!   once, runs each primitive at most once per distinct input graph,
+//!   and keeps the metrics [`crate::optimize_with`] priced each graph
+//!   at, so a candidate equal to one already priced on the same
+//!   current graph is not priced again. The memo is keyed on graph
+//!   content, so a context reused for another run (or another input)
+//!   needs no reset; only its prices are dropped when a run starts,
+//!   since the run may price with another evaluator;
 //! * the in-place engine's [`IncrementalAnalysis`] + [`CutDb`]
 //!   buffers: [`crate::optimize_with`] used to build both from
 //!   scratch per run (and per whole-graph accept), so
@@ -32,30 +36,33 @@
 //!   the new graph's.
 //!
 //! Results never depend on the context: every cached value is a pure
-//! function of its key, so [`crate::optimize`] with a fresh, shared,
-//! or disabled cache, and with the recipe memo on or off, produces
-//! byte-identical outputs (asserted by the determinism integration
-//! tests). For *edit-level* incrementality —
+//! function of its key (a stored price rests on the contract stated
+//! on [`crate::CostEvaluator::evaluate`]), so [`crate::optimize`] with
+//! a fresh, shared, or disabled cache, and with the recipe memo on or
+//! off, produces byte-identical outputs (asserted by the determinism
+//! integration tests). For *edit-level* incrementality —
 //! levels/fanout maintained through in-place graph edits rather than
 //! recomputed per candidate — see [`aig::incremental`], which the
 //! differential tests and benchmarks exercise directly.
 
+use crate::cost::CostMetrics;
 use aig::cut::CutDb;
 use aig::incremental::IncrementalAnalysis;
 use aig::Aig;
 use std::sync::Arc;
-use transform::{Recipe, RecipeMemo, ResynthCache};
+use transform::{Recipe, RecipeMemo, ResynthCache, Walk};
 
 /// Reusable evaluation state for one SA run (see the module docs).
 ///
 /// It owns both memo layers of the whole-graph moves: the recipe memo
-/// (per graph, per prefix) and a handle on the resynthesis cache (per
-/// cut function). [`EvalContext::without_cache`] turns both off.
+/// (distinct graphs and their prices, per base graph) and a handle on
+/// the resynthesis cache (per cut function).
+/// [`EvalContext::without_cache`] turns both off.
 #[derive(Debug)]
 pub struct EvalContext {
     resynth: Arc<ResynthCache>,
-    /// Recipe-prefix results on the chain's current graph.
-    memo: RecipeMemo,
+    /// Graphs reached from the chain's current graph, with prices.
+    memo: RecipeMemo<CostMetrics>,
     /// Whether in-place-capable SA moves run through the edit
     /// transaction engine (`true`, the default) or through the
     /// clone-based oracle path. Results are byte-identical either
@@ -78,9 +85,9 @@ impl EvalContext {
         Self::with_shared(Arc::new(ResynthCache::new()))
     }
 
-    /// A context that memoizes nothing — neither recipe prefixes nor
-    /// cut resyntheses. The oracle side of the cache-on-vs-off
-    /// determinism tests.
+    /// A context that memoizes nothing — neither recipe results, nor
+    /// prices, nor cut resyntheses. The oracle side of the
+    /// cache-on-vs-off determinism tests.
     pub fn without_cache() -> Self {
         EvalContext {
             memo: RecipeMemo::disabled(),
@@ -129,18 +136,27 @@ impl EvalContext {
         &self.resynth
     }
 
-    /// Applies `recipe` to `aig` through the context's recipe memo and
-    /// resynthesis cache: exactly [`Recipe::apply_with`]`(aig,
-    /// self.resynth())`, computing only the steps the memo does not
-    /// hold for `aig`.
-    pub fn apply_recipe(&mut self, recipe: &Recipe, aig: &Aig) -> Aig {
-        self.memo.apply(aig, recipe, &self.resynth)
+    /// Walks `recipe` from `aig` through the context's recipe memo and
+    /// resynthesis cache (see [`RecipeMemo::walk`]); `aig_metrics` is
+    /// the chain's price of `aig`, when it knows it.
+    pub(crate) fn walk_recipe(
+        &mut self,
+        recipe: &Recipe,
+        aig: &Aig,
+        aig_metrics: Option<CostMetrics>,
+    ) -> Walk {
+        self.memo.walk(aig, aig_metrics, recipe, &self.resynth)
     }
 
-    /// The recipe memo behind [`EvalContext::apply_recipe`] (its
-    /// hit and miss counters).
-    pub fn recipe_memo(&self) -> &RecipeMemo {
+    /// The memo behind [`crate::optimize_with`]'s whole-graph moves
+    /// (its primitive and price counters).
+    pub fn recipe_memo(&self) -> &RecipeMemo<CostMetrics> {
         &self.memo
+    }
+
+    /// The memo, for the SA loop's price lookups and stores.
+    pub(crate) fn recipe_memo_mut(&mut self) -> &mut RecipeMemo<CostMetrics> {
+        &mut self.memo
     }
 }
 

@@ -70,6 +70,20 @@ pub struct CostMetrics {
 /// Anything that can price an AIG for the SA loop.
 pub trait CostEvaluator {
     /// Estimates delay and area of `aig`.
+    ///
+    /// # Purity contract
+    ///
+    /// The metrics are a pure function of the graph's content (the
+    /// fields [`Aig`]'s equality compares): equal graphs get
+    /// bit-identical metrics, whatever the evaluator priced before.
+    /// [`CostEvaluator::evaluate_edit`] returns bit-identical metrics
+    /// too. [`crate::optimize_with`] relies on this: it prices each
+    /// distinct whole-graph candidate once per current graph
+    /// ([`transform::RecipeMemo`]) and reuses its metrics of the
+    /// current graph for a candidate equal to it. [`ProxyCost`],
+    /// [`GroundTruthCost`] and [`MlCost`] all keep the contract; their
+    /// internal state changes only the cost of a call, never its
+    /// result.
     fn evaluate(&mut self, aig: &Aig) -> CostMetrics;
 
     /// Prices a graph that was **edited in place** since this

@@ -17,12 +17,15 @@
 //!
 //! Every run carries an [`EvalContext`] across iterations: a shared
 //! NPN-canonical resynthesis cache ([`transform::ResynthCache`])
-//! feeds the recipe applications, the proxy evaluator reuses the
-//! context's level buffer, and [`GroundTruthCost`] holds a
-//! [`techmap::MapContext`] so mapping reuses its DP tables. Contexts
-//! never change results — outputs are byte-identical with the cache
-//! shared, cold, or disabled, and for any `AIG_THREADS` value (the
-//! determinism integration tests assert both).
+//! feeds the recipe applications, and a recipe memo
+//! ([`transform::RecipeMemo`]) holds the graphs the whole-graph moves
+//! reach from the current graph with their metrics, so each distinct
+//! candidate is built and priced once per current graph.
+//! [`GroundTruthCost`] holds a [`techmap::MapContext`] so mapping
+//! reuses its DP tables. Contexts never change results — outputs are
+//! byte-identical with the caches shared, cold, or disabled, and for
+//! any `AIG_THREADS` value (the determinism integration tests assert
+//! both).
 //!
 //! # Examples
 //!

@@ -21,12 +21,37 @@
 //! Recipes without an in-place plan (every multi-step recipe, `sw`,
 //! `bd`, `rs`, `pt`) rebuild the graph. On the paper's flows this is
 //! where a step's time goes, and much of it repeats: the chain rejects
-//! most moves, so it applies the same recipe prefixes to the same
-//! current graph again and again. These moves go through the
-//! context's recipe memo ([`EvalContext::apply_recipe`]), which
-//! applies each prefix at most once per graph and returns exactly
-//! what [`Recipe::apply_with`] would, so results stay byte-identical
-//! with the memo on or off. Every candidate is still priced.
+//! most moves, so it keeps reaching the same few graphs from the same
+//! current graph. These moves walk the context's recipe memo
+//! ([`transform::RecipeMemo`]), which holds each distinct graph
+//! reached from the current graph once, runs each primitive at most
+//! once per distinct input graph, and reaches exactly what
+//! [`Recipe::apply_with`] returns. The memo also holds each graph's
+//! metrics once priced, so a candidate is priced
+//! ([`CostEvaluator::evaluate`]) only if no equal graph was priced on
+//! the same current graph. A candidate equal to the current graph
+//! reuses the chain's metrics of it, which are known after the initial
+//! evaluation and after every accept, but not after a compaction
+//! sweep.
+//!
+//! Skipping a price must not change what the evaluator's per-node
+//! state mirrors, so the loop keeps three rules:
+//!
+//! * a served candidate that is rejected, or that equals the current
+//!   graph, changes neither the graph nor the evaluator, so the engine
+//!   buffers and the evaluator state stay synced (an identity accept
+//!   keeps the warm engine);
+//! * an accepted served candidate that differs from the current graph
+//!   is priced once more, which leaves the evaluator exactly as pricing
+//!   it always did (a debug assertion checks the metrics against the
+//!   stored ones);
+//! * every evaluation of another graph marks the evaluator state as
+//!   not mirroring the current graph.
+//!
+//! All of this rests on the contract stated on
+//! [`CostEvaluator::evaluate`]: metrics are a pure function of graph
+//! content. Results are byte-identical with the memo on or off
+//! ([`EvalContext::without_cache`]).
 
 use crate::context::EvalContext;
 use crate::cost::{CostEvaluator, CostMetrics, EditScope};
@@ -38,7 +63,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use transform::{
     balance_inplace_window, resub_inplace_window, resynth_inplace_window, InplacePlan,
-    InplaceStats, Recipe, ResynthCache,
+    InplaceStats, Recipe, ResynthCache, Walk, MEMO_BASE,
 };
 
 /// Cut parameters of the in-place engine: identical to `rewrite`'s
@@ -213,12 +238,13 @@ pub fn optimize(
 ///
 /// The context's shared resynthesis cache is threaded into every
 /// recipe application, so iteration cost no longer includes
-/// rebuilding it from scratch. Whole-graph moves go
-/// through the context's recipe memo ([`EvalContext::apply_recipe`]):
-/// a move starts from the longest prefix of its recipe already
-/// computed on the current graph. Results are byte-identical to
-/// [`optimize`] for any context state — warm, cold, shared with other
-/// chains, or with both memo layers disabled
+/// rebuilding it from scratch. Whole-graph moves walk the context's
+/// recipe memo ([`EvalContext::recipe_memo`]): a move computes only the
+/// primitives the memo has not run on their input graph, and prices
+/// its candidate only if no equal graph was priced on the current
+/// graph (see the module docs, "The whole-graph path"). Results are
+/// byte-identical to [`optimize`] for any context state — warm, cold,
+/// shared with other chains, or with both memo layers disabled
 /// ([`EvalContext::without_cache`]; the determinism tests assert
 /// this).
 ///
@@ -275,6 +301,13 @@ pub fn optimize_with(
     };
     let mut current = aig.clone();
     let mut current_cost = scalar(&initial);
+    // The evaluator's metrics of `current`, when known: after the
+    // initial evaluation and every accept, not after a compaction
+    // sweep. A whole-graph candidate equal to `current` reuses them.
+    let mut current_metrics = Some(initial);
+    // Prices a previous run stored may be another evaluator's; the
+    // graphs stay.
+    ctx.recipe_memo_mut().clear_prices();
     // `best` is tracked lazily: `None` means the input itself is
     // still the best seen, so runs that never improve clone nothing.
     let mut best: Option<Aig> = None;
@@ -360,7 +393,7 @@ pub fn optimize_with(
                 // The whole-graph path: recipes without an in-place
                 // plan, and (engine off) the same in-place move
                 // through a clone — the byte-identity oracle.
-                let candidate = match inplace_move {
+                let Walk { node, mut graph } = match inplace_move {
                     Some((plan, start)) => {
                         let mut cand = current.clone();
                         let mut inc = IncrementalAnalysis::new(&cand);
@@ -369,23 +402,55 @@ pub fn optimize_with(
                         let mut txn = Transaction::begin(&mut cand, &mut inc);
                         run_inplace_plan(plan, &mut txn, &mut db, ctx.resynth(), start);
                         txn.commit();
-                        cand
+                        Walk {
+                            node: None,
+                            graph: Some(cand),
+                        }
                     }
-                    None => ctx.apply_recipe(recipe, &current),
+                    None => ctx.walk_recipe(recipe, &current, current_metrics),
                 };
-                metrics = evaluator.evaluate(&candidate);
+                // A walk served from the memo leaves its graph there;
+                // it is decoded only if this step needs it.
+                let served = node.and_then(|n| ctx.recipe_memo_mut().price(n));
+                metrics = match served {
+                    Some(m) => m,
+                    None => {
+                        let g = graph
+                            .get_or_insert_with(|| ctx.recipe_memo().graph(node.expect("stored")));
+                        let m = evaluator.evaluate(g);
+                        if let Some(n) = node {
+                            ctx.recipe_memo_mut().set_price(n, m);
+                        }
+                        // `evaluate` left per-node state of another graph.
+                        rows_synced = false;
+                        m
+                    }
+                };
                 cost = scalar(&metrics);
                 accept = metropolis(cost - current_cost, temp, &mut rng);
-                if accept {
-                    current = candidate;
+                if node == Some(MEMO_BASE) {
+                    // The candidate has `current`'s content: keep
+                    // `current` and its warm engine, accepted or not.
+                    current_metrics = Some(metrics);
+                } else if accept {
+                    let next =
+                        graph.unwrap_or_else(|| ctx.recipe_memo().graph(node.expect("stored")));
+                    if served.is_some() {
+                        // Leave the evaluator exactly as pricing the
+                        // accepted graph leaves it.
+                        let repriced = evaluator.evaluate(&next);
+                        debug_assert_eq!(repriced, metrics, "a stored price went stale");
+                        rows_synced = false;
+                    }
+                    current = next;
                     engine_synced = false;
                 }
-                rows_synced = false;
             }
         }
         evaluated.push(metrics);
         if accept {
             current_cost = cost;
+            current_metrics = Some(metrics);
             accepted += 1;
             if cost < best_cost {
                 best_cost = cost;
@@ -397,6 +462,7 @@ pub fn optimize_with(
             // once dead logic dominates the arena.
             if should_compact(it, &current) {
                 current = current.sweep();
+                current_metrics = None;
                 engine_synced = false;
                 rows_synced = false;
             }
@@ -779,6 +845,31 @@ mod tests {
             },
         );
         assert!(aig::sim::equiv_exhaustive(&g, &res.best).expect("10 inputs"));
+    }
+
+    /// Stored prices belong to the run's evaluator: a context reused
+    /// by another evaluator on the same input, whose every move walks
+    /// back to it, must not serve the first evaluator's metrics.
+    #[test]
+    fn stored_prices_do_not_outlive_their_run() {
+        let g = messy_graph(14).sweep();
+        let actions = vec![Recipe(vec![transform::Transform::Sweep])];
+        let opts = SaOptions {
+            iterations: 4,
+            ..SaOptions::default()
+        };
+        let mut ctx = EvalContext::new();
+        let _ = optimize_with(&g, &mut ProxyCost, &actions, &opts, &mut ctx);
+        let lib = cells::sky130ish();
+        let mut gt = crate::GroundTruthCost::new(&lib);
+        let reused = optimize_with(&g, &mut gt, &actions, &opts, &mut ctx);
+        let fresh = optimize_with(&g, &mut gt, &actions, &opts, &mut EvalContext::new());
+        assert_eq!(reused.evaluated, fresh.evaluated);
+        assert_eq!(
+            ctx.recipe_memo().identity_walks(),
+            8,
+            "every move is `sw` of a swept graph"
+        );
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! one cache may be carried across SA iterations and parallel sweep
 //! chains (`*_with` variants accept it; the plain entry points create
 //! a transient one, with byte-identical results either way). Whole
-//! recipes are memoized per graph through [`RecipeMemo`], which
-//! applies each recipe prefix at most once to a given graph.
+//! recipes are memoized per base graph through [`RecipeMemo`], which
+//! holds each distinct graph reached from the base once and runs each
+//! primitive at most once per distinct input graph.
 //!
 //! All transforms preserve Boolean function; the test suites verify
 //! this with exhaustive simulation on every transform and on sampled
@@ -55,7 +56,7 @@ pub mod structure;
 
 pub use balance::{balance, balance_dup, balance_inplace_window, reshape};
 pub use cache::ResynthCache;
-pub use memo::RecipeMemo;
+pub use memo::{RecipeMemo, Walk, MEMO_BASE};
 pub use recipes::{apply, apply_with, recipes, InplacePlan, ParseRecipeError, Recipe, Transform};
 pub use resub::{resub, resub_inplace_window};
 pub use rewrite::{

@@ -2,74 +2,134 @@
 //!
 //! An SA chain prices moves against the same current graph until one
 //! is accepted, and draws them from a fixed action set whose recipes
-//! share prefixes (`rw`, `rw;b`, `rw;rf`, ...). Most moves are
-//! rejected, and many accepted ones leave the graph unchanged, so the
-//! chain keeps applying the same prefixes to the same graph.
-//! [`RecipeMemo`] applies each prefix at most once per graph.
+//! share primitives (`rw`, `rw;b`, `b;rw`, ...). Most moves are
+//! rejected, many primitives return their input unchanged, and many
+//! accepted moves leave the graph as it was, so the chain keeps
+//! reaching the same few graphs. [`RecipeMemo`] holds each distinct
+//! graph reached from the base once, runs each primitive at most once
+//! per distinct input graph, and keeps the price a caller puts on a
+//! graph.
 
 use crate::cache::ResynthCache;
 use crate::recipes::{apply_with, Recipe, Transform};
 use aig::{aiger, Aig};
-use std::collections::HashMap;
 
-/// The results of recipe prefixes applied to one base graph.
-///
-/// [`RecipeMemo::apply`] starts from the longest prefix of the recipe
-/// already computed on its graph, computes only the remaining steps,
-/// and keeps every prefix result it computes.
-///
-/// * **Exact.** `apply(g, recipe, cache)` returns exactly what
-///   [`Recipe::apply_with`]`(g, cache)` returns, for every `g`. This
-///   rests on the primitives' purity contract (see [`apply_with`]): a
-///   primitive's result depends only on its input's content. An entry
-///   is kept only if its bytes decode back to the very graph they
-///   encode.
-/// * **Keyed on content.** Each call compares its graph with the base
-///   ([`Aig`]'s content equality) and starts over when they differ, so
-///   callers need no invalidation hooks, and a caller that moves to a
-///   graph equal to the base keeps every entry.
-/// * **Compact.** Entries are binary AIGER ([`aiger::to_binary`],
-///   about 2.6 bytes per AND) instead of in-memory graphs. The memo
-///   holds one base and at most one entry per distinct prefix of the
-///   recipes it is given: 103 for [`crate::recipes()`], whose proper
-///   prefixes are all recipes themselves.
-///
-/// [`RecipeMemo::hits`] / [`RecipeMemo::misses`] count primitive
-/// applications served from an entry / computed. A
-/// [`RecipeMemo::disabled`] memo computes everything and counts
-/// nothing, like [`ResynthCache::disabled`].
+/// The node every walk starts from: the base graph itself.
+pub const MEMO_BASE: usize = 0;
+
+/// One distinct graph reached from the base.
 #[derive(Debug)]
-pub struct RecipeMemo {
-    enabled: bool,
-    /// The graph every entry was computed from.
-    base: Option<Aig>,
-    /// Binary AIGER of each computed prefix's result.
-    entries: HashMap<Vec<Transform>, Vec<u8>>,
-    hits: u64,
-    misses: u64,
+struct Node<P> {
+    /// Binary AIGER of the graph, verified to decode back to it. Empty
+    /// for the base, which is held as a graph and matched by content.
+    bytes: Vec<u8>,
+    /// `(primitive, node)`: the primitive applied to this graph gives
+    /// that node's graph.
+    edges: Vec<(Transform, usize)>,
+    /// The caller's price of this graph, once known.
+    price: Option<P>,
 }
 
-impl Default for RecipeMemo {
+impl<P> Node<P> {
+    fn new(bytes: Vec<u8>) -> Self {
+        Node {
+            bytes,
+            edges: Vec::new(),
+            price: None,
+        }
+    }
+}
+
+/// Where a [`RecipeMemo::walk`] ended.
+#[derive(Debug)]
+pub struct Walk {
+    /// The node holding the result. `None` when the memo is disabled
+    /// or the result could not be stored.
+    pub node: Option<usize>,
+    /// The result, when the walk's last step computed it. A walk served
+    /// from the store leaves decoding to [`RecipeMemo::graph`].
+    pub graph: Option<Aig>,
+}
+
+/// The distinct graphs reached from one base graph by recipes, with
+/// their prices.
+///
+/// The store is a graph of graphs. Node [`MEMO_BASE`] is the base;
+/// every other node is a distinct graph, and an edge maps a (node,
+/// primitive) pair to the node that primitive yields. A recipe is a
+/// walk from the base ([`RecipeMemo::walk`]): each step follows its
+/// edge when the store holds it and computes the primitive otherwise,
+/// so each primitive runs at most once per distinct input graph.
+///
+/// * **Exact.** [`RecipeMemo::apply`]`(g, recipe, cache)` returns
+///   exactly what [`Recipe::apply_with`]`(g, cache)` returns, for every
+///   `g`. This rests on the primitives' purity contract (see
+///   [`apply_with`]): a primitive's result depends only on its input's
+///   content. A result is stored only if its bytes decode back to the
+///   very graph they encode.
+/// * **Keyed on content.** Each walk compares its graph with the base
+///   ([`Aig`]'s content equality) and starts over when they differ, so
+///   callers need no invalidation hooks, and a caller that moves to a
+///   graph equal to the base keeps every node. A computed result that
+///   equals a held graph joins that node, so no two nodes hold equal
+///   graphs, and a walk whose primitives change nothing ends at the
+///   base.
+/// * **Compact.** Nodes other than the base are binary AIGER
+///   ([`aiger::to_binary`], about 2.6 bytes per AND), one per distinct
+///   graph reached from the base.
+/// * **Priced once.** A node can carry the caller's price of its graph
+///   ([`RecipeMemo::price`] / [`RecipeMemo::set_price`]). The price
+///   belongs to the node, so it is dropped with it when the base
+///   changes. The SA loop stores its evaluator's metrics, which are a
+///   pure function of graph content, and clears them
+///   ([`RecipeMemo::clear_prices`]) when a run starts, since the next
+///   run may price with another evaluator.
+///
+/// [`RecipeMemo::hits`] / [`RecipeMemo::misses`] count primitive
+/// applications served from an edge / computed,
+/// [`RecipeMemo::identity_walks`] the recipes that changed nothing, and
+/// [`RecipeMemo::prices_requested`] / [`RecipeMemo::prices_computed`]
+/// count price lookups / prices stored. A [`RecipeMemo::disabled`]
+/// memo computes everything and counts nothing, like
+/// [`ResynthCache::disabled`].
+#[derive(Debug)]
+pub struct RecipeMemo<P = ()> {
+    enabled: bool,
+    /// The graph every walk starts from (node [`MEMO_BASE`]).
+    base: Option<Aig>,
+    /// The distinct graphs reached from the base, the base first.
+    nodes: Vec<Node<P>>,
+    hits: u64,
+    misses: u64,
+    identity_walks: u64,
+    prices_requested: u64,
+    prices_computed: u64,
+}
+
+impl<P: Copy> Default for RecipeMemo<P> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl RecipeMemo {
+impl<P: Copy> RecipeMemo<P> {
     /// An empty, enabled memo.
     pub fn new() -> Self {
         RecipeMemo {
             enabled: true,
             base: None,
-            entries: HashMap::new(),
+            nodes: Vec::new(),
             hits: 0,
             misses: 0,
+            identity_walks: 0,
+            prices_requested: 0,
+            prices_computed: 0,
         }
     }
 
     /// A memo that stores nothing: [`RecipeMemo::apply`] is
-    /// [`Recipe::apply_with`]. The oracle side of the memo-on-vs-off
-    /// determinism tests.
+    /// [`Recipe::apply_with`], and no walk reaches a node. The oracle
+    /// side of the memo-on-vs-off determinism tests.
     pub fn disabled() -> Self {
         RecipeMemo {
             enabled: false,
@@ -82,7 +142,7 @@ impl RecipeMemo {
         self.enabled
     }
 
-    /// Primitive applications served from an entry so far.
+    /// Primitive applications served from an edge so far.
     pub fn hits(&self) -> u64 {
         self.hits
     }
@@ -92,47 +152,166 @@ impl RecipeMemo {
         self.misses
     }
 
-    /// Number of prefix results held for the current base.
-    pub fn len(&self) -> usize {
-        self.entries.len()
+    /// Walks of at least one step that ended at the base so far:
+    /// recipes that left their input's content unchanged.
+    pub fn identity_walks(&self) -> u64 {
+        self.identity_walks
     }
 
-    /// Whether no prefix result is held.
+    /// Price lookups ([`RecipeMemo::price`]) so far.
+    pub fn prices_requested(&self) -> u64 {
+        self.prices_requested
+    }
+
+    /// Prices stored ([`RecipeMemo::set_price`]) so far.
+    pub fn prices_computed(&self) -> u64 {
+        self.prices_computed
+    }
+
+    /// Number of distinct graphs held for the current base, the base
+    /// included.
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Whether no graph is held (no walk has set a base yet).
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.nodes.is_empty()
     }
 
     /// Applies `recipe` to `aig` against `cache`: exactly
     /// [`Recipe::apply_with`]`(aig, cache)`, computing only the steps
-    /// past the longest prefix already held for `aig`.
+    /// the store does not hold for `aig`.
     pub fn apply(&mut self, aig: &Aig, recipe: &Recipe, cache: &ResynthCache) -> Aig {
-        let steps = recipe.0.as_slice();
-        if !self.enabled || steps.is_empty() {
-            return recipe.apply_with(aig, cache);
+        let walk = self.walk(aig, None, recipe, cache);
+        walk.graph.unwrap_or_else(|| {
+            self.graph(walk.node.expect("a walk off the store carries its result"))
+        })
+    }
+
+    /// Walks `recipe` from `aig`, rebasing the store on `aig` when it
+    /// differs from the base. `aig_price` is the caller's price of
+    /// `aig`, if it has one; the base takes it unless it holds one.
+    ///
+    /// The result is [`Recipe::apply_with`]`(aig, cache)`: the walk's
+    /// `graph`, or [`RecipeMemo::graph`] of its `node` when the walk was
+    /// served from the store. An empty recipe ends at the base.
+    pub fn walk(
+        &mut self,
+        aig: &Aig,
+        aig_price: Option<P>,
+        recipe: &Recipe,
+        cache: &ResynthCache,
+    ) -> Walk {
+        if !self.enabled {
+            return Walk {
+                node: None,
+                graph: Some(recipe.apply_with(aig, cache)),
+            };
         }
         if self.base.as_ref() != Some(aig) {
-            self.entries.clear();
+            self.nodes.clear();
+            self.nodes.push(Node::new(Vec::new()));
             self.base = Some(aig.clone());
         }
-        let done = (1..=steps.len())
-            .rev()
-            .find(|&k| self.entries.contains_key(&steps[..k]))
-            .unwrap_or(0);
-        self.hits += done as u64;
-        let mut current = (done > 0).then(|| {
-            aiger::from_binary(&self.entries[&steps[..done]])
-                .expect("entries are verified to decode when stored")
-        });
-        for k in done..steps.len() {
-            let next = apply_with(current.as_ref().unwrap_or(aig), steps[k], cache);
-            self.misses += 1;
-            let bytes = aiger::to_binary(&next);
-            if aiger::from_binary(&bytes).is_ok_and(|back| back == next) {
-                self.entries.insert(steps[..=k].to_vec(), bytes);
+        let base = &mut self.nodes[MEMO_BASE].price;
+        *base = base.or(aig_price);
+        let mut node = Some(MEMO_BASE);
+        // The graph at `node`, when the walk has it in hand; always
+        // `Some` once the walk has left the store.
+        let mut graph: Option<Aig> = None;
+        for &t in &recipe.0 {
+            let edge = node.and_then(|n| {
+                let edges = &self.nodes[n].edges;
+                edges.iter().find(|&&(e, _)| e == t).map(|&(_, to)| to)
+            });
+            if let Some(to) = edge {
+                self.hits += 1;
+                node = Some(to);
+                graph = None;
+                continue;
             }
-            current = Some(next);
+            let next = match (&graph, node) {
+                (Some(g), _) => apply_with(g, t, cache),
+                (None, Some(MEMO_BASE)) => apply_with(aig, t, cache),
+                (None, Some(n)) => apply_with(&self.graph(n), t, cache),
+                (None, None) => unreachable!("a walk off the store carries its graph"),
+            };
+            self.misses += 1;
+            node = node.and_then(|from| {
+                let to = self.intern(&next)?;
+                self.nodes[from].edges.push((t, to));
+                Some(to)
+            });
+            graph = Some(next);
         }
-        current.expect("the recipe is non-empty")
+        if node == Some(MEMO_BASE) && !recipe.0.is_empty() {
+            self.identity_walks += 1;
+        }
+        Walk { node, graph }
+    }
+
+    /// The graph held by `node` (decoded; the base is copied).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store holds no such node.
+    pub fn graph(&self, node: usize) -> Aig {
+        match node {
+            MEMO_BASE => self.base.clone().expect("the store has a base"),
+            _ => aiger::from_binary(&self.nodes[node].bytes)
+                .expect("nodes are verified to decode when stored"),
+        }
+    }
+
+    /// The price stored on `node`, if any. Counts one request.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store holds no such node.
+    pub fn price(&mut self, node: usize) -> Option<P> {
+        self.prices_requested += 1;
+        self.nodes[node].price
+    }
+
+    /// Stores the price computed for `node`'s graph. Counts one
+    /// computation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store holds no such node.
+    pub fn set_price(&mut self, node: usize, price: P) {
+        self.prices_computed += 1;
+        self.nodes[node].price = Some(price);
+    }
+
+    /// Drops every stored price and keeps the graphs: prices mean
+    /// something only to the caller that stored them.
+    pub fn clear_prices(&mut self) {
+        for node in &mut self.nodes {
+            node.price = None;
+        }
+    }
+
+    /// The node holding `g`, added if the store holds no equal graph;
+    /// `None` if `g` does not survive a binary AIGER round trip.
+    fn intern(&mut self, g: &Aig) -> Option<usize> {
+        if self.base.as_ref() == Some(g) {
+            return Some(MEMO_BASE);
+        }
+        let bytes = aiger::to_binary(g);
+        if !aiger::from_binary(&bytes).is_ok_and(|back| back == *g) {
+            return None;
+        }
+        // Verified encodings are equal exactly when their graphs are.
+        let held = self.nodes.iter().skip(1).position(|n| n.bytes == bytes);
+        Some(match held {
+            Some(k) => k + 1,
+            None => {
+                self.nodes.push(Node::new(bytes));
+                self.nodes.len() - 1
+            }
+        })
     }
 }
 
@@ -162,10 +341,10 @@ mod tests {
     }
 
     #[test]
-    fn every_recipe_matches_the_reference_and_prefixes_are_reused() {
+    fn every_recipe_matches_the_reference_and_graphs_are_shared() {
         let g = random_aig(3);
         let cache = ResynthCache::new();
-        let mut memo = RecipeMemo::new();
+        let mut memo: RecipeMemo = RecipeMemo::new();
         let all = recipes();
         for recipe in &all {
             assert_eq!(
@@ -175,11 +354,12 @@ mod tests {
             );
         }
         // Every recipe's proper prefixes are recipes listed before it,
-        // so each one computes exactly its last step.
-        assert_eq!(memo.misses(), all.len() as u64);
+        // so each one computes at most its last step, and 27 of those
+        // steps meet an input graph that primitive already ran on. The
+        // 103 recipes reach 28 distinct graphs, the base included.
+        assert_eq!((memo.misses(), memo.len()), (76, 28));
         let steps: usize = all.iter().map(Recipe::len).sum();
-        assert_eq!(memo.hits(), (steps - all.len()) as u64);
-        assert_eq!(memo.len(), all.len());
+        assert_eq!(memo.hits() + memo.misses(), steps as u64);
         // A second pass over the same content is all hits.
         let copy = g.clone();
         for recipe in &all {
@@ -188,17 +368,64 @@ mod tests {
                 recipe.apply_with(&g, &cache)
             );
         }
-        assert_eq!(memo.misses(), all.len() as u64);
+        assert_eq!(memo.misses(), 76);
+    }
+
+    #[test]
+    fn a_no_op_step_reuses_the_base_edges() {
+        // `!a·!(a·b)` rewrites to `!a`. Balancing rebuilds the two
+        // supergates, `{a, b}` and `{!a, !(a·b)}`, as they are.
+        let mut g = Aig::new();
+        let x: Vec<Lit> = (0..2).map(|_| g.add_input()).collect();
+        let ab = g.and(x[0], x[1]);
+        let f = g.and(!x[0], !ab);
+        g.add_output(f, None::<&str>);
+        let cache = ResynthCache::new();
+        let mut memo: RecipeMemo = RecipeMemo::new();
+        let rw: Recipe = "rw".parse().expect("parses");
+        let b_rw: Recipe = "b;rw".parse().expect("parses");
+        let rewritten = memo.walk(&g, None, &rw, &cache).node;
+        assert_ne!(rewritten, Some(MEMO_BASE), "`rw` changes this graph");
+        assert_eq!(memo.misses(), 1);
+        // `b` runs once and lands on the base, whose `rw` edge serves
+        // the rest: `rw` does not run again.
+        assert_eq!(memo.walk(&g, None, &b_rw, &cache).node, rewritten);
+        assert_eq!((memo.hits(), memo.misses()), (1, 2));
+        assert_eq!(memo.apply(&g, &b_rw, &cache), b_rw.apply_with(&g, &cache));
+        assert_eq!((memo.hits(), memo.misses()), (3, 2));
+        assert_eq!(memo.identity_walks(), 0);
+    }
+
+    #[test]
+    fn prices_belong_to_the_base() {
+        let (g, h) = (random_aig(8), random_aig(9));
+        let cache = ResynthCache::new();
+        let mut memo = RecipeMemo::<u32>::new();
+        let recipe: Recipe = "rw;b".parse().expect("parses");
+        let node = memo
+            .walk(&g, Some(7), &recipe, &cache)
+            .node
+            .expect("stored");
+        assert_eq!(memo.price(MEMO_BASE), Some(7), "the caller's base price");
+        assert_eq!(memo.price(node), None);
+        memo.set_price(node, 11);
+        let again = memo.walk(&g.clone(), None, &recipe, &cache).node;
+        assert_eq!(again, Some(node));
+        assert_eq!(memo.price(node), Some(11));
+        // A different base drops every node and its price.
+        let _ = memo.walk(&h, None, &recipe, &cache);
+        assert_eq!(memo.price(MEMO_BASE), None);
+        assert_eq!((memo.prices_requested(), memo.prices_computed()), (4, 1));
     }
 
     #[test]
     fn a_different_graph_starts_over() {
         let (g, h) = (random_aig(5), random_aig(6));
         let cache = ResynthCache::new();
-        let mut memo = RecipeMemo::new();
+        let mut memo: RecipeMemo = RecipeMemo::new();
         let recipe: Recipe = "rw;b".parse().expect("parses");
         let _ = memo.apply(&g, &recipe, &cache);
-        assert_eq!(memo.len(), 2);
+        assert_eq!(memo.len(), 3);
         assert_eq!(
             memo.apply(&h, &recipe, &cache),
             recipe.apply_with(&h, &cache)
@@ -207,19 +434,22 @@ mod tests {
     }
 
     #[test]
-    fn disabled_and_empty_recipes_bypass_the_memo() {
+    fn disabled_memo_bypasses_and_empty_recipe_ends_at_the_base() {
         let g = random_aig(7);
         let cache = ResynthCache::new();
-        let mut off = RecipeMemo::disabled();
+        let mut off: RecipeMemo = RecipeMemo::disabled();
         let recipe: Recipe = "b;rf".parse().expect("parses");
         assert_eq!(
             off.apply(&g, &recipe, &cache),
             recipe.apply_with(&g, &cache)
         );
+        assert!(off.walk(&g, None, &recipe, &cache).node.is_none());
         assert!(!off.is_enabled() && off.is_empty());
         assert_eq!((off.hits(), off.misses()), (0, 0));
-        let mut on = RecipeMemo::new();
-        assert_eq!(on.apply(&g, &Recipe(Vec::new()), &cache), g);
+        let mut on: RecipeMemo = RecipeMemo::new();
+        let empty = Recipe(Vec::new());
+        assert_eq!(on.apply(&g, &empty, &cache), g);
+        assert_eq!(on.walk(&g, None, &empty, &cache).node, Some(MEMO_BASE));
         assert_eq!((on.hits(), on.misses()), (0, 0));
     }
 }

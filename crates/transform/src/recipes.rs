@@ -7,7 +7,10 @@
 //! same count of 103.
 //!
 //! Every primitive keeps the purity contract stated on [`apply_with`],
-//! which [`crate::RecipeMemo`] relies on.
+//! which [`crate::RecipeMemo`] relies on: one stored result serves
+//! every walk that reaches the same input graph. The prices the SA
+//! loop stores beside them rest on the cost evaluators' own contract,
+//! stated on `saopt::CostEvaluator::evaluate`.
 
 use crate::balance::{balance, balance_dup, reshape};
 use crate::cache::ResynthCache;

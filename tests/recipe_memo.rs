@@ -1,7 +1,9 @@
 //! Differential coverage of `transform::RecipeMemo`: along random
 //! walks that move their current graph the way an SA chain does, every
 //! memoized recipe application must equal `Recipe::apply_with` in exact
-//! content (node ids, fanins, inputs, outputs and every name).
+//! content (node ids, fanins, inputs, outputs and every name), the
+//! node a walk ends at must hold that graph, and no two nodes may hold
+//! equal graphs.
 
 use aig::cut::CutDb;
 use aig::incremental::{IncrementalAnalysis, Transaction};
@@ -51,17 +53,31 @@ fn walk(start: &Aig, seed: u64, steps: usize) -> Coverage {
     let mut actions = recipes();
     actions.push("".parse::<Recipe>().expect("the empty recipe parses"));
     let cache = ResynthCache::new();
-    let mut memo = RecipeMemo::new();
+    let mut memo: RecipeMemo = RecipeMemo::new();
     let mut current = start.clone();
     let mut coverage = Coverage::default();
     for step in 0..steps {
         let recipe = &actions[rng.gen_range(0..actions.len())];
-        let got = memo.apply(&current, recipe, &cache);
+        let walk = memo.walk(&current, None, recipe, &cache);
+        let node = walk.node.expect("every result here round-trips");
+        let got = walk.graph.unwrap_or_else(|| memo.graph(node));
         assert_eq!(
             got,
             recipe.apply_with(&current, &cache),
             "seed {seed}, step {step}: `{recipe}` differs from the reference"
         );
+        assert_eq!(
+            memo.graph(node),
+            got,
+            "seed {seed}, step {step}: node {node} does not hold `{recipe}`'s result"
+        );
+        let held: Vec<Aig> = (0..memo.len()).map(|k| memo.graph(k)).collect();
+        for (k, g) in held.iter().enumerate() {
+            assert!(
+                held[k + 1..].iter().all(|h| h != g),
+                "seed {seed}, step {step}: node {k} is held twice"
+            );
+        }
         match rng.gen_range(0..8) {
             0 => current = got,
             // An accepted candidate with the current graph's content
