@@ -61,12 +61,12 @@ pub struct Walk {
 /// edge when the store holds it and computes the primitive otherwise,
 /// so each primitive runs at most once per distinct input graph.
 ///
-/// * **Exact.** [`RecipeMemo::apply`]`(g, recipe, cache)` returns
-///   exactly what [`Recipe::apply_with`]`(g, cache)` returns, for every
-///   `g`. This rests on the primitives' purity contract (see
-///   [`apply_with`]): a primitive's result depends only on its input's
-///   content. A result is stored only if its bytes decode back to the
-///   very graph they encode.
+/// * **Exact.** A walk of `recipe` from `g` reaches exactly what
+///   [`Recipe::apply_with`]`(g, cache)` returns, for every `g`. This
+///   rests on the primitives' purity contract (see [`apply_with`]): a
+///   primitive's result depends only on its input's content. A result
+///   is stored only if its bytes decode back to the very graph they
+///   encode.
 /// * **Keyed on content.** Each walk compares its graph with the base
 ///   ([`Aig`]'s content equality) and starts over when they differ, so
 ///   callers need no invalidation hooks, and a caller that moves to a
@@ -127,9 +127,9 @@ impl<P: Copy> RecipeMemo<P> {
         }
     }
 
-    /// A memo that stores nothing: [`RecipeMemo::apply`] is
-    /// [`Recipe::apply_with`], and no walk reaches a node. The oracle
-    /// side of the memo-on-vs-off determinism tests.
+    /// A memo that stores nothing: every walk computes
+    /// [`Recipe::apply_with`] and reaches no node. The oracle side of
+    /// the memo-on-vs-off determinism tests.
     pub fn disabled() -> Self {
         RecipeMemo {
             enabled: false,
@@ -177,16 +177,6 @@ impl<P: Copy> RecipeMemo<P> {
     /// Whether no graph is held (no walk has set a base yet).
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// Applies `recipe` to `aig` against `cache`: exactly
-    /// [`Recipe::apply_with`]`(aig, cache)`, computing only the steps
-    /// the store does not hold for `aig`.
-    pub fn apply(&mut self, aig: &Aig, recipe: &Recipe, cache: &ResynthCache) -> Aig {
-        let walk = self.walk(aig, None, recipe, cache);
-        walk.graph.unwrap_or_else(|| {
-            self.graph(walk.node.expect("a walk off the store carries its result"))
-        })
     }
 
     /// Walks `recipe` from `aig`, rebasing the store on `aig` when it
@@ -340,6 +330,14 @@ mod tests {
         g
     }
 
+    /// The walk's result: the graph it computed, or the one its node
+    /// holds when the store served it.
+    fn result(memo: &mut RecipeMemo, g: &Aig, recipe: &Recipe, cache: &ResynthCache) -> Aig {
+        let walk = memo.walk(g, None, recipe, cache);
+        walk.graph
+            .unwrap_or_else(|| memo.graph(walk.node.expect("a served walk ends at a node")))
+    }
+
     #[test]
     fn every_recipe_matches_the_reference_and_graphs_are_shared() {
         let g = random_aig(3);
@@ -348,7 +346,7 @@ mod tests {
         let all = recipes();
         for recipe in &all {
             assert_eq!(
-                memo.apply(&g, recipe, &cache),
+                result(&mut memo, &g, recipe, &cache),
                 recipe.apply_with(&g, &cache),
                 "recipe `{recipe}`"
             );
@@ -364,7 +362,7 @@ mod tests {
         let copy = g.clone();
         for recipe in &all {
             assert_eq!(
-                memo.apply(&copy, recipe, &cache),
+                result(&mut memo, &copy, recipe, &cache),
                 recipe.apply_with(&g, &cache)
             );
         }
@@ -391,7 +389,10 @@ mod tests {
         // the rest: `rw` does not run again.
         assert_eq!(memo.walk(&g, None, &b_rw, &cache).node, rewritten);
         assert_eq!((memo.hits(), memo.misses()), (1, 2));
-        assert_eq!(memo.apply(&g, &b_rw, &cache), b_rw.apply_with(&g, &cache));
+        assert_eq!(
+            result(&mut memo, &g, &b_rw, &cache),
+            b_rw.apply_with(&g, &cache)
+        );
         assert_eq!((memo.hits(), memo.misses()), (3, 2));
         assert_eq!(memo.identity_walks(), 0);
     }
@@ -424,10 +425,10 @@ mod tests {
         let cache = ResynthCache::new();
         let mut memo: RecipeMemo = RecipeMemo::new();
         let recipe: Recipe = "rw;b".parse().expect("parses");
-        let _ = memo.apply(&g, &recipe, &cache);
+        let _ = result(&mut memo, &g, &recipe, &cache);
         assert_eq!(memo.len(), 3);
         assert_eq!(
-            memo.apply(&h, &recipe, &cache),
+            result(&mut memo, &h, &recipe, &cache),
             recipe.apply_with(&h, &cache)
         );
         assert_eq!((memo.hits(), memo.misses()), (0, 4));
@@ -440,7 +441,7 @@ mod tests {
         let mut off: RecipeMemo = RecipeMemo::disabled();
         let recipe: Recipe = "b;rf".parse().expect("parses");
         assert_eq!(
-            off.apply(&g, &recipe, &cache),
+            result(&mut off, &g, &recipe, &cache),
             recipe.apply_with(&g, &cache)
         );
         assert!(off.walk(&g, None, &recipe, &cache).node.is_none());
@@ -448,7 +449,7 @@ mod tests {
         assert_eq!((off.hits(), off.misses()), (0, 0));
         let mut on: RecipeMemo = RecipeMemo::new();
         let empty = Recipe(Vec::new());
-        assert_eq!(on.apply(&g, &empty, &cache), g);
+        assert_eq!(result(&mut on, &g, &empty, &cache), g);
         assert_eq!(on.walk(&g, None, &empty, &cache).node, Some(MEMO_BASE));
         assert_eq!((on.hits(), on.misses()), (0, 0));
     }

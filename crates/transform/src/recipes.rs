@@ -172,7 +172,7 @@ impl Recipe {
     /// Applies the recipe against a shared resynthesis `cache`
     /// (byte-identical to [`Recipe::apply`]; see [`apply_with`]).
     ///
-    /// This is the reference [`crate::RecipeMemo::apply`] is tested
+    /// This is the reference [`crate::RecipeMemo::walk`] is tested
     /// against. The empty recipe returns a copy of `aig`.
     pub fn apply_with(&self, aig: &Aig, cache: &ResynthCache) -> Aig {
         let Some((&first, rest)) = self.0.split_first() else {
