@@ -489,8 +489,9 @@ struct EditJournal {
 /// * [`CutDb::build`] — full enumeration (cost of one
 ///   [`enumerate_cuts`]);
 /// * [`CutDb::sync_appends`] — absorbs appended nodes only;
-/// * [`CutDb::invalidate`] — seeded by a [`DirtyRegion`]'s
-///   [`edited`](DirtyRegion::edited) set, recomputes dirty nodes in
+/// * [`CutDb::invalidate`] — seeded by a
+///   [`DirtyRegion`](crate::incremental::DirtyRegion)'s
+///   [`edited`](crate::incremental::DirtyRegion::edited) set, recomputes dirty nodes in
 ///   ascending id order and propagates to a node's consumers **only
 ///   when its recomputed list actually changed** (equality cutoff),
 ///   so the cost tracks the true footprint of the edit;
@@ -755,7 +756,8 @@ impl CutDb {
     ///
     /// `dirty` is the report of the edit
     /// ([`IncrementalAnalysis::substitute`] or accumulated across a
-    /// transaction step); its [`edited`](DirtyRegion::edited) nodes
+    /// transaction step); its
+    /// [`edited`](crate::incremental::DirtyRegion::edited) nodes
     /// seed an ascending worklist. Each popped node's list is
     /// recomputed from its (current) fanin lists; if the result
     /// differs from the stored list, the node's consumers (read from

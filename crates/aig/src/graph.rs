@@ -89,9 +89,9 @@ fn strash_key(x: Lit, y: Lit) -> u64 {
 /// structural edits, delta-extended in place when fresh nodes are
 /// appended (they only reference earlier ids, so pushing them at the
 /// tail keeps the order valid), and dropped whenever an edit could
-/// reorder dependencies ([`Aig::replace_fanins`] /
-/// [`Aig::undo_fanin_edit`] introducing a non-preceding fanin,
-/// [`Aig::pop_node`] mid-order). Holding the `Arc` across edits is
+/// reorder dependencies (`Aig::replace_fanins` /
+/// `Aig::undo_fanin_edit` introducing a non-preceding fanin,
+/// `Aig::pop_node` mid-order). Holding the `Arc` across edits is
 /// safe but yields a stale snapshot — refetch per use.
 #[derive(Debug)]
 pub struct TopoIndex {
@@ -348,12 +348,6 @@ impl Aig {
     #[inline]
     pub fn is_and(&self, id: NodeId) -> bool {
         id != 0 && self.fanin0[id as usize] != Lit::INVALID
-    }
-
-    /// Whether node `id` is a primary input.
-    #[inline]
-    pub fn is_input(&self, id: NodeId) -> bool {
-        id != 0 && self.fanin0[id as usize] == Lit::INVALID
     }
 
     /// The two fanin literals of AND node `id`.
@@ -755,7 +749,7 @@ impl Aig {
     /// structural edits — repeat calls return the same snapshot
     /// (`Arc`-shared), and plain appends extend it in place instead of
     /// re-deriving. Structural edits that could reorder dependencies
-    /// ([`Aig::replace_fanins`] introducing a non-preceding fanin,
+    /// (`Aig::replace_fanins` introducing a non-preceding fanin,
     /// rollback pops of mid-order nodes) drop the cache; the next call
     /// re-derives against the current graph.
     pub fn topo_and_order(&self) -> Arc<TopoIndex> {

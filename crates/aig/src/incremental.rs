@@ -99,7 +99,7 @@
 //!   clamp their cursor to the smallest registered forward reader;
 //! * rollback order is append-safe by construction: the journal is
 //!   LIFO, substitutions that created forward references are undone
-//!   before the appends they point into, so [`Aig::pop_node`] never
+//!   before the appends they point into, so `Aig::pop_node` never
 //!   pops a node that is still referenced.
 //!
 //! Reserved (appended-but-not-yet-committed) ids are observable to

@@ -489,9 +489,9 @@ fn bench_components(c: &mut Criterion) {
     // The paper's ground-truth flow: a chain over the 103 recipes, so
     // most steps take the whole-graph path through the recipe memo. A
     // fresh context per iteration starts every chain with a cold memo,
-    // as a run does. The memo's counters give the deterministic work
-    // bounds: primitive applications and whole-graph candidate prices
-    // the chain requested vs computed.
+    // as a run does. The memo's and the run's counters give the
+    // deterministic work bounds: primitive applications and
+    // whole-graph candidate prices the chain requested vs computed.
     let (prims_requested, prims_computed, prices_requested, prices_computed) = {
         let actions = transform::recipes();
         let opts = saopt::SaOptions {
@@ -507,13 +507,13 @@ fn bench_components(c: &mut Criterion) {
             })
         });
         let mut ctx = saopt::EvalContext::new();
-        saopt::optimize_with(&large.aig, &mut eval, &actions, &opts, &mut ctx);
+        let run = saopt::optimize_with(&large.aig, &mut eval, &actions, &opts, &mut ctx);
         let memo = ctx.recipe_memo();
         (
             memo.hits() + memo.misses(),
             memo.misses(),
-            memo.prices_requested(),
-            memo.prices_computed(),
+            run.prices_requested,
+            run.prices_computed,
         )
     };
     g.finish();

@@ -1,8 +1,9 @@
 //! The reusable evaluation context carried across SA iterations.
 //!
 //! One SA run prices thousands of candidate AIGs. [`EvalContext`]
-//! owns the chain state that persists across iterations; evaluators
-//! keep their own pricing buffers (the ground-truth mapper's
+//! owns the state a run may share with other runs or leave to the
+//! next one, because it is keyed on content; evaluators keep their
+//! own pricing buffers (the ground-truth mapper's
 //! [`techmap::MapContext`] lives in [`crate::GroundTruthCost`]). The
 //! context holds:
 //!
@@ -11,43 +12,28 @@
 //!   all parallel chains of [`crate::optimize_seeds`] /
 //!   [`crate::sweep`];
 //! * a [`RecipeMemo`] of the graphs the whole-graph moves reach from
-//!   the chain's current graph, with their prices: the chain rejects
-//!   most moves and draws from a fixed action set, so it keeps
-//!   reaching the same few graphs. The memo holds each distinct graph
-//!   once, runs each primitive at most once per distinct input graph,
-//!   and keeps the metrics [`crate::optimize_with`] priced each graph
-//!   at, so a candidate equal to one already priced on the same
-//!   current graph is not priced again. The memo is keyed on graph
-//!   content, so a context reused for another run (or another input)
-//!   needs no reset; only its prices are dropped when a run starts,
-//!   since the run may price with another evaluator;
-//! * the in-place engine's [`IncrementalAnalysis`] + [`CutDb`]
-//!   buffers: [`crate::optimize_with`] used to build both from
-//!   scratch per run (and per whole-graph accept), so
-//!   [`crate::optimize_seeds`] restarts and datagen sweeps paid a
-//!   graph-sized allocation storm per chain. The context now owns the
-//!   buffers; each run re-*fills* them for its own graph
-//!   ([`IncrementalAnalysis::rebuild`] / [`CutDb::build`] reuse every
-//!   allocation), so warm state persists across runs sharing a
-//!   context — content never leaks between runs, only capacity.
-//!   Rebuilding the [`CutDb`] also hands every node a fresh cut-list
-//!   [version](CutDb::version), so the ground-truth evaluator's
-//!   per-row DP cutoff can never mistake a previous run's rows for
-//!   the new graph's.
+//!   the chain's current graph: the chain rejects most moves and draws
+//!   from a fixed action set, so it keeps reaching the same few
+//!   graphs. The memo holds each distinct graph once and runs each
+//!   primitive at most once per distinct input graph. It is keyed on
+//!   graph content, so a context reused for another run (or another
+//!   input) needs no reset;
+//! * the switch between the in-place transaction engine and its
+//!   clone-based oracle.
+//!
+//! Everything else a chain keeps is local to [`crate::optimize_with`]:
+//! the in-place engine's buffers and the prices of the memo's graphs,
+//! which are the run's evaluator's and so cannot outlive the run.
 //!
 //! Results never depend on the context: every cached value is a pure
-//! function of its key (a stored price rests on the contract stated
-//! on [`crate::CostEvaluator::evaluate`]), so [`crate::optimize`] with
-//! a fresh, shared, or disabled cache, and with the recipe memo on or
-//! off, produces byte-identical outputs (asserted by the determinism
-//! integration tests). For *edit-level* incrementality —
+//! function of its key, so [`crate::optimize`] with a fresh, shared,
+//! or disabled cache, and with the recipe memo on or off, produces
+//! byte-identical outputs (asserted by the determinism integration
+//! tests). For *edit-level* incrementality —
 //! levels/fanout maintained through in-place graph edits rather than
 //! recomputed per candidate — see [`aig::incremental`], which the
 //! differential tests and benchmarks exercise directly.
 
-use crate::cost::CostMetrics;
-use aig::cut::CutDb;
-use aig::incremental::IncrementalAnalysis;
 use aig::Aig;
 use std::sync::Arc;
 use transform::{Recipe, RecipeMemo, ResynthCache, Walk};
@@ -55,22 +41,20 @@ use transform::{Recipe, RecipeMemo, ResynthCache, Walk};
 /// Reusable evaluation state for one SA run (see the module docs).
 ///
 /// It owns both memo layers of the whole-graph moves: the recipe memo
-/// (distinct graphs and their prices, per base graph) and a handle on
-/// the resynthesis cache (per cut function).
+/// (distinct graphs, per base graph) and a handle on the resynthesis
+/// cache (per cut function).
 /// [`EvalContext::without_cache`] turns both off.
 #[derive(Debug)]
 pub struct EvalContext {
     resynth: Arc<ResynthCache>,
-    /// Graphs reached from the chain's current graph, with prices.
-    memo: RecipeMemo<CostMetrics>,
+    /// Graphs reached from the chain's current graph.
+    memo: RecipeMemo,
     /// Whether in-place-capable SA moves run through the edit
     /// transaction engine (`true`, the default) or through the
     /// clone-based oracle path. Results are byte-identical either
     /// way; the toggle exists so the determinism suite can pit the
     /// two against each other.
     inplace: bool,
-    /// The in-place engine's warm buffers (see the module docs).
-    engine: Option<(IncrementalAnalysis, CutDb)>,
 }
 
 impl Default for EvalContext {
@@ -85,9 +69,9 @@ impl EvalContext {
         Self::with_shared(Arc::new(ResynthCache::new()))
     }
 
-    /// A context that memoizes nothing — neither recipe results, nor
-    /// prices, nor cut resyntheses. The oracle side of the
-    /// cache-on-vs-off determinism tests.
+    /// A context that memoizes nothing — neither recipe results nor
+    /// cut resyntheses, so no candidate price is reused either. The
+    /// oracle side of the cache-on-vs-off determinism tests.
     pub fn without_cache() -> Self {
         EvalContext {
             memo: RecipeMemo::disabled(),
@@ -102,20 +86,7 @@ impl EvalContext {
             resynth,
             memo: RecipeMemo::new(),
             inplace: true,
-            engine: None,
         }
-    }
-
-    /// Takes the warm engine buffers (the SA loop re-fills them for
-    /// its own graph before first use and returns them at run end).
-    pub(crate) fn take_engine(&mut self) -> Option<(IncrementalAnalysis, CutDb)> {
-        self.engine.take()
-    }
-
-    /// Returns the engine buffers for the next run sharing this
-    /// context.
-    pub(crate) fn put_engine(&mut self, engine: Option<(IncrementalAnalysis, CutDb)>) {
-        self.engine = engine;
     }
 
     /// Whether [`crate::optimize_with`] executes in-place-capable
@@ -137,26 +108,15 @@ impl EvalContext {
     }
 
     /// Walks `recipe` from `aig` through the context's recipe memo and
-    /// resynthesis cache (see [`RecipeMemo::walk`]); `aig_metrics` is
-    /// the chain's price of `aig`, when it knows it.
-    pub(crate) fn walk_recipe(
-        &mut self,
-        recipe: &Recipe,
-        aig: &Aig,
-        aig_metrics: Option<CostMetrics>,
-    ) -> Walk {
-        self.memo.walk(aig, aig_metrics, recipe, &self.resynth)
+    /// resynthesis cache (see [`RecipeMemo::walk`]).
+    pub(crate) fn walk_recipe(&mut self, recipe: &Recipe, aig: &Aig) -> Walk {
+        self.memo.walk(aig, recipe, &self.resynth)
     }
 
     /// The memo behind [`crate::optimize_with`]'s whole-graph moves
-    /// (its primitive and price counters).
-    pub fn recipe_memo(&self) -> &RecipeMemo<CostMetrics> {
+    /// (its graphs and primitive counters).
+    pub fn recipe_memo(&self) -> &RecipeMemo {
         &self.memo
-    }
-
-    /// The memo, for the SA loop's price lookups and stores.
-    pub(crate) fn recipe_memo_mut(&mut self) -> &mut RecipeMemo<CostMetrics> {
-        &mut self.memo
     }
 }
 

@@ -77,13 +77,14 @@ pub trait CostEvaluator {
     /// fields [`Aig`]'s equality compares): equal graphs get
     /// bit-identical metrics, whatever the evaluator priced before.
     /// [`CostEvaluator::evaluate_edit`] returns bit-identical metrics
-    /// too. [`crate::optimize_with`] relies on this: it prices each
-    /// distinct whole-graph candidate once per current graph
-    /// ([`transform::RecipeMemo`]) and reuses its metrics of the
-    /// current graph for a candidate equal to it. [`ProxyCost`],
-    /// [`GroundTruthCost`] and [`MlCost`] all keep the contract; their
-    /// internal state changes only the cost of a call, never its
-    /// result.
+    /// too. [`crate::optimize_with`] relies on this within a run: it
+    /// prices each distinct whole-graph candidate once per current
+    /// graph, keeping the metrics by [`transform::RecipeMemo`] node,
+    /// and reuses its metrics of the current graph for a candidate
+    /// equal to it. No price outlives the run, whose evaluator it
+    /// came from. [`ProxyCost`], [`GroundTruthCost`] and [`MlCost`]
+    /// all keep the contract; their internal state changes only the
+    /// cost of a call, never its result.
     fn evaluate(&mut self, aig: &Aig) -> CostMetrics;
 
     /// Prices a graph that was **edited in place** since this

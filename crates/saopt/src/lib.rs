@@ -19,8 +19,9 @@
 //! NPN-canonical resynthesis cache ([`transform::ResynthCache`])
 //! feeds the recipe applications, and a recipe memo
 //! ([`transform::RecipeMemo`]) holds the graphs the whole-graph moves
-//! reach from the current graph with their metrics, so each distinct
-//! candidate is built and priced once per current graph.
+//! reach from the current graph, so each distinct candidate is built
+//! once per current graph. The run keeps its evaluator's price of each
+//! such graph, so it is priced once per current graph too.
 //! [`GroundTruthCost`] holds a [`techmap::MapContext`] so mapping
 //! reuses its DP tables. Contexts never change results — outputs are
 //! byte-identical with the caches shared, cold, or disabled, and for

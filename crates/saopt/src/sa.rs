@@ -26,13 +26,16 @@
 //! ([`transform::RecipeMemo`]), which holds each distinct graph
 //! reached from the current graph once, runs each primitive at most
 //! once per distinct input graph, and reaches exactly what
-//! [`Recipe::apply_with`] returns. The memo also holds each graph's
-//! metrics once priced, so a candidate is priced
+//! [`Recipe::apply_with`] returns. The run keeps its evaluator's
+//! metrics of each memo node it priced, so a candidate is priced
 //! ([`CostEvaluator::evaluate`]) only if no equal graph was priced on
-//! the same current graph. A candidate equal to the current graph
-//! reuses the chain's metrics of it, which are known after the initial
-//! evaluation and after every accept, but not after a compaction
-//! sweep.
+//! the same current graph. These prices are a local of the run,
+//! indexed by memo node and dropped whenever a walk reports that the
+//! memo started over ([`transform::Walk::rebased`]), so a price never
+//! outlives its run or its base. A candidate equal to the current
+//! graph reuses the chain's metrics of it, which are known after the
+//! initial evaluation and after every accept, but not after a
+//! compaction sweep.
 //!
 //! Skipping a price must not change what the evaluator's per-node
 //! state mirrors, so the loop keeps three rules:
@@ -63,7 +66,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use transform::{
     balance_inplace_window, resub_inplace_window, resynth_inplace_window, InplacePlan,
-    InplaceStats, Recipe, ResynthCache, Walk, MEMO_BASE,
+    InplaceStats, Recipe, ResynthCache, MEMO_BASE,
 };
 
 /// Cut parameters of the in-place engine: identical to `rewrite`'s
@@ -188,6 +191,12 @@ pub struct SaResult {
     pub accepted: usize,
     /// Scalar cost after each iteration (current state).
     pub history: Vec<f64>,
+    /// Whole-graph candidates that ended at a node of the recipe memo,
+    /// so that a price of an equal graph could be reused.
+    pub prices_requested: usize,
+    /// Of those, the candidates the evaluator priced; the others were
+    /// served a price the run already had.
+    pub prices_computed: usize,
 }
 
 /// Runs simulated annealing from `aig` under the given evaluator.
@@ -242,7 +251,9 @@ pub fn optimize(
 /// recipe memo ([`EvalContext::recipe_memo`]): a move computes only the
 /// primitives the memo has not run on their input graph, and prices
 /// its candidate only if no equal graph was priced on the current
-/// graph (see the module docs, "The whole-graph path"). Results are
+/// graph (see the module docs, "The whole-graph path";
+/// [`SaResult::prices_requested`] / [`SaResult::prices_computed`]
+/// count those candidates and prices). Results are
 /// byte-identical to [`optimize`] for any context state — warm, cold,
 /// shared with other chains, or with both memo layers disabled
 /// ([`EvalContext::without_cache`]; the determinism tests assert
@@ -255,7 +266,7 @@ pub fn optimize(
 /// `rsb`) do **not** rebuild the graph. The loop keeps an
 /// [`IncrementalAnalysis`] and a [`CutDb`] live for the current graph
 /// and executes the move through a windowed in-place pass
-/// ([`run_inplace_plan`]) inside an edit [`Transaction`]: accept
+/// (`run_inplace_plan`) inside an edit [`Transaction`]: accept
 /// commits the edits (ids stable, analyses and cut lists already
 /// updated), reject rolls graph, analysis and cut database back
 /// exactly — including any fresh replacement cones the refactor- and
@@ -266,7 +277,7 @@ pub fn optimize(
 /// cost of these moves is therefore governed by the edit footprint,
 /// not the graph size. Once dead cones stranded by append-capable
 /// moves outnumber the live logic, a deterministic checkpoint
-/// ([`should_compact`]) sweeps the graph.
+/// (`should_compact`) sweeps the graph.
 ///
 /// [`EvalContext::set_inplace_transactions`]`(false)` reroutes the
 /// same moves through a clone of the current graph (the whole-graph
@@ -305,9 +316,11 @@ pub fn optimize_with(
     // initial evaluation and every accept, not after a compaction
     // sweep. A whole-graph candidate equal to `current` reuses them.
     let mut current_metrics = Some(initial);
-    // Prices a previous run stored may be another evaluator's; the
-    // graphs stay.
-    ctx.recipe_memo_mut().clear_prices();
+    // The evaluator's metrics of the memo's graphs, indexed by memo
+    // node and valid for the memo's current base; node `MEMO_BASE`
+    // reads `current_metrics` instead.
+    let mut prices: Vec<Option<CostMetrics>> = Vec::new();
+    let (mut prices_requested, mut prices_computed) = (0, 0);
     // `best` is tracked lazily: `None` means the input itself is
     // still the best seen, so runs that never improve clone nothing.
     let mut best: Option<Aig> = None;
@@ -318,11 +331,9 @@ pub fn optimize_with(
     evaluated.push(initial);
     let mut accepted = 0usize;
     let mut history = Vec::with_capacity(opts.iterations + 1);
-    // In-place engine state for `current`. The *buffers* live in the
-    // context (warm across runs sharing it — multi-seed chains,
-    // datagen sweeps); the *content* is synced to `current` on first
-    // in-place use and re-synced after whole-graph accepts.
-    let mut engine = ctx.take_engine();
+    // In-place engine state for `current`: built on first in-place
+    // use and re-synced after whole-graph accepts.
+    let mut engine: Option<(IncrementalAnalysis, CutDb)> = None;
     let mut engine_synced = false;
     // Whether the evaluator's per-node state (mapper DP rows, the
     // persistent mapped design) mirrors `current`. In-place moves
@@ -393,7 +404,7 @@ pub fn optimize_with(
                 // The whole-graph path: recipes without an in-place
                 // plan, and (engine off) the same in-place move
                 // through a clone — the byte-identity oracle.
-                let Walk { node, mut graph } = match inplace_move {
+                let (node, mut graph) = match inplace_move {
                     Some((plan, start)) => {
                         let mut cand = current.clone();
                         let mut inc = IncrementalAnalysis::new(&cand);
@@ -402,16 +413,29 @@ pub fn optimize_with(
                         let mut txn = Transaction::begin(&mut cand, &mut inc);
                         run_inplace_plan(plan, &mut txn, &mut db, ctx.resynth(), start);
                         txn.commit();
-                        Walk {
-                            node: None,
-                            graph: Some(cand),
-                        }
+                        (None, Some(cand))
                     }
-                    None => ctx.walk_recipe(recipe, &current, current_metrics),
+                    None => {
+                        let walk = ctx.walk_recipe(recipe, &current);
+                        // Only the memo knows when its ids name other
+                        // graphs: `current` can change without its
+                        // content changing (an accepted in-place move
+                        // that fires nothing), and then the prices
+                        // stay valid.
+                        if walk.rebased {
+                            prices.clear();
+                        }
+                        prices.resize(ctx.recipe_memo().len(), None);
+                        (walk.node, walk.graph)
+                    }
                 };
                 // A walk served from the memo leaves its graph there;
                 // it is decoded only if this step needs it.
-                let served = node.and_then(|n| ctx.recipe_memo_mut().price(n));
+                prices_requested += usize::from(node.is_some());
+                let served = node.and_then(|n| match n {
+                    MEMO_BASE => current_metrics,
+                    _ => prices[n],
+                });
                 metrics = match served {
                     Some(m) => m,
                     None => {
@@ -419,7 +443,8 @@ pub fn optimize_with(
                             .get_or_insert_with(|| ctx.recipe_memo().graph(node.expect("stored")));
                         let m = evaluator.evaluate(g);
                         if let Some(n) = node {
-                            ctx.recipe_memo_mut().set_price(n, m);
+                            prices[n] = Some(m);
+                            prices_computed += 1;
                         }
                         // `evaluate` left per-node state of another graph.
                         rows_synced = false;
@@ -470,7 +495,6 @@ pub fn optimize_with(
         temp *= opts.decay;
         history.push(current_cost);
     }
-    ctx.put_engine(engine);
     SaResult {
         best: best.unwrap_or_else(|| aig.clone()),
         best_metrics,
@@ -478,6 +502,8 @@ pub fn optimize_with(
         evaluated,
         accepted,
         history,
+        prices_requested,
+        prices_computed,
     }
 }
 
@@ -487,9 +513,8 @@ pub fn optimize_with(
 /// SA is highly seed-sensitive; the standard remedy is restarting the
 /// chain several times and keeping the best outcome. `make_eval`
 /// builds one evaluator per *worker* (chains executed by the same
-/// worker share it, along with a warm [`EvalContext`] — match tables,
-/// mapper DP buffers, and the in-place engine's analysis/cut-database
-/// allocations all persist across restarts); all chains share one
+/// worker share it and one [`EvalContext`], so match tables and mapper
+/// DP buffers persist across restarts); all chains share one
 /// NPN-canonical resynthesis cache. Every reused piece is pure with
 /// respect to the evaluated graph, so results are deterministic and
 /// independent of the worker count (asserted by the determinism

@@ -53,8 +53,8 @@ pub struct SweepPoint {
 /// Runs the full sweep in parallel (via [`aig::par`]; worker count
 /// follows `AIG_THREADS`); `make_eval` builds one evaluator per
 /// *worker*, and runs executed by the same worker share it together
-/// with a warm [`EvalContext`] (mapper tables, analysis and
-/// cut-database buffers persist across the grid). All runs share one
+/// with one [`EvalContext`] (the evaluator's mapper tables persist
+/// across the grid). All runs share one
 /// NPN-canonical resynthesis cache ([`transform::ResynthCache`]), so
 /// a cut function is factored once for the whole grid.
 ///

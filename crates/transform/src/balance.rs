@@ -104,7 +104,7 @@ const MAX_SUPERGATE_LEAVES: usize = 16;
 /// substitute without appending. Candidates that would close a
 /// combinational cycle are rejected visibly via
 /// [`InplaceStats::skipped_nontopo`]; fresh-node spend is capped at
-/// [`MAX_WINDOW_APPENDS`] per pass.
+/// `MAX_WINDOW_APPENDS` per pass.
 ///
 /// The tree shape is decided by a *dry* Huffman pass keyed on
 /// `(level, slot index)` — fresh literals are unknown until

@@ -6,9 +6,8 @@
 //! rejected, many primitives return their input unchanged, and many
 //! accepted moves leave the graph as it was, so the chain keeps
 //! reaching the same few graphs. [`RecipeMemo`] holds each distinct
-//! graph reached from the base once, runs each primitive at most once
-//! per distinct input graph, and keeps the price a caller puts on a
-//! graph.
+//! graph reached from the base once and runs each primitive at most
+//! once per distinct input graph.
 
 use crate::cache::ResynthCache;
 use crate::recipes::{apply_with, Recipe, Transform};
@@ -19,23 +18,20 @@ pub const MEMO_BASE: usize = 0;
 
 /// One distinct graph reached from the base.
 #[derive(Debug)]
-struct Node<P> {
+struct Node {
     /// Binary AIGER of the graph, verified to decode back to it. Empty
     /// for the base, which is held as a graph and matched by content.
     bytes: Vec<u8>,
     /// `(primitive, node)`: the primitive applied to this graph gives
     /// that node's graph.
     edges: Vec<(Transform, usize)>,
-    /// The caller's price of this graph, once known.
-    price: Option<P>,
 }
 
-impl<P> Node<P> {
+impl Node {
     fn new(bytes: Vec<u8>) -> Self {
         Node {
             bytes,
             edges: Vec::new(),
-            price: None,
         }
     }
 }
@@ -49,10 +45,13 @@ pub struct Walk {
     /// The result, when the walk's last step computed it. A walk served
     /// from the store leaves decoding to [`RecipeMemo::graph`].
     pub graph: Option<Aig>,
+    /// Whether the walk's input differed from the base, so the store
+    /// started over on it: node ids handed out before now name other
+    /// graphs. A disabled memo hands out no ids and reports `false`.
+    pub rebased: bool,
 }
 
-/// The distinct graphs reached from one base graph by recipes, with
-/// their prices.
+/// The distinct graphs reached from one base graph by recipes.
 ///
 /// The store is a graph of graphs. Node [`MEMO_BASE`] is the base;
 /// every other node is a distinct graph, and an edge maps a (node,
@@ -77,42 +76,34 @@ pub struct Walk {
 /// * **Compact.** Nodes other than the base are binary AIGER
 ///   ([`aiger::to_binary`], about 2.6 bytes per AND), one per distinct
 ///   graph reached from the base.
-/// * **Priced once.** A node can carry the caller's price of its graph
-///   ([`RecipeMemo::price`] / [`RecipeMemo::set_price`]). The price
-///   belongs to the node, so it is dropped with it when the base
-///   changes. The SA loop stores its evaluator's metrics, which are a
-///   pure function of graph content, and clears them
-///   ([`RecipeMemo::clear_prices`]) when a run starts, since the next
-///   run may price with another evaluator.
+/// * **Ids per base.** A node id names one graph until a walk reports
+///   [`Walk::rebased`]. A caller that keeps facts about nodes, such as
+///   the SA loop's prices, indexes them by id and drops them then.
 ///
 /// [`RecipeMemo::hits`] / [`RecipeMemo::misses`] count primitive
-/// applications served from an edge / computed,
-/// [`RecipeMemo::identity_walks`] the recipes that changed nothing, and
-/// [`RecipeMemo::prices_requested`] / [`RecipeMemo::prices_computed`]
-/// count price lookups / prices stored. A [`RecipeMemo::disabled`]
-/// memo computes everything and counts nothing, like
-/// [`ResynthCache::disabled`].
+/// applications served from an edge / computed, and
+/// [`RecipeMemo::identity_walks`] the recipes that changed nothing. A
+/// [`RecipeMemo::disabled`] memo computes everything and counts
+/// nothing, like [`ResynthCache::disabled`].
 #[derive(Debug)]
-pub struct RecipeMemo<P = ()> {
+pub struct RecipeMemo {
     enabled: bool,
     /// The graph every walk starts from (node [`MEMO_BASE`]).
     base: Option<Aig>,
     /// The distinct graphs reached from the base, the base first.
-    nodes: Vec<Node<P>>,
+    nodes: Vec<Node>,
     hits: u64,
     misses: u64,
     identity_walks: u64,
-    prices_requested: u64,
-    prices_computed: u64,
 }
 
-impl<P: Copy> Default for RecipeMemo<P> {
+impl Default for RecipeMemo {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<P: Copy> RecipeMemo<P> {
+impl RecipeMemo {
     /// An empty, enabled memo.
     pub fn new() -> Self {
         RecipeMemo {
@@ -122,8 +113,6 @@ impl<P: Copy> RecipeMemo<P> {
             hits: 0,
             misses: 0,
             identity_walks: 0,
-            prices_requested: 0,
-            prices_computed: 0,
         }
     }
 
@@ -158,16 +147,6 @@ impl<P: Copy> RecipeMemo<P> {
         self.identity_walks
     }
 
-    /// Price lookups ([`RecipeMemo::price`]) so far.
-    pub fn prices_requested(&self) -> u64 {
-        self.prices_requested
-    }
-
-    /// Prices stored ([`RecipeMemo::set_price`]) so far.
-    pub fn prices_computed(&self) -> u64 {
-        self.prices_computed
-    }
-
     /// Number of distinct graphs held for the current base, the base
     /// included.
     pub fn len(&self) -> usize {
@@ -180,32 +159,25 @@ impl<P: Copy> RecipeMemo<P> {
     }
 
     /// Walks `recipe` from `aig`, rebasing the store on `aig` when it
-    /// differs from the base. `aig_price` is the caller's price of
-    /// `aig`, if it has one; the base takes it unless it holds one.
+    /// differs from the base.
     ///
     /// The result is [`Recipe::apply_with`]`(aig, cache)`: the walk's
     /// `graph`, or [`RecipeMemo::graph`] of its `node` when the walk was
     /// served from the store. An empty recipe ends at the base.
-    pub fn walk(
-        &mut self,
-        aig: &Aig,
-        aig_price: Option<P>,
-        recipe: &Recipe,
-        cache: &ResynthCache,
-    ) -> Walk {
+    pub fn walk(&mut self, aig: &Aig, recipe: &Recipe, cache: &ResynthCache) -> Walk {
         if !self.enabled {
             return Walk {
                 node: None,
                 graph: Some(recipe.apply_with(aig, cache)),
+                rebased: false,
             };
         }
-        if self.base.as_ref() != Some(aig) {
+        let rebased = self.base.as_ref() != Some(aig);
+        if rebased {
             self.nodes.clear();
             self.nodes.push(Node::new(Vec::new()));
             self.base = Some(aig.clone());
         }
-        let base = &mut self.nodes[MEMO_BASE].price;
-        *base = base.or(aig_price);
         let mut node = Some(MEMO_BASE);
         // The graph at `node`, when the walk has it in hand; always
         // `Some` once the walk has left the store.
@@ -238,7 +210,11 @@ impl<P: Copy> RecipeMemo<P> {
         if node == Some(MEMO_BASE) && !recipe.0.is_empty() {
             self.identity_walks += 1;
         }
-        Walk { node, graph }
+        Walk {
+            node,
+            graph,
+            rebased,
+        }
     }
 
     /// The graph held by `node` (decoded; the base is copied).
@@ -251,35 +227,6 @@ impl<P: Copy> RecipeMemo<P> {
             MEMO_BASE => self.base.clone().expect("the store has a base"),
             _ => aiger::from_binary(&self.nodes[node].bytes)
                 .expect("nodes are verified to decode when stored"),
-        }
-    }
-
-    /// The price stored on `node`, if any. Counts one request.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the store holds no such node.
-    pub fn price(&mut self, node: usize) -> Option<P> {
-        self.prices_requested += 1;
-        self.nodes[node].price
-    }
-
-    /// Stores the price computed for `node`'s graph. Counts one
-    /// computation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the store holds no such node.
-    pub fn set_price(&mut self, node: usize, price: P) {
-        self.prices_computed += 1;
-        self.nodes[node].price = Some(price);
-    }
-
-    /// Drops every stored price and keeps the graphs: prices mean
-    /// something only to the caller that stored them.
-    pub fn clear_prices(&mut self) {
-        for node in &mut self.nodes {
-            node.price = None;
         }
     }
 
@@ -333,7 +280,7 @@ mod tests {
     /// The walk's result: the graph it computed, or the one its node
     /// holds when the store served it.
     fn result(memo: &mut RecipeMemo, g: &Aig, recipe: &Recipe, cache: &ResynthCache) -> Aig {
-        let walk = memo.walk(g, None, recipe, cache);
+        let walk = memo.walk(g, recipe, cache);
         walk.graph
             .unwrap_or_else(|| memo.graph(walk.node.expect("a served walk ends at a node")))
     }
@@ -342,7 +289,7 @@ mod tests {
     fn every_recipe_matches_the_reference_and_graphs_are_shared() {
         let g = random_aig(3);
         let cache = ResynthCache::new();
-        let mut memo: RecipeMemo = RecipeMemo::new();
+        let mut memo = RecipeMemo::new();
         let all = recipes();
         for recipe in &all {
             assert_eq!(
@@ -379,15 +326,15 @@ mod tests {
         let f = g.and(!x[0], !ab);
         g.add_output(f, None::<&str>);
         let cache = ResynthCache::new();
-        let mut memo: RecipeMemo = RecipeMemo::new();
+        let mut memo = RecipeMemo::new();
         let rw: Recipe = "rw".parse().expect("parses");
         let b_rw: Recipe = "b;rw".parse().expect("parses");
-        let rewritten = memo.walk(&g, None, &rw, &cache).node;
+        let rewritten = memo.walk(&g, &rw, &cache).node;
         assert_ne!(rewritten, Some(MEMO_BASE), "`rw` changes this graph");
         assert_eq!(memo.misses(), 1);
         // `b` runs once and lands on the base, whose `rw` edge serves
         // the rest: `rw` does not run again.
-        assert_eq!(memo.walk(&g, None, &b_rw, &cache).node, rewritten);
+        assert_eq!(memo.walk(&g, &b_rw, &cache).node, rewritten);
         assert_eq!((memo.hits(), memo.misses()), (1, 2));
         assert_eq!(
             result(&mut memo, &g, &b_rw, &cache),
@@ -398,59 +345,43 @@ mod tests {
     }
 
     #[test]
-    fn prices_belong_to_the_base() {
-        let (g, h) = (random_aig(8), random_aig(9));
-        let cache = ResynthCache::new();
-        let mut memo = RecipeMemo::<u32>::new();
-        let recipe: Recipe = "rw;b".parse().expect("parses");
-        let node = memo
-            .walk(&g, Some(7), &recipe, &cache)
-            .node
-            .expect("stored");
-        assert_eq!(memo.price(MEMO_BASE), Some(7), "the caller's base price");
-        assert_eq!(memo.price(node), None);
-        memo.set_price(node, 11);
-        let again = memo.walk(&g.clone(), None, &recipe, &cache).node;
-        assert_eq!(again, Some(node));
-        assert_eq!(memo.price(node), Some(11));
-        // A different base drops every node and its price.
-        let _ = memo.walk(&h, None, &recipe, &cache);
-        assert_eq!(memo.price(MEMO_BASE), None);
-        assert_eq!((memo.prices_requested(), memo.prices_computed()), (4, 1));
-    }
-
-    #[test]
     fn a_different_graph_starts_over() {
         let (g, h) = (random_aig(5), random_aig(6));
         let cache = ResynthCache::new();
-        let mut memo: RecipeMemo = RecipeMemo::new();
+        let mut memo = RecipeMemo::new();
         let recipe: Recipe = "rw;b".parse().expect("parses");
-        let _ = result(&mut memo, &g, &recipe, &cache);
+        assert!(
+            memo.walk(&g, &recipe, &cache).rebased,
+            "the first walk sets the base"
+        );
         assert_eq!(memo.len(), 3);
+        let again = memo.walk(&g.clone(), &recipe, &cache);
+        assert!(!again.rebased, "an equal copy keeps the base");
+        assert!(memo.walk(&h, &recipe, &cache).rebased);
         assert_eq!(
             result(&mut memo, &h, &recipe, &cache),
             recipe.apply_with(&h, &cache)
         );
-        assert_eq!((memo.hits(), memo.misses()), (0, 4));
+        assert_eq!((memo.hits(), memo.misses()), (4, 4));
     }
 
     #[test]
     fn disabled_memo_bypasses_and_empty_recipe_ends_at_the_base() {
         let g = random_aig(7);
         let cache = ResynthCache::new();
-        let mut off: RecipeMemo = RecipeMemo::disabled();
+        let mut off = RecipeMemo::disabled();
         let recipe: Recipe = "b;rf".parse().expect("parses");
         assert_eq!(
             result(&mut off, &g, &recipe, &cache),
             recipe.apply_with(&g, &cache)
         );
-        assert!(off.walk(&g, None, &recipe, &cache).node.is_none());
+        assert!(off.walk(&g, &recipe, &cache).node.is_none());
         assert!(!off.is_enabled() && off.is_empty());
         assert_eq!((off.hits(), off.misses()), (0, 0));
-        let mut on: RecipeMemo = RecipeMemo::new();
+        let mut on = RecipeMemo::new();
         let empty = Recipe(Vec::new());
         assert_eq!(result(&mut on, &g, &empty, &cache), g);
-        assert_eq!(on.walk(&g, None, &empty, &cache).node, Some(MEMO_BASE));
+        assert_eq!(on.walk(&g, &empty, &cache).node, Some(MEMO_BASE));
         assert_eq!((on.hits(), on.misses()), (0, 0));
     }
 }

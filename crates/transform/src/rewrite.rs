@@ -361,7 +361,7 @@ type ConeCandidate = (u32, usize, Arc<SmallStructure>, [Lit; 6], usize);
 ///   substitution. A candidate whose instantiated root turns out
 ///   cyclic (or resolves back to the node) is reverted exactly via a
 ///   transaction savepoint. Fresh-node spend is capped at
-///   [`MAX_WINDOW_APPENDS`] per pass.
+///   `MAX_WINDOW_APPENDS` per pass.
 ///
 /// The cut database is kept in step throughout: appended cones are
 /// synced immediately before the substitution that splices them in,

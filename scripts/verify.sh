@@ -3,7 +3,9 @@
 #
 #   1. `cargo fmt --check` + `cargo clippy -q --workspace
 #      --all-targets -- -D warnings` (style/lint gates — tests and
-#      benches are linted too, the whole tree stays warning-free);
+#      benches are linted too, the whole tree stays warning-free) +
+#      `cargo doc` with `-D warnings`, so a doc link to a deleted or
+#      private item fails;
 #   2. release build + full `cargo test -q --workspace` (tier-1);
 #   3. the end-to-end benchmark package (`e2ebench/`, a package of
 #      its own outside the workspace): release build and its tests,
@@ -24,9 +26,9 @@
 #      reset-rebuild policy, and work bounds: the DP rows the cutoff
 #      recomputed on the append replay and the PO features recomputed
 #      on the feature replay must stay well below their fallbacks'
-#      recompute sets, and the recipe memo must serve part of the
-#      primitive applications and of the whole-graph candidate prices
-#      of the paper-recipe SA chain;
+#      recompute sets, the recipe memo must serve part of the
+#      primitive applications of the paper-recipe SA chain, and the
+#      chain itself part of its whole-graph candidate prices;
 #   7. the large-tier scaling-exponent ceilings: per-step DP work on
 #      the size sweep (deterministic counters from BENCH_scale.json)
 #      must grow <= 3x while the design grows 100x (10k -> 1M).
@@ -49,6 +51,9 @@ cargo fmt --check
 
 echo "== clippy (workspace, all targets, -D warnings) =="
 cargo clippy -q --workspace --all-targets -- -D warnings
+
+echo "== rustdoc (workspace, -D warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 echo "== build (release) =="
 cargo build --release
@@ -148,9 +153,10 @@ gates = [
     # whole-graph moves request (measured ~2.6x; deterministic
     # counters).
     (comp, "components/sa_paper_prims_requested_ex28", "components/sa_paper_prims_computed_ex28", 1.25),
-    # Work-bound: on the same chain the memo must serve the prices of
-    # candidates equal to the current graph or to one already priced
-    # on it (measured ~3.1x; deterministic counters).
+    # Work-bound: on the same chain the run (its SaResult counters)
+    # must serve the prices of candidates equal to the current graph
+    # or to one already priced on it (measured ~3.1x; deterministic
+    # counters).
     (comp, "components/sa_paper_prices_requested_ex28", "components/sa_paper_prices_computed_ex28", 2.0),
     (fig2, "fig2_iteration/sa_step_rebuild_ex28", "fig2_iteration/sa_step_inplace_ex28", 5.0),
     (fig2, "fig2_iteration/sa_step_rebuild_balance_ex28", "fig2_iteration/sa_step_inplace_balance_ex28", 5.0),

@@ -358,15 +358,20 @@ fn recipe_memo_on_vs_off_is_byte_identical() {
                 &mut EvalContext::without_cache(),
             );
             assert_same(&on, &off, &what);
+            assert_eq!(
+                (off.prices_requested, off.prices_computed),
+                (0, 0),
+                "{what}: a disabled memo serves no price"
+            );
             let memo = ctx.recipe_memo();
             assert!(memo.hits() > 0, "{what}: no primitive application served");
-            served += memo.prices_requested() - memo.prices_computed();
+            served += on.prices_requested - on.prices_computed;
             identity += memo.identity_walks();
             sweeps += counted.sweeps;
             // One `evaluate` prices the input; the others price a
-            // candidate without a stored price or re-price an accepted
+            // candidate without a known price or re-price an accepted
             // served one.
-            let repriced = counted.evaluates - 1 - memo.prices_computed();
+            let repriced = counted.evaluates - 1 - on.prices_computed as u64;
             if *name == "warm" || (*name == "hot" && flow == "ground-truth") {
                 assert!(repriced > 0, "{what}: no served candidate was accepted");
             }

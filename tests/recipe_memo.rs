@@ -2,8 +2,9 @@
 //! walks that move their current graph the way an SA chain does, every
 //! memoized recipe application must equal `Recipe::apply_with` in exact
 //! content (node ids, fanins, inputs, outputs and every name), the
-//! node a walk ends at must hold that graph, and no two nodes may hold
-//! equal graphs.
+//! node a walk ends at must hold that graph, no two nodes may hold
+//! equal graphs, and a walk must report a rebase exactly when its input
+//! differs from the previous walk's.
 
 use aig::cut::CutDb;
 use aig::incremental::{IncrementalAnalysis, Transaction};
@@ -53,12 +54,19 @@ fn walk(start: &Aig, seed: u64, steps: usize) -> Coverage {
     let mut actions = recipes();
     actions.push("".parse::<Recipe>().expect("the empty recipe parses"));
     let cache = ResynthCache::new();
-    let mut memo: RecipeMemo = RecipeMemo::new();
+    let mut memo = RecipeMemo::new();
     let mut current = start.clone();
+    let mut base: Option<Aig> = None;
     let mut coverage = Coverage::default();
     for step in 0..steps {
         let recipe = &actions[rng.gen_range(0..actions.len())];
-        let walk = memo.walk(&current, None, recipe, &cache);
+        let walk = memo.walk(&current, recipe, &cache);
+        assert_eq!(
+            walk.rebased,
+            base.as_ref() != Some(&current),
+            "seed {seed}, step {step}: rebase flag"
+        );
+        base = Some(current.clone());
         let node = walk.node.expect("every result here round-trips");
         let got = walk.graph.unwrap_or_else(|| memo.graph(node));
         assert_eq!(
