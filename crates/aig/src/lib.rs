@@ -23,8 +23,8 @@
 //! * [`tt`] — truth-table arithmetic, ISOP covers, NPN canonization;
 //! * [`sim`] — bit-parallel random/exhaustive simulation and
 //!   equivalence checking;
-//! * [`par`] — std::thread data-parallel helpers used by the hot
-//!   paths across the workspace;
+//! * [`par`] — std::thread data-parallel helpers for the
+//!   workspace's independent outer loops and the GNN forward pass;
 //! * [`aiger`] — ASCII and binary AIGER I/O;
 //! * [`blif`] — combinational BLIF read (with `.names` synthesis)
 //!   and write.
@@ -43,19 +43,17 @@
 //! the oracle for the parity tests and the baseline for the
 //! `cut_enum` component benchmark.
 //!
-//! Simulation ([`sim::SimTable`]) propagates either serially or in
-//! parallel: wide tables split across the word dimension, narrow
-//! tables level-by-level across nodes. Both orderings produce
-//! bit-identical tables.
+//! Simulation ([`sim::SimTable`]) propagates serially, one AND node
+//! at a time in topological order; each node's row is 64 patterns
+//! per word.
 //!
-//! # Parallelism switches
+//! # Parallelism switch
 //!
-//! All parallelism funnels through [`par`]: the `parallel` cargo
-//! feature (default on) compiles the threaded paths, and the
-//! `AIG_THREADS` environment variable sets the worker count at
-//! runtime (`AIG_THREADS=1` forces fully serial, bit-identical
-//! execution). Every parallel helper returns results in input order,
-//! so outputs never depend on the worker count.
+//! All parallelism funnels through [`par`], and the `AIG_THREADS`
+//! environment variable sets its worker count at runtime
+//! (`AIG_THREADS=1` forces fully serial, bit-identical execution).
+//! Every parallel helper returns results in input order, so outputs
+//! never depend on the worker count.
 //!
 //! # Examples
 //!
@@ -78,6 +76,7 @@
 //! # Ok::<(), aig::AigError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

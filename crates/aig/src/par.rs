@@ -2,57 +2,57 @@
 //!
 //! The workspace's embarrassingly parallel outer loops (variant
 //! labeling, SA sweeps, multi-seed chains, design-suite construction)
-//! and the simulator's word-parallel propagation all funnel through
+//! and the GNN forward pass's per-layer node loop all funnel through
 //! this module, so parallelism policy lives in exactly one place:
 //!
-//! * the crate feature `parallel` (default on) compiles the threaded
-//!   paths in; without it every helper runs serially;
 //! * the environment variable `AIG_THREADS` overrides the worker
 //!   count at runtime (`AIG_THREADS=1` forces serial execution for
 //!   debugging or reproducing single-threaded timings);
 //! * nested calls never oversubscribe: a `par_*` call made from
-//!   inside a worker runs serially.
+//!   inside a worker runs serially;
+//! * a worker's panic reaches the caller with the worker's own
+//!   payload, as it would with one thread.
 //!
 //! Every helper is **deterministic**: results are returned in input
 //! order and each item is computed by a pure call of the supplied
 //! closure, so the output is identical for any worker count.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread::ScopedJoinHandle;
 
-#[cfg(feature = "parallel")]
 std::thread_local! {
-    static IN_PARALLEL_REGION: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static IN_PARALLEL_REGION: Cell<bool> = const { Cell::new(false) };
 }
 
 /// The number of worker threads `par_*` helpers may use.
 ///
-/// Resolution order: `1` when the `parallel` feature is off or when
-/// called from inside another `par_*` worker; otherwise `AIG_THREADS`
-/// when set (values `< 1` clamp to `1`); otherwise the machine's
-/// available parallelism.
+/// Resolution order: `1` when called from inside another `par_*`
+/// worker; otherwise `AIG_THREADS` when set (values `< 1` clamp to
+/// `1`); otherwise the machine's available parallelism.
 pub fn max_threads() -> usize {
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
+    if IN_PARALLEL_REGION.with(Cell::get) {
+        return 1;
     }
-    #[cfg(feature = "parallel")]
-    {
-        if IN_PARALLEL_REGION.with(|f| f.get()) {
-            return 1;
-        }
-        match std::env::var("AIG_THREADS") {
-            Ok(s) => match s.trim().parse::<usize>() {
-                Ok(n) => n.max(1),
-                Err(_) => default_threads(),
-            },
+    match std::env::var("AIG_THREADS") {
+        Ok(s) => match s.trim().parse::<usize>() {
+            Ok(n) => n.max(1),
             Err(_) => default_threads(),
-        }
+        },
+        Err(_) => default_threads(),
     }
 }
 
-#[cfg(feature = "parallel")]
 fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
+}
+
+/// Joins a scoped worker, re-raising its panic with the worker's own
+/// payload rather than `thread::scope`'s generic message.
+fn join<R>(handle: ScopedJoinHandle<'_, R>) -> R {
+    handle
+        .join()
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 /// Maps `f` over `items` (with the item index), in parallel, returning
@@ -88,21 +88,6 @@ where
     run_parallel(items, threads, &init, &f)
 }
 
-#[cfg(not(feature = "parallel"))]
-fn run_parallel<T, S, R, FI, F>(items: &[T], _threads: usize, init: &FI, f: &F) -> Vec<R>
-where
-    FI: Fn() -> S,
-    F: Fn(&mut S, usize, &T) -> R,
-{
-    let mut state = init();
-    items
-        .iter()
-        .enumerate()
-        .map(|(i, t)| f(&mut state, i, t))
-        .collect()
-}
-
-#[cfg(feature = "parallel")]
 fn run_parallel<T, S, R, FI, F>(items: &[T], threads: usize, init: &FI, f: &F) -> Vec<R>
 where
     T: Sync,
@@ -134,7 +119,7 @@ where
             }));
         }
         for h in handles {
-            for (i, r) in h.join().expect("par_map worker panicked") {
+            for (i, r) in join(h) {
                 slots[i] = Some(r);
             }
         }
@@ -145,41 +130,47 @@ where
         .collect()
 }
 
-/// Splits `0..n` into at most [`max_threads`] contiguous ranges of at
-/// least `min_chunk` elements and runs `f` on each range in parallel.
+/// Runs `f(first_row, chunk)` over `rows`, a row-major table of
+/// `row_len`-element rows, split into at most [`max_threads`]
+/// contiguous chunks of at least `min_rows` rows, in parallel.
 ///
-/// The ranges partition `0..n` exactly; `f` must only touch state
-/// belonging to its range (the caller guarantees disjointness).
-pub fn par_ranges<F>(n: usize, min_chunk: usize, f: F)
+/// The chunks partition `rows` exactly, so each row has one writer;
+/// `first_row` is the index of the chunk's first row. An empty table
+/// runs nothing.
+///
+/// # Panics
+///
+/// Panics if `rows` is not a whole number of rows, and re-raises a
+/// panic of `f` with its own payload.
+pub fn par_rows_mut<T, F>(rows: &mut [T], row_len: usize, min_rows: usize, f: F)
 where
-    F: Fn(std::ops::Range<usize>) + Sync,
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
 {
-    let min_chunk = min_chunk.max(1);
-    let threads = max_threads().min(n.div_ceil(min_chunk)).max(1);
+    let n = rows.len().checked_div(row_len).unwrap_or(0);
+    assert_eq!(n * row_len, rows.len(), "not whole rows of {row_len}");
+    let threads = max_threads().min(n.div_ceil(min_rows.max(1)));
     if threads <= 1 {
         if n > 0 {
-            f(0..n);
+            f(0, rows);
         }
         return;
     }
-    #[cfg(feature = "parallel")]
-    {
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            let mut start = 0;
-            while start < n {
-                let end = (start + chunk).min(n);
-                let f = &f;
+    let chunk = n.div_ceil(threads);
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = rows
+            .chunks_mut(chunk * row_len)
+            .enumerate()
+            .map(|(c, part)| {
                 scope.spawn(move || {
                     IN_PARALLEL_REGION.with(|flag| flag.set(true));
-                    f(start..end);
-                });
-                start = end;
-            }
-        });
-    }
-    #[cfg(not(feature = "parallel"))]
-    f(0..n);
+                    f(c * chunk, part);
+                })
+            })
+            .collect();
+        handles.into_iter().for_each(join);
+    });
 }
 
 #[cfg(test)]
@@ -211,17 +202,36 @@ mod tests {
     }
 
     #[test]
-    fn par_ranges_partitions_exactly() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let n = 1237;
-        let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        par_ranges(n, 8, |r| {
-            for i in r {
-                hits[i].fetch_add(1, Ordering::Relaxed);
+    fn par_rows_mut_writes_every_row_once() {
+        let (n, row_len) = (1237, 3);
+        let mut rows = vec![0u32; n * row_len];
+        par_rows_mut(&mut rows, row_len, 8, |first, part| {
+            for (k, row) in part.chunks_mut(row_len).enumerate() {
+                for x in row {
+                    *x += (first + k) as u32 + 1;
+                }
             }
         });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        par_ranges(0, 8, |_r| panic!("no range for n = 0"));
+        for (v, row) in rows.chunks(row_len).enumerate() {
+            assert!(row.iter().all(|&x| x == v as u32 + 1), "row {v}: {row:?}");
+        }
+        par_rows_mut(&mut [0u32; 0], row_len, 8, |_, _| panic!("no rows"));
+    }
+
+    /// A worker's panic must reach the caller with its own payload,
+    /// not as a generic "worker panicked" wrapper.
+    #[test]
+    fn worker_panic_keeps_its_payload() {
+        let items: Vec<usize> = (0..16).collect();
+        let caught = std::panic::catch_unwind(|| {
+            run_parallel(&items, 2, &|| (), &|(), i, _: &usize| {
+                assert!(i != 5, "boom at item {i}");
+                i
+            })
+        })
+        .expect_err("item 5 panics");
+        let message = caught.downcast_ref::<String>().map(String::as_str);
+        assert_eq!(message, Some("boom at item 5"));
     }
 
     #[test]
@@ -236,7 +246,7 @@ mod tests {
         });
         for &(_, s, mt) in &out {
             assert_eq!(s, 28);
-            if cfg!(feature = "parallel") && max_threads() > 1 {
+            if max_threads() > 1 {
                 assert_eq!(mt, 1, "nested region must be serial");
             }
         }

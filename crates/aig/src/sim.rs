@@ -90,42 +90,9 @@ impl SimTable {
         Ok(t)
     }
 
-    /// Minimum `num_nodes * words` product before propagation uses
-    /// threads. `par_ranges` spawns fresh OS threads per call (no
-    /// pool), so the bar sits where the serial loop costs well over
-    /// the spawn/join overhead (~250k word-ANDs ≈ hundreds of µs);
-    /// public so tests can assert which side of the dispatch a
-    /// workload lands on.
-    pub const PAR_MIN_WORK: usize = 1 << 18;
-    /// Minimum word count for the word-parallel strategy (narrower
-    /// tables use levelized node-parallelism); public for the same
-    /// reason as [`SimTable::PAR_MIN_WORK`].
-    pub const PAR_MIN_WORDS: usize = 8;
-    /// Minimum word-AND operations a spawned worker must amortize.
-    const PAR_MIN_CHUNK_WORK: usize = 1 << 16;
-
-    /// Propagates input rows through the AND nodes.
-    ///
-    /// Dispatches between three strategies producing bit-identical
-    /// tables: serial (small tables, or `AIG_THREADS=1`),
-    /// word-parallel (each worker owns a contiguous range of the word
-    /// dimension — AND is bitwise, so every word column is an
-    /// independent simulation), and levelized node-parallel (narrow
-    /// tables: nodes are chunked by topological level and each level's
-    /// nodes are computed concurrently).
+    /// Propagates input rows through the AND nodes in topological
+    /// order, then clears the pattern bits past `valid_bits`.
     fn propagate(&mut self, aig: &Aig) {
-        let threads = crate::par::max_threads();
-        let work = aig.num_nodes().saturating_mul(self.words);
-        if threads <= 1 || work < Self::PAR_MIN_WORK {
-            self.propagate_serial(aig);
-        } else if self.words >= Self::PAR_MIN_WORDS {
-            self.propagate_word_parallel(aig);
-        } else {
-            self.propagate_level_parallel(aig);
-        }
-    }
-
-    fn propagate_serial(&mut self, aig: &Aig) {
         let words = self.words;
         let (f0s, f1s) = aig.fanin_arrays();
         aig.for_each_and_topo(|id| {
@@ -136,98 +103,6 @@ impl SimTable {
                 self.data[id as usize * words + w] = a & b;
             }
         });
-        self.mask_tail();
-    }
-
-    /// Word-parallel propagation: worker `t` simulates word columns
-    /// `[w0, w1)` of every node. Each column only ever reads and
-    /// writes its own words, so the raw-pointer writes are disjoint.
-    fn propagate_word_parallel(&mut self, aig: &Aig) {
-        let words = self.words;
-        let min_chunk = (Self::PAR_MIN_CHUNK_WORK / aig.num_nodes().max(1)).max(1);
-        let order = if aig.is_topological() {
-            None
-        } else {
-            Some(aig.topo_and_order())
-        };
-        let (f0s, f1s) = aig.fanin_arrays();
-        let ptr = SharedRows(self.data.as_mut_ptr());
-        crate::par::par_ranges(words, min_chunk, |wr| {
-            let p = ptr;
-            let step = |id: NodeId| {
-                let (f0, f1) = (f0s[id as usize], f1s[id as usize]);
-                for w in wr.clone() {
-                    // SAFETY: every index touched has word component
-                    // in this worker's exclusive range `wr`.
-                    unsafe {
-                        let a = p.read_lit(f0, words, w);
-                        let b = p.read_lit(f1, words, w);
-                        p.write(id as usize * words + w, a & b);
-                    }
-                }
-            };
-            match &order {
-                Some(o) => o.iter().copied().for_each(step),
-                None => aig.and_ids().for_each(step),
-            }
-        });
-        self.mask_tail();
-    }
-
-    /// Levelized node-parallel propagation: nodes of equal
-    /// topological level have no dependencies among themselves, so
-    /// each level is computed as one parallel chunk (the `par_ranges`
-    /// join is the inter-level barrier).
-    fn propagate_level_parallel(&mut self, aig: &Aig) {
-        // Counting-sort AND ids by level into one flat array: three
-        // fixed allocations per call, not one Vec per level.
-        let level = crate::analysis::levels(aig).level;
-        let max_level = aig
-            .and_ids()
-            .map(|id| level[id as usize] as usize)
-            .max()
-            .unwrap_or(0);
-        // offsets[l] = start of level l's ids; AND levels are >= 1.
-        let mut offsets = vec![0u32; max_level + 2];
-        for id in aig.and_ids() {
-            offsets[level[id as usize] as usize + 1] += 1;
-        }
-        for l in 1..offsets.len() {
-            offsets[l] += offsets[l - 1];
-        }
-        let mut ids = vec![0 as NodeId; offsets[max_level + 1] as usize];
-        let mut cursor = offsets.clone();
-        for id in aig.and_ids() {
-            let l = level[id as usize] as usize;
-            ids[cursor[l] as usize] = id;
-            cursor[l] += 1;
-        }
-        let words = self.words;
-        // Levels narrower than one amortizing chunk run inline on the
-        // calling thread (par_ranges spawns nothing for one range).
-        let min_chunk = (Self::PAR_MIN_CHUNK_WORK / words.max(1)).max(1);
-        let (f0s, f1s) = aig.fanin_arrays();
-        let ptr = SharedRows(self.data.as_mut_ptr());
-        for l in 1..=max_level {
-            let nodes = &ids[offsets[l] as usize..offsets[l + 1] as usize];
-            crate::par::par_ranges(nodes.len(), min_chunk, |r| {
-                let p = ptr;
-                for &id in &nodes[r] {
-                    let (f0, f1) = (f0s[id as usize], f1s[id as usize]);
-                    for w in 0..words {
-                        // SAFETY: this worker exclusively owns the
-                        // rows of its node range; fanin rows are from
-                        // strictly lower levels, finished at the
-                        // previous level's barrier.
-                        unsafe {
-                            let a = p.read_lit(f0, words, w);
-                            let b = p.read_lit(f1, words, w);
-                            p.write(id as usize * words + w, a & b);
-                        }
-                    }
-                }
-            });
-        }
         self.mask_tail();
     }
 
@@ -316,34 +191,6 @@ impl SimTable {
         (0..self.words)
             .map(|w| self.masked_lit_word(l, w))
             .collect()
-    }
-}
-
-/// Raw shared pointer into the simulation table for the parallel
-/// propagation strategies. Soundness relies on each worker writing a
-/// disjoint set of indices (disjoint word ranges, or disjoint node
-/// rows within one level) and reading only indices no other live
-/// worker writes.
-#[derive(Clone, Copy)]
-struct SharedRows(*mut u64);
-
-unsafe impl Send for SharedRows {}
-unsafe impl Sync for SharedRows {}
-
-impl SharedRows {
-    #[inline]
-    unsafe fn read_lit(self, l: Lit, words: usize, w: usize) -> u64 {
-        let v = unsafe { *self.0.add(l.var() as usize * words + w) };
-        if l.is_complement() {
-            !v
-        } else {
-            v
-        }
-    }
-
-    #[inline]
-    unsafe fn write(self, idx: usize, v: u64) {
-        unsafe { *self.0.add(idx) = v }
     }
 }
 
@@ -504,39 +351,6 @@ mod tests {
 
     fn random_graph(seed: u64, num_inputs: usize, num_nodes: usize) -> Aig {
         crate::test_support::random_aig(seed, num_inputs, num_nodes, 5)
-    }
-
-    /// Both parallel propagation strategies must produce tables
-    /// bit-identical to the serial reference, on random graphs of
-    /// varying width (words) and depth.
-    #[test]
-    fn parallel_propagation_matches_serial() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        for seed in 0..16 {
-            let g = random_graph(seed, 6 + (seed as usize % 5), 150);
-            for words in [1usize, 2, 8, 16] {
-                let mut rng = SmallRng::seed_from_u64(seed ^ 0xABCD);
-                let mut base = SimTable {
-                    words,
-                    valid_bits: words * 64 - 3, // exercise tail masking
-                    data: vec![0u64; g.num_nodes() * words],
-                };
-                for &pi in g.inputs() {
-                    for w in base.row_mut(pi) {
-                        *w = rng.gen();
-                    }
-                }
-                let mut serial = base.clone();
-                serial.propagate_serial(&g);
-                let mut word_par = base.clone();
-                word_par.propagate_word_parallel(&g);
-                let mut level_par = base.clone();
-                level_par.propagate_level_parallel(&g);
-                assert_eq!(serial.data, word_par.data, "seed {seed} words {words}");
-                assert_eq!(serial.data, level_par.data, "seed {seed} words {words}");
-            }
-        }
     }
 
     /// `signature_eq` must agree with comparing `lit_signature`

@@ -461,8 +461,10 @@ fn bench_components(c: &mut Criterion) {
 
     // A fixed-length ground-truth SA chain of in-place rw/rwz moves.
     // The evaluator and context are built once and primed by an
-    // untimed warm-up chain, so samples see the steady state (warm
-    // caches and buffers) rather than first-run construction cost.
+    // untimed warm-up chain, so samples see the evaluator's mapper
+    // tables and the context's resynthesis cache warm. Every sample
+    // still builds the in-place engine's analysis and cut database,
+    // which belong to the run.
     {
         use transform::{Recipe, Transform};
         let actions = vec![

@@ -5,6 +5,7 @@
 //! components. This library provides the common fixtures so each
 //! bench pays setup cost once.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -18,6 +18,7 @@
 //! assert_eq!(m.aig.num_inputs(), 16);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

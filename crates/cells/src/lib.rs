@@ -17,6 +17,7 @@
 //! assert!(nand.delay_ps(0, 20.0) > nand.delay_ps(0, 5.0));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -14,6 +14,7 @@
 //! * `BENCH_SAMPLE_MS` — target milliseconds per sample (default 20).
 //! * `BENCH_MAX_SAMPLES` — cap on samples per benchmark.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

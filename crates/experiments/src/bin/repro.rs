@@ -27,6 +27,8 @@
 //!   --smoke            tiny preset for a quick check
 //! ```
 
+#![forbid(unsafe_code)]
+
 use experiments::{
     crosstech, feature_ablation, fig1, fig2, fig5, gnn_ablation, table1, table3, table4, Config,
 };

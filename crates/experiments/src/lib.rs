@@ -18,6 +18,7 @@
 //! The `repro` binary exposes each as a subcommand; all experiments
 //! also run (scaled down) inside the integration test suite.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

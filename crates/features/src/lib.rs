@@ -68,6 +68,7 @@
 //! assert_eq!(fv[features::AIG_LEVEL], 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

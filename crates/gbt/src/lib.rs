@@ -23,6 +23,7 @@
 //! assert!((pred - 225.0).abs() < 20.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -31,6 +31,7 @@
 //! assert!(model.predict(&samples[0].0).is_finite());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -190,26 +191,6 @@ struct Forward {
 #[derive(Default)]
 pub struct GnnScratch(Forward);
 
-/// Disjoint-row writer handed to the level-parallel node loop: each
-/// worker range owns rows `v * h .. (v + 1) * h` for its `v`s only
-/// (same idiom as the word-sharded simulator in `aig::sim`).
-#[derive(Clone, Copy)]
-struct SharedRows(*mut f32);
-
-unsafe impl Send for SharedRows {}
-unsafe impl Sync for SharedRows {}
-
-impl SharedRows {
-    /// # Safety
-    ///
-    /// Caller guarantees `v` is owned by exactly one live range and
-    /// `v * h + h` is within the allocation.
-    #[inline]
-    unsafe fn row(self, v: usize, h: usize) -> &'static mut [f32] {
-        std::slice::from_raw_parts_mut(self.0.add(v * h), h)
-    }
-}
-
 /// Minimum nodes per worker chunk in the layer-parallel node loop;
 /// below this the loop runs inline (small benchgen-class graphs, or
 /// nested inside a graph-level `par_map`).
@@ -236,8 +217,9 @@ impl GnnModel {
     /// implementation — training, scalar and batched prediction all
     /// run through it, so there is no arithmetic to diverge. Within a
     /// layer the per-node rows are independent (they read only the
-    /// previous layer), so the node loop runs level-parallel over
-    /// `aig::par` with disjoint row writes; per-node float order is
+    /// previous layer), so the node loop splits the layer's rows into
+    /// contiguous chunks across `aig::par` workers
+    /// ([`aig::par::par_rows_mut`]); per-node float order is
     /// unchanged, keeping results identical for any thread count.
     fn forward_into(&self, g: &GraphData, fwd: &mut Forward) {
         let h = self.params.hidden;
@@ -257,13 +239,9 @@ impl GnnModel {
             pre.resize(n * h, 0.0);
             {
                 let prev = &fwd.acts[l];
-                let rows = SharedRows(pre.as_mut_ptr());
-                aig::par::par_ranges(n, PAR_MIN_NODES, |range| {
+                aig::par::par_rows_mut(&mut pre, h, PAR_MIN_NODES, |first, rows| {
                     let mut agg = vec![0.0f32; in_dim];
-                    for v in range {
-                        // Safety: ranges partition 0..n, so each row
-                        // has exactly one writer.
-                        let out = unsafe { rows.row(v, h) };
+                    for (v, out) in (first..).zip(rows.chunks_mut(h)) {
                         out.copy_from_slice(&b.data);
                         ws.matvec_add(&prev[v * in_dim..(v + 1) * in_dim], out);
                         // Mean over fanins.

@@ -11,6 +11,7 @@
 //! non-finite floats through the `"NaN"` / `"inf"` / `"-inf"` string
 //! forms emitted by the writer and decoded by the accessors.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -13,6 +13,7 @@
 //! `rand`'s `SmallRng`, which is fine: nothing in this repo depends on
 //! upstream's bit sequences, only on seed-determinism.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -1,16 +1,15 @@
 //! The reusable evaluation context carried across SA iterations.
 //!
 //! One SA run prices thousands of candidate AIGs. [`EvalContext`]
-//! owns the state a run may share with other runs or leave to the
-//! next one, because it is keyed on content; evaluators keep their
-//! own pricing buffers (the ground-truth mapper's
-//! [`techmap::MapContext`] lives in [`crate::GroundTruthCost`]). The
-//! context holds:
+//! owns the state a run may leave to the next run on the same thread,
+//! because it is keyed on content; evaluators keep their own pricing
+//! buffers (the ground-truth mapper's [`techmap::MapContext`] lives in
+//! [`crate::GroundTruthCost`]). The context holds:
 //!
-//! * a shared [`ResynthCache`] (`Arc`, NPN-canonical) threaded into
-//!   every recipe application — one cache serves a whole run *and*
-//!   all parallel chains of [`crate::optimize_seeds`] /
-//!   [`crate::sweep`];
+//! * its own NPN-canonical [`ResynthCache`], threaded into every
+//!   recipe application — one cache serves a whole run, and every
+//!   chain a worker of [`crate::optimize_seeds`] / [`crate::sweep`]
+//!   runs, since each worker keeps one context;
 //! * a [`RecipeMemo`] of the graphs the whole-graph moves reach from
 //!   the chain's current graph: the chain rejects most moves and draws
 //!   from a fixed action set, so it keeps reaching the same few
@@ -26,8 +25,8 @@
 //! which are the run's evaluator's and so cannot outlive the run.
 //!
 //! Results never depend on the context: every cached value is a pure
-//! function of its key, so [`crate::optimize`] with a fresh, shared,
-//! or disabled cache, and with the recipe memo on or off, produces
+//! function of its key, so [`crate::optimize`] with a fresh, warm, or
+//! disabled cache, and with the recipe memo on or off, produces
 //! byte-identical outputs (asserted by the determinism integration
 //! tests). For *edit-level* incrementality —
 //! levels/fanout maintained through in-place graph edits rather than
@@ -35,18 +34,16 @@
 //! differential tests and benchmarks exercise directly.
 
 use aig::Aig;
-use std::sync::Arc;
 use transform::{Recipe, RecipeMemo, ResynthCache, Walk};
 
 /// Reusable evaluation state for one SA run (see the module docs).
 ///
 /// It owns both memo layers of the whole-graph moves: the recipe memo
-/// (distinct graphs, per base graph) and a handle on the resynthesis
-/// cache (per cut function).
-/// [`EvalContext::without_cache`] turns both off.
+/// (distinct graphs, per base graph) and the resynthesis cache (per
+/// cut function). [`EvalContext::without_cache`] turns both off.
 #[derive(Debug)]
 pub struct EvalContext {
-    resynth: Arc<ResynthCache>,
+    resynth: ResynthCache,
     /// Graphs reached from the chain's current graph.
     memo: RecipeMemo,
     /// Whether in-place-capable SA moves run through the edit
@@ -64,9 +61,14 @@ impl Default for EvalContext {
 }
 
 impl EvalContext {
-    /// A context with its own fresh (enabled) resynthesis cache.
+    /// A context with a fresh (enabled) resynthesis cache and recipe
+    /// memo.
     pub fn new() -> Self {
-        Self::with_shared(Arc::new(ResynthCache::new()))
+        EvalContext {
+            resynth: ResynthCache::new(),
+            memo: RecipeMemo::new(),
+            inplace: true,
+        }
     }
 
     /// A context that memoizes nothing — neither recipe results nor
@@ -74,18 +76,9 @@ impl EvalContext {
     /// oracle side of the cache-on-vs-off determinism tests.
     pub fn without_cache() -> Self {
         EvalContext {
+            resynth: ResynthCache::disabled(),
             memo: RecipeMemo::disabled(),
-            ..Self::with_shared(Arc::new(ResynthCache::disabled()))
-        }
-    }
-
-    /// A context over an existing shared cache; parallel chains each
-    /// get their own context (and recipe memo) but one cache.
-    pub fn with_shared(resynth: Arc<ResynthCache>) -> Self {
-        EvalContext {
-            resynth,
-            memo: RecipeMemo::new(),
-            inplace: true,
+            ..Self::new()
         }
     }
 
@@ -125,10 +118,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn shared_handles_point_at_one_cache() {
+    fn without_cache_turns_both_memo_layers_off() {
         let ctx = EvalContext::new();
-        let sibling = EvalContext::with_shared(Arc::clone(&ctx.resynth));
-        assert!(Arc::ptr_eq(&ctx.resynth, &sibling.resynth));
         assert!(ctx.resynth().is_enabled());
         assert!(ctx.recipe_memo().is_enabled());
         let off = EvalContext::without_cache();

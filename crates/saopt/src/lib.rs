@@ -15,7 +15,7 @@
 //! Parallel loops go through [`aig::par`], so `AIG_THREADS=1` forces
 //! serial execution; results never depend on the worker count.
 //!
-//! Every run carries an [`EvalContext`] across iterations: a shared
+//! Every run carries an [`EvalContext`] across iterations: its
 //! NPN-canonical resynthesis cache ([`transform::ResynthCache`])
 //! feeds the recipe applications, and a recipe memo
 //! ([`transform::RecipeMemo`]) holds the graphs the whole-graph moves
@@ -24,7 +24,7 @@
 //! such graph, so it is priced once per current graph too.
 //! [`GroundTruthCost`] holds a [`techmap::MapContext`] so mapping
 //! reuses its DP tables. Contexts never change results — outputs are
-//! byte-identical with the caches shared, cold, or disabled, and for
+//! byte-identical with the caches warm, cold, or disabled, and for
 //! any `AIG_THREADS` value (the determinism integration tests assert
 //! both).
 //!
@@ -52,6 +52,7 @@
 //! assert!(result.best_metrics.delay <= 6.0); // ceil(log2(32)) = 5
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

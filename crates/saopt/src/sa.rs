@@ -63,7 +63,6 @@ use aig::incremental::{DirtyRegion, IncrementalAnalysis, Transaction};
 use aig::{Aig, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 use transform::{
     balance_inplace_window, resub_inplace_window, resynth_inplace_window, InplacePlan,
     InplaceStats, Recipe, ResynthCache, MEMO_BASE,
@@ -245,17 +244,17 @@ pub fn optimize(
 /// [`optimize`] carrying an explicit [`EvalContext`] across
 /// iterations.
 ///
-/// The context's shared resynthesis cache is threaded into every
-/// recipe application, so iteration cost no longer includes
-/// rebuilding it from scratch. Whole-graph moves walk the context's
+/// The context's resynthesis cache is threaded into every recipe
+/// application, so iteration cost no longer includes rebuilding it
+/// from scratch. Whole-graph moves walk the context's
 /// recipe memo ([`EvalContext::recipe_memo`]): a move computes only the
 /// primitives the memo has not run on their input graph, and prices
 /// its candidate only if no equal graph was priced on the current
 /// graph (see the module docs, "The whole-graph path";
 /// [`SaResult::prices_requested`] / [`SaResult::prices_computed`]
 /// count those candidates and prices). Results are
-/// byte-identical to [`optimize`] for any context state — warm, cold,
-/// shared with other chains, or with both memo layers disabled
+/// byte-identical to [`optimize`] for any context state — warm from
+/// earlier runs, cold, or with both memo layers disabled
 /// ([`EvalContext::without_cache`]; the determinism tests assert
 /// this).
 ///
@@ -512,13 +511,13 @@ pub fn optimize_with(
 ///
 /// SA is highly seed-sensitive; the standard remedy is restarting the
 /// chain several times and keeping the best outcome. `make_eval`
-/// builds one evaluator per *worker* (chains executed by the same
-/// worker share it and one [`EvalContext`], so match tables and mapper
-/// DP buffers persist across restarts); all chains share one
-/// NPN-canonical resynthesis cache. Every reused piece is pure with
-/// respect to the evaluated graph, so results are deterministic and
-/// independent of the worker count (asserted by the determinism
-/// suites).
+/// builds one evaluator per *worker*, and each worker builds one
+/// [`EvalContext`]; chains executed by the same worker share both, so
+/// match tables, mapper DP buffers and the worker's NPN-canonical
+/// resynthesis cache persist across restarts. Every reused piece is
+/// pure with respect to the evaluated graph, so results are
+/// deterministic and independent of the worker count (asserted by the
+/// determinism suites).
 ///
 /// # Panics
 ///
@@ -556,10 +555,9 @@ where
     F: Fn() -> E + Sync,
 {
     assert!(!seeds.is_empty(), "need at least one seed");
-    let cache = Arc::new(ResynthCache::new());
     aig::par::par_map_with(
         seeds,
-        || (make_eval(), EvalContext::with_shared(Arc::clone(&cache))),
+        || (make_eval(), EvalContext::new()),
         |(eval, ctx), _, &seed| {
             let opts = SaOptions { seed, ..*opts };
             optimize_with(aig, eval, actions, &opts, ctx)

@@ -8,8 +8,7 @@ use crate::context::EvalContext;
 use crate::cost::{CostEvaluator, CostMetrics};
 use crate::sa::{optimize_with, SaOptions};
 use aig::{par, Aig};
-use std::sync::Arc;
-use transform::{Recipe, ResynthCache};
+use transform::Recipe;
 
 /// Sweep grid: every weight pair × every decay rate is one SA run.
 #[derive(Clone, Debug)]
@@ -53,14 +52,14 @@ pub struct SweepPoint {
 /// Runs the full sweep in parallel (via [`aig::par`]; worker count
 /// follows `AIG_THREADS`); `make_eval` builds one evaluator per
 /// *worker*, and runs executed by the same worker share it together
-/// with one [`EvalContext`] (the evaluator's mapper tables persist
-/// across the grid). All runs share one
-/// NPN-canonical resynthesis cache ([`transform::ResynthCache`]), so
-/// a cut function is factored once for the whole grid.
+/// with one [`EvalContext`]. The evaluator's mapper tables and the
+/// context's NPN-canonical resynthesis cache
+/// ([`transform::ResynthCache`]) persist across the worker's runs, so
+/// a cut function is factored once per worker.
 ///
 /// Results are deterministic and independent of the worker count:
-/// each run derives its own seed from the grid index, and the shared
-/// cache only memoizes pure functions.
+/// each run derives its own seed from the grid index, and the cache
+/// only memoizes pure functions.
 ///
 /// # Panics
 ///
@@ -84,10 +83,9 @@ where
         .iter()
         .flat_map(|&w| cfg.decays.iter().map(move |&d| (w, d)))
         .collect();
-    let cache = Arc::new(ResynthCache::new());
     par::par_map_with(
         &grid,
-        || (make_eval(), EvalContext::with_shared(Arc::clone(&cache))),
+        || (make_eval(), EvalContext::new()),
         |(eval, ctx), i, &((wd, wa), decay)| {
             let opts = SaOptions {
                 iterations: cfg.iterations,

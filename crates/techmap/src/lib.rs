@@ -44,6 +44,7 @@
 //! # Ok::<(), techmap::MapError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

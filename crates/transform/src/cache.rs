@@ -1,4 +1,4 @@
-//! The shared NPN-canonical resynthesis cache.
+//! The NPN-canonical resynthesis cache.
 //!
 //! Resynthesis spends most of its time factoring cut functions into
 //! [`SmallStructure`]s. The structure for a truth table is a pure
@@ -14,41 +14,33 @@
 //!   4-variable NPN class; raw misses derive from it instead of
 //!   re-running ISOP + factoring.
 //!
-//! Because every cached value is a pure function of its key, a single
-//! cache may be shared across SA iterations *and* across parallel
-//! sweep chains without breaking [`aig::par`]'s determinism
-//! guarantee: racing writers insert identical values, so results are
-//! byte-identical for any worker count, and byte-identical with the
-//! cache disabled (the determinism integration tests assert both).
+//! Because every cached value is a pure function of its key, a cache
+//! may serve any number of SA iterations, runs and graphs: results
+//! are byte-identical whether it is cold, warm from other graphs, or
+//! disabled (the determinism integration tests assert this). A cache
+//! belongs to one thread; parallel chains each keep their own.
 
 use crate::factor::synthesize;
 use crate::structure::{SRef, SmallStructure};
 use aig::tt::{npn4_canon, Npn4, Tt};
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
-/// Number of lock shards; keys spread by a cheap hash so parallel SA
-/// chains rarely contend on the same lock.
-const SHARDS: usize = 16;
-
-/// One shard of the raw `(nv, tt) -> structure` memo.
-type RawShard = RwLock<HashMap<(u8, u64), Arc<SmallStructure>>>;
-
-/// A shareable, thread-safe memo of cut-function resyntheses.
+/// A single-threaded memo of cut-function resyntheses.
 ///
-/// Create one per optimization run ([`ResynthCache::new`]) and thread
-/// it through [`crate::resynthesize_with`] /
+/// Create one per optimization run or worker ([`ResynthCache::new`])
+/// and thread it through [`crate::resynthesize_with`] /
 /// [`crate::Recipe::apply_with`]; [`ResynthCache::disabled`] computes
 /// every structure from scratch (identical results, no memory), which
 /// the determinism tests use as the reference.
 #[derive(Debug)]
 pub struct ResynthCache {
     enabled: bool,
-    raw: [RawShard; SHARDS],
-    canon: [RwLock<HashMap<u16, Arc<SmallStructure>>>; SHARDS],
-    hits: AtomicU64,
-    misses: AtomicU64,
+    raw: RefCell<HashMap<(u8, u64), Arc<SmallStructure>>>,
+    canon: RefCell<HashMap<u16, Arc<SmallStructure>>>,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
 }
 
 impl Default for ResynthCache {
@@ -62,10 +54,10 @@ impl ResynthCache {
     pub fn new() -> Self {
         ResynthCache {
             enabled: true,
-            raw: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            canon: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            raw: RefCell::default(),
+            canon: RefCell::default(),
+            hits: Cell::new(0),
+            misses: Cell::new(0),
         }
     }
 
@@ -87,20 +79,17 @@ impl ResynthCache {
 
     /// Raw-map lookups served from memory so far.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits.get()
     }
 
     /// Raw-map lookups that had to derive or synthesize.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.misses.get()
     }
 
     /// Number of distinct `(nv, tt)` structures held.
     pub fn len(&self) -> usize {
-        self.raw
-            .iter()
-            .map(|s| s.read().expect("not poisoned").len())
-            .sum()
+        self.raw.borrow().len()
     }
 
     /// Whether no structure is cached yet.
@@ -120,21 +109,15 @@ impl ResynthCache {
             return Arc::new(self.compute(nv, tt));
         }
         let key = (nv as u8, tt);
-        let shard = &self.raw[Self::shard_of(tt, nv)];
-        if let Some(s) = shard.read().expect("not poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(s) = self.raw.borrow().get(&key) {
+            self.hits.set(self.hits.get() + 1);
             return Arc::clone(s);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.misses.set(self.misses.get() + 1);
+        // `compute` borrows the canonical map, never the raw one.
         let s = Arc::new(self.compute(nv, tt));
-        // A racing thread may have inserted the same (identical)
-        // value; keep the first so repeated lookups share one Arc.
-        Arc::clone(shard.write().expect("not poisoned").entry(key).or_insert(s))
-    }
-
-    fn shard_of(tt: u64, nv: usize) -> usize {
-        let h = (tt ^ nv as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> 60) as usize % SHARDS
+        self.raw.borrow_mut().insert(key, Arc::clone(&s));
+        s
     }
 
     fn compute(&self, nv: usize, tt: u64) -> SmallStructure {
@@ -151,17 +134,11 @@ impl ResynthCache {
         if !self.enabled {
             return Arc::new(synthesize(&Tt::from_u64(4, u64::from(canon))));
         }
-        let shard = &self.canon[Self::shard_of(u64::from(canon), 4)];
-        if let Some(s) = shard.read().expect("not poisoned").get(&canon) {
-            return Arc::clone(s);
-        }
-        let s = Arc::new(synthesize(&Tt::from_u64(4, u64::from(canon))));
         Arc::clone(
-            shard
-                .write()
-                .expect("not poisoned")
+            self.canon
+                .borrow_mut()
                 .entry(canon)
-                .or_insert(s),
+                .or_insert_with(|| Arc::new(synthesize(&Tt::from_u64(4, u64::from(canon))))),
         )
     }
 }
@@ -266,12 +243,7 @@ mod tests {
             distinct += 1;
         }
         assert_eq!(cache.len(), distinct);
-        let canon_entries: usize = cache
-            .canon
-            .iter()
-            .map(|s| s.read().expect("not poisoned").len())
-            .sum();
-        assert_eq!(canon_entries, 1, "one synthesis per NPN class");
+        assert_eq!(cache.canon.borrow().len(), 1, "one synthesis per NPN class");
     }
 
     /// Repeated lookups hit and share one Arc.

@@ -7,11 +7,11 @@
 //! [`Transform`]/[`Recipe`] action abstraction, and [`recipes`] — the
 //! 103-entry action space matching the industry flow the paper cites.
 //!
-//! Cut resynthesis is memoized through [`ResynthCache`], a shared
+//! Cut resynthesis is memoized through [`ResynthCache`], an
 //! NPN-canonical structure cache: 4-input cut functions are
 //! synthesized once per NPN class and derived by leaf relabeling, and
-//! one cache may be carried across SA iterations and parallel sweep
-//! chains (`*_with` variants accept it; the plain entry points create
+//! one cache may be carried across SA iterations and runs on one
+//! thread (`*_with` variants accept it; the plain entry points create
 //! a transient one, with byte-identical results either way). Whole
 //! recipes are memoized per base graph through [`RecipeMemo`], which
 //! holds each distinct graph reached from the base once and runs each
@@ -42,6 +42,7 @@
 //! # Ok::<(), aig::AigError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

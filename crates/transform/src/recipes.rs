@@ -120,12 +120,12 @@ pub fn apply(aig: &Aig, t: Transform) -> Aig {
     apply_with(aig, t, &ResynthCache::new())
 }
 
-/// [`apply`] against a shared resynthesis `cache`.
+/// [`apply`] against a reusable resynthesis `cache`.
 ///
 /// The resynthesizing primitives (`rw`, `rwz`, `rf`, `rfz`, `pt`)
 /// read and populate `cache`; the others ignore it. Results are
 /// byte-identical to [`apply`] for any cache state, so a single cache
-/// can be carried across SA iterations and parallel chains.
+/// can be carried across SA iterations and runs.
 ///
 /// # Purity contract
 ///
@@ -167,7 +167,7 @@ impl Recipe {
         self.apply_with(aig, &ResynthCache::new())
     }
 
-    /// Applies the recipe against a shared resynthesis `cache`
+    /// Applies the recipe against a reusable resynthesis `cache`
     /// (byte-identical to [`Recipe::apply`]; see [`apply_with`]).
     ///
     /// This is the reference [`crate::RecipeMemo::walk`] is tested

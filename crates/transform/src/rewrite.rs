@@ -43,7 +43,7 @@ pub fn rewrite(aig: &Aig) -> Aig {
     rewrite_with(aig, &ResynthCache::new())
 }
 
-/// [`rewrite`] against a shared resynthesis `cache` (see
+/// [`rewrite`] against a reusable resynthesis `cache` (see
 /// [`ResynthCache`]); results are identical to [`rewrite`].
 pub fn rewrite_with(aig: &Aig, cache: &ResynthCache) -> Aig {
     resynthesize_with(
@@ -63,7 +63,7 @@ pub fn rewrite_zero(aig: &Aig) -> Aig {
     rewrite_zero_with(aig, &ResynthCache::new())
 }
 
-/// [`rewrite_zero`] against a shared resynthesis `cache`.
+/// [`rewrite_zero`] against a reusable resynthesis `cache`.
 pub fn rewrite_zero_with(aig: &Aig, cache: &ResynthCache) -> Aig {
     resynthesize_with(
         aig,
@@ -82,7 +82,7 @@ pub fn refactor(aig: &Aig) -> Aig {
     refactor_with(aig, &ResynthCache::new())
 }
 
-/// [`refactor`] against a shared resynthesis `cache`.
+/// [`refactor`] against a reusable resynthesis `cache`.
 pub fn refactor_with(aig: &Aig, cache: &ResynthCache) -> Aig {
     resynthesize_with(
         aig,
@@ -126,7 +126,7 @@ pub fn perturb(aig: &Aig, seed: u64) -> Aig {
     perturb_with(aig, seed, &ResynthCache::new())
 }
 
-/// [`perturb`] against a shared resynthesis `cache`.
+/// [`perturb`] against a reusable resynthesis `cache`.
 pub fn perturb_with(aig: &Aig, seed: u64, cache: &ResynthCache) -> Aig {
     resynthesize_with(
         aig,
@@ -145,7 +145,7 @@ pub fn refactor_zero(aig: &Aig) -> Aig {
     refactor_zero_with(aig, &ResynthCache::new())
 }
 
-/// [`refactor_zero`] against a shared resynthesis `cache`.
+/// [`refactor_zero`] against a reusable resynthesis `cache`.
 pub fn refactor_zero_with(aig: &Aig, cache: &ResynthCache) -> Aig {
     resynthesize_with(
         aig,
@@ -584,12 +584,12 @@ pub fn resynthesize(aig: &Aig, opts: &ResynthOptions) -> Aig {
     resynthesize_with(aig, opts, &ResynthCache::new())
 }
 
-/// [`resynthesize`] against a shared resynthesis `cache`.
+/// [`resynthesize`] against a reusable resynthesis `cache`.
 ///
-/// The cache may be shared across calls, SA iterations, and parallel
-/// sweep chains; results are byte-identical to [`resynthesize`] (and
-/// to a [`ResynthCache::disabled`] cache) because cached structures
-/// are pure functions of the cut function.
+/// The cache may be carried across calls, SA iterations and graphs;
+/// results are byte-identical to [`resynthesize`] (and to a
+/// [`ResynthCache::disabled`] cache) because cached structures are
+/// pure functions of the cut function.
 ///
 /// # Panics
 ///
@@ -885,7 +885,7 @@ mod tests {
 
     /// In-place rewriting preserves function, never creates nodes,
     /// and is a pure function of the graph (warm or fresh cut
-    /// database, shared or fresh cache).
+    /// database, warm or fresh cache).
     #[test]
     fn rewrite_inplace_preserves_function_and_node_count() {
         use aig::incremental::IncrementalAnalysis;

@@ -20,6 +20,8 @@
 //!   and the scale tier large10k / large100k / large1m / largeN
 //! ```
 
+#![forbid(unsafe_code)]
+
 use aig::{aiger, Aig};
 use cells::Library;
 use std::process::exit;

@@ -54,6 +54,7 @@
 //! `repro` binary (`cargo run --release -p experiments --bin repro --
 //! all`) for the full paper evaluation.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

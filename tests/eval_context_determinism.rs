@@ -1,9 +1,9 @@
-//! Determinism guarantees of the shared NPN resynthesis cache, the
-//! recipe memo and the SA evaluation context: optimization outputs
-//! must be byte-identical whether the caches are cold, warm, shared,
-//! or disabled. (The `AIG_THREADS` 1-vs-many half of the guarantee
-//! lives in its own test binary, `npn_thread_determinism`, because
-//! the env var is process-global.)
+//! Determinism guarantees of the NPN resynthesis cache, the recipe
+//! memo and the SA evaluation context: optimization outputs must be
+//! byte-identical whether the caches are cold, warm from other runs
+//! or graphs, or disabled. (The `AIG_THREADS` 1-vs-many half of the
+//! guarantee lives in its own test binary, `npn_thread_determinism`,
+//! because the env var is process-global.)
 
 use aig::aiger::{to_ascii, to_binary};
 use aig::{Aig, Lit};
@@ -13,7 +13,6 @@ use saopt::{
     optimize, optimize_with, CostEvaluator, CostMetrics, EditScope, EvalContext, GroundTruthCost,
     MlCost, ProxyCost, SaOptions, SaResult,
 };
-use std::sync::Arc;
 use transform::{recipes, Recipe, ResynthCache, Transform};
 
 mod common;
@@ -392,11 +391,11 @@ fn recipe_memo_on_vs_off_is_byte_identical() {
 }
 
 /// A cache pre-warmed by *other* graphs must not perturb results:
-/// recipes applied through a dirty shared cache equal the uncached
+/// recipes applied through a dirty cache equal the uncached
 /// application, byte for byte.
 #[test]
 fn warm_shared_cache_does_not_change_transform_outputs() {
-    let cache = Arc::new(ResynthCache::new());
+    let cache = ResynthCache::new();
     // Pollute the cache with structures from unrelated graphs.
     for seed in 200..204u64 {
         let other = random_aig_with(seed, 7, 90, 3);
@@ -421,9 +420,9 @@ fn warm_shared_cache_does_not_change_transform_outputs() {
     }
 }
 
-/// `optimize_seeds` (all chains share one cache) must reproduce
-/// serial per-seed runs exactly — the cache-sharing analog of the
-/// existing multi-seed determinism test.
+/// `optimize_seeds` (a worker's chains reuse its context and warm
+/// cache) must reproduce fresh per-seed runs exactly — the cache-reuse
+/// analog of the existing multi-seed determinism test.
 #[test]
 fn shared_cache_chains_match_serial_runs() {
     let g = random_aig_with(55, 8, 100, 3);
@@ -442,12 +441,12 @@ fn shared_cache_chains_match_serial_runs() {
 }
 
 /// The cache actually caches: a second identical run over a warm
-/// shared cache performs no new synthesis (misses stay flat) and
-/// still produces identical output.
+/// cache performs no new synthesis (misses stay flat) and still
+/// produces identical output.
 #[test]
 fn second_run_is_all_hits() {
     let g = random_aig_with(99, 8, 120, 3);
-    let cache = Arc::new(ResynthCache::new());
+    let cache = ResynthCache::new();
     let first = transform::rewrite_with(&g, &cache);
     let misses_after_first = cache.misses();
     assert!(misses_after_first > 0, "first run must synthesize");

@@ -206,7 +206,7 @@ fn gbt_batched_predictions_match_scalar_bits() {
 }
 
 /// Batched GNN inference over real design graphs: `predict_batch`
-/// (level-parallel, scratch-reusing) and `predict_with` must match
+/// (graph-parallel, scratch-reusing) and `predict_with` must match
 /// the scalar `predict` bit for bit — for any worker count, since the
 /// per-node arithmetic order is unchanged.
 #[test]

@@ -1,13 +1,15 @@
-//! Worker-count independence of the shared NPN resynthesis cache,
-//! driven through the public API by toggling `AIG_THREADS`.
+//! Worker-count independence of the parallel SA chains, driven
+//! through the public API by toggling `AIG_THREADS`.
 //!
 //! This lives in its own test binary on purpose (like
 //! `par_dispatch`): the env var is process-global, and here the
 //! toggling test is the only test in the process, so no sibling test
-//! can observe a mid-flight value. `optimize_seeds` and `sweep` both
-//! share one `ResynthCache` across their parallel chains; with the
-//! cache populated under racing writers (4 workers) and under a
-//! single worker, every chain's output must be byte-identical.
+//! can observe a mid-flight value. `optimize_seeds` and `sweep` give
+//! each worker one evaluator and one `EvalContext`, whose NPN
+//! resynthesis cache stays warm across the chains that worker runs.
+//! Which chains share a worker, and so a warm cache, depends on the
+//! worker count; with 4 workers and with one, every chain's output
+//! must be byte-identical.
 
 use aig::aiger::to_ascii;
 use saopt::{optimize_seeds, sweep, ProxyCost, SaOptions, SweepConfig};
@@ -76,7 +78,7 @@ fn shared_cache_outputs_independent_of_worker_count() {
 
     // The in-place transaction engine (default-on inside every chain)
     // under an action mix that exercises it on every other draw: the
-    // shared cache is read from the in-place resynthesis probes too,
+    // worker's cache is read from the in-place resynthesis probes too,
     // and results must stay independent of the worker count.
     let inplace_actions = vec![
         transform::Recipe(vec![transform::Transform::Rewrite]),

@@ -1,15 +1,14 @@
-//! Serial-vs-parallel simulation dispatch equality, driven through
-//! the public API by toggling `AIG_THREADS`.
+//! Serial-vs-parallel GNN forward passes, driven through the public
+//! API by toggling `AIG_THREADS`.
 //!
 //! This lives in its own test binary on purpose: the env var is
 //! process-global, and here the toggling test is the only test in
 //! the process, so no sibling test can observe a mid-flight value.
-//! The graphs are sized to genuinely cross the dispatch thresholds
-//! (asserted below), so under `AIG_THREADS=4` the parallel
-//! strategies actually run. (The propagation strategies are
-//! additionally compared directly in `aig`'s sim unit tests.)
+//! `AIG_THREADS=4` forces four workers whatever the machine's core
+//! count, and the graph is large enough (asserted below) that the
+//! forward pass's node loop really splits its rows across them.
 
-use aig::sim::SimTable;
+use gnn::{GnnModel, GnnParams, GraphData};
 
 mod common;
 use common::random_aig_with;
@@ -27,44 +26,42 @@ impl Drop for EnvGuard {
     }
 }
 
-/// Simulation tables must be bit-identical whether propagation runs
-/// serially (`AIG_THREADS=1`) or multi-threaded (`AIG_THREADS=4`),
-/// for both wide tables (word-parallel strategy) and narrow tables
-/// (levelized node-parallel strategy).
+/// A trained model's prediction, called from the test thread, must be
+/// bit-identical whether the forward pass runs its node rows serially
+/// (`AIG_THREADS=1`) or split across four workers (`AIG_THREADS=4`).
 #[test]
-fn simulation_independent_of_parallel_dispatch() {
+fn gnn_predictions_independent_of_worker_count() {
     let _guard = EnvGuard(std::env::var("AIG_THREADS").ok());
-    // (seed, words, node target) sized past PAR_MIN_WORK on both
-    // sides of the PAR_MIN_WORDS split.
-    let wide_words = 2 * SimTable::PAR_MIN_WORDS;
-    let narrow_words = SimTable::PAR_MIN_WORDS / 2;
-    let cases = [
-        (1u64, wide_words, SimTable::PAR_MIN_WORK / wide_words * 2),
-        (
-            2u64,
-            narrow_words,
-            SimTable::PAR_MIN_WORK / narrow_words * 2,
-        ),
-    ];
-    for (seed, words, nodes) in cases {
-        // Strashing dedupes some ANDs; overshoot then verify the
-        // dispatch threshold is genuinely crossed.
-        let g = random_aig_with(seed, 24, nodes * 3 / 2, 8);
-        assert!(
-            g.num_nodes() * words >= SimTable::PAR_MIN_WORK,
-            "test graph too small to engage the parallel path: {} nodes x {words} words",
-            g.num_nodes()
-        );
-        std::env::set_var("AIG_THREADS", "1");
-        let serial = SimTable::random(&g, words, seed);
-        std::env::set_var("AIG_THREADS", "4");
-        let parallel = SimTable::random(&g, words, seed);
-        for id in g.node_ids() {
-            assert_eq!(
-                serial.node_row(id),
-                parallel.node_row(id),
-                "words {words}: node {id} rows diverge serial vs 4 threads"
-            );
-        }
-    }
+    let train: Vec<(GraphData, f64)> = (0..4u64)
+        .map(|seed| {
+            let g = random_aig_with(seed, 6, 40 + 10 * seed as usize, 3);
+            (GraphData::from_aig(&g), 50.0 + 7.5 * seed as f64)
+        })
+        .collect();
+    let (model, _losses) = GnnModel::train(
+        &train,
+        &GnnParams {
+            epochs: 3,
+            seed: 5,
+            ..GnnParams::default()
+        },
+    );
+    // The forward pass hands each worker at least 256 node rows, so
+    // a split needs twice that.
+    let large = GraphData::from_aig(&random_aig_with(11, 24, 1500, 8));
+    assert!(
+        large.n >= 2 * 256,
+        "{} nodes cannot split the rows",
+        large.n
+    );
+    std::env::set_var("AIG_THREADS", "1");
+    let serial = model.predict(&large);
+    std::env::set_var("AIG_THREADS", "4");
+    let parallel = model.predict(&large);
+    assert!(serial.is_finite());
+    assert_eq!(
+        serial.to_bits(),
+        parallel.to_bits(),
+        "prediction {serial} serial vs {parallel} with 4 threads"
+    );
 }
