@@ -17,7 +17,20 @@
 //!   construction, instead of on every [`Cut::tt`] call;
 //! * [`CutSet`] stores all cut lists in one flat arena indexed by
 //!   per-node spans, so enumeration performs no per-node `Vec`
-//!   allocations.
+//!   allocations;
+//! * a node's fanin cut pairs are merged *lazily, in size order*: the
+//!   pair loop reads only signatures and records each pair whose
+//!   popcount bound fits `k`; a pair is merged only once the size
+//!   pass reaches its bound, so pairs whose bound exceeds the size at
+//!   which the node's list filled are never merged at all;
+//! * dominance reads only sizes, signatures and leaves, so a truth
+//!   table is computed only for a cut that is kept, from the same
+//!   fanin pair as always.
+//!
+//! [`shrink_support`] is the one support reduction of cut functions
+//! (resynthesis and the mapper both call it once per cut): almost
+//! every cut has full support and returns its table as is; otherwise
+//! each missing variable is deleted by an O(n) mask-and-shift step.
 //!
 //! The previous `Vec`-backed implementation survives as
 //! [`enumerate_cuts_naive`]; parity tests assert both produce
@@ -154,13 +167,6 @@ impl Cut {
         self.tt
     }
 
-    /// The masked truth table (same as [`Cut::tt`]; the mask is
-    /// applied once at construction, kept for API continuity).
-    #[inline]
-    pub fn masked_tt(&self) -> u64 {
-        self.tt
-    }
-
     /// Whether every leaf of `self` also appears in `other`
     /// (i.e. `self` dominates `other` and renders it redundant).
     #[inline]
@@ -190,8 +196,8 @@ impl Cut {
         true
     }
 
-    /// Merges the leaf sets of `a` and `b` into a new cut with
-    /// truth table `tt`; `None` when the union exceeds `k` leaves.
+    /// Merges the leaf sets of `a` and `b` into `(leaves, len, sig)`;
+    /// `None` when the union exceeds `k` leaves.
     #[inline]
     fn merged_leaves(a: &Cut, b: &Cut, k: usize) -> Option<([NodeId; MAX_CUT_SIZE], u8, u64)> {
         let (la, lb) = (a.leaves(), b.leaves());
@@ -229,12 +235,11 @@ pub struct CutSet {
     arena: Vec<Cut>,
     span: Vec<(u32, u32)>,
     k: usize,
-    // Scratch buffers for `enumerate_cuts_into`, kept here so a reused
+    // Scratch for `enumerate_cuts_into`, kept here so a reused
     // `CutSet` makes re-enumeration allocation-free on the steady
     // state (the mapping context reuses one across thousands of
     // candidate AIGs).
-    merged_scratch: Vec<Cut>,
-    list_scratch: Vec<Cut>,
+    scratch: NodeScratch,
 }
 
 impl CutSet {
@@ -310,6 +315,122 @@ pub fn expand_tt(tt: u64, from: &[NodeId], to: &[NodeId]) -> u64 {
     t
 }
 
+/// `VAR_LO[i]`: the minterm positions whose variable `i` is 0.
+const VAR_LO: [u64; MAX_CUT_SIZE] = [
+    0x5555_5555_5555_5555,
+    0x3333_3333_3333_3333,
+    0x0F0F_0F0F_0F0F_0F0F,
+    0x00FF_00FF_00FF_00FF,
+    0x0000_FFFF_0000_FFFF,
+    0x0000_0000_FFFF_FFFF,
+];
+
+/// Deletes variable `i`, on which `tt` does not depend: keeps the
+/// `x_i = 0` half and closes the gaps by mask-and-shift (the inverse
+/// of `insert_var`'s butterfly), so variables above `i` move down by
+/// one. O(n) word operations.
+#[inline]
+fn delete_var(tt: u64, i: usize) -> u64 {
+    let mut x = tt & VAR_LO[i];
+    for j in i..MAX_CUT_SIZE - 1 {
+        x = (x | (x >> (1u32 << j))) & VAR_LO[j + 1];
+    }
+    x
+}
+
+/// Reduces a cut function to its support: drops the leaves `tt` does
+/// not depend on and returns the table over the surviving leaves,
+/// those leaves in order (the first `nv` entries of the array) and
+/// `nv`; `None` when the function is constant. `tt` is read over
+/// `leaves` (leaf `i` is variable `i`, at most six).
+///
+/// This is the one support reduction of the workspace: both
+/// resynthesis loops and the technology mapper call it once per cut.
+/// Almost every enumerated cut has full support, and such a cut's
+/// table is returned as is; each missing variable costs one O(n)
+/// mask-and-shift deletion. Allocation-free.
+///
+/// # Examples
+///
+/// ```
+/// use aig::cut::shrink_support;
+///
+/// // f = x1 over leaves {10, 20}: leaf 10 is not in the support.
+/// let (tt, kept, nv) = shrink_support(0b1100, &[10, 20]).expect("non-constant");
+/// assert_eq!((tt, &kept[..nv]), (0b10, &[20][..]));
+/// assert!(shrink_support(0b1111, &[10, 20]).is_none());
+/// ```
+pub fn shrink_support(tt: u64, leaves: &[NodeId]) -> Option<(u64, [NodeId; MAX_CUT_SIZE], usize)> {
+    let n = leaves.len();
+    debug_assert!(n <= MAX_CUT_SIZE);
+    let tt = tt & width_mask(n);
+    let mut support = 0u32;
+    for (i, lo) in VAR_LO.iter().enumerate().take(n) {
+        if (tt ^ (tt >> (1u32 << i))) & lo != 0 {
+            support |= 1 << i;
+        }
+    }
+    if support == 0 {
+        return None;
+    }
+    let mut kept = [0; MAX_CUT_SIZE];
+    if support == (1 << n) - 1 {
+        kept[..n].copy_from_slice(leaves);
+        return Some((tt, kept, n));
+    }
+    // Delete from the top, so pending indices stay put.
+    let mut t = tt;
+    for i in (0..n).rev() {
+        if support >> i & 1 == 0 {
+            t = delete_var(t, i);
+        }
+    }
+    let mut nv = 0;
+    for (i, &leaf) in leaves.iter().enumerate() {
+        if support >> i & 1 == 1 {
+            kept[nv] = leaf;
+            nv += 1;
+        }
+    }
+    Some((t, kept, nv))
+}
+
+/// The per-minterm support compaction [`shrink_support`] replaced,
+/// retained as its oracle for the property tests (as
+/// `expand_tt_minterm` is for [`expand_tt`]).
+#[doc(hidden)]
+pub fn shrink_support_minterm(
+    tt: u64,
+    leaves: &[NodeId],
+) -> Option<(u64, [NodeId; MAX_CUT_SIZE], usize)> {
+    let nv = leaves.len();
+    let mask = width_mask(nv);
+    let mut kept = [0; MAX_CUT_SIZE];
+    let mut orig = [0usize; MAX_CUT_SIZE];
+    let mut knv = 0;
+    for (i, &leaf) in leaves.iter().enumerate() {
+        let lo = tt & VAR_LO[i] & mask;
+        let hi = (tt >> (1usize << i)) & VAR_LO[i] & mask;
+        if lo != hi {
+            kept[knv] = leaf;
+            orig[knv] = i;
+            knv += 1;
+        }
+    }
+    if knv == 0 {
+        return None;
+    }
+    let mut out = 0u64;
+    for m in 0..(1usize << knv) {
+        let mut src = 0usize;
+        for (jj, &o) in orig[..knv].iter().enumerate() {
+            src |= ((m >> jj) & 1) << o;
+        }
+        out |= ((tt >> src) & 1) << m;
+    }
+    Some((out, kept, knv))
+}
+
 /// Enumerates up to `max_cuts` k-feasible cuts per node, `k <= 6`.
 ///
 /// Every node's cut list begins with its trivial cut. Dominated cuts
@@ -367,8 +488,7 @@ pub fn enumerate_cuts_into(aig: &Aig, k: usize, max_cuts: usize, out: &mut CutSe
         arena,
         span,
         k: _,
-        merged_scratch: merged,
-        list_scratch: list,
+        scratch,
     } = out;
     arena.clear();
     arena.reserve(n.saturating_mul(max_cuts.min(8) + 1));
@@ -390,17 +510,65 @@ pub fn enumerate_cuts_into(aig: &Aig, k: usize, max_cuts: usize, out: &mut CutSe
     let (f0s, f1s) = aig.fanin_arrays();
     aig.for_each_and_topo(|id| {
         let (f0, f1) = (f0s[id as usize], f1s[id as usize]);
-        node_cut_list(f0, f1, id, k, max_cuts, arena, span, merged, list);
-        push_list(arena, span, id, list);
+        node_cut_list(f0, f1, id, k, max_cuts, arena, span, scratch);
+        push_list(arena, span, id, &scratch.list);
     });
 }
 
+/// A fanin cut pair of [`node_cut_list`], recorded by the
+/// signature-only pair loop and merged lazily.
+#[derive(Clone, Copy, Debug)]
+struct Cand {
+    /// Arena index of the fanin-0 cut.
+    i0: u32,
+    /// Arena index of the fanin-1 cut.
+    i1: u32,
+    /// `popcount(sig0 | sig1)`: the union has at least this many
+    /// leaves.
+    bound: u8,
+    /// [`PENDING`] until merged, [`INFEASIBLE`] when the union
+    /// exceeds `k`, else the union's size.
+    len: u8,
+    /// Index of the merged leaf set in [`NodeScratch::merged`].
+    slot: u32,
+}
+
+/// [`Cand::len`] of a pair not merged yet.
+const PENDING: u8 = u8::MAX;
+/// [`Cand::len`] of a pair whose union exceeds `k`.
+const INFEASIBLE: u8 = u8::MAX - 1;
+
+/// Per-node scratch of [`node_cut_list`], owned by the enumerating
+/// [`CutSet`] or [`CutDb`] so steady-state enumeration allocates
+/// nothing.
+#[derive(Clone, Debug, Default)]
+struct NodeScratch {
+    /// Fanin cut pairs that pass the signature bound, in `(i0, i1)`
+    /// order.
+    cands: Vec<Cand>,
+    /// Merged leaf sets (truth table unset), in merge order.
+    merged: Vec<Cut>,
+    /// The node's cut list, the result.
+    list: Vec<Cut>,
+}
+
 /// Computes the cut list of AND node `id` (fanins `f0`/`f1`, as read
-/// from [`Aig::fanin_arrays`]) into `list`, reading the fanins' lists
-/// through `(arena, span)`. This is the shared inner loop of
-/// [`enumerate_cuts_into`] (full enumeration) and [`CutDb`]
+/// from [`Aig::fanin_arrays`]) into `scratch.list`, reading the
+/// fanins' lists through `(arena, span)`. This is the shared inner
+/// loop of [`enumerate_cuts_into`] (full enumeration) and [`CutDb`]
 /// (incremental re-enumeration); both therefore keep *identical*
 /// per-node cut lists by construction.
+///
+/// The list is the trivial cut followed by the merged fanin cut
+/// pairs visited in size order, and within a size in `(i0, i1)`
+/// order, skipping dominated ones, until `max_cuts` cuts are kept.
+/// Only the work that list needs is done:
+/// * the pair loop reads signatures only, recording the pairs whose
+///   popcount bound fits `k`;
+/// * a pair is merged when the size pass first reaches its bound (no
+///   union is smaller), so once the list fills, pairs with a larger
+///   bound are never merged;
+/// * a truth table is computed only for a cut that is kept.
 #[allow(clippy::too_many_arguments)]
 fn node_cut_list(
     f0: Lit,
@@ -410,37 +578,38 @@ fn node_cut_list(
     max_cuts: usize,
     arena: &[Cut],
     span: &[(u32, u32)],
-    merged: &mut Vec<Cut>,
-    list: &mut Vec<Cut>,
+    scratch: &mut NodeScratch,
 ) {
+    let NodeScratch {
+        cands,
+        merged,
+        list,
+    } = scratch;
     list.clear();
     list.push(Cut::trivial(id));
+    if list.len() >= max_cuts {
+        return;
+    }
     let (s0, e0) = span[f0.var() as usize];
     let (s1, e1) = span[f1.var() as usize];
+    let c1s = &arena[s1 as usize..e1 as usize];
+    cands.clear();
     merged.clear();
     for i0 in s0..e0 {
-        let c0 = arena[i0 as usize];
-        for i1 in s1..e1 {
-            let c1 = arena[i1 as usize];
+        let sig0 = arena[i0 as usize].sig;
+        for (j, c1) in c1s.iter().enumerate() {
             // Signature prefilter: the union has at least
             // popcount(sig0 | sig1) distinct leaves.
-            if (c0.sig | c1.sig).count_ones() as usize > k {
+            let bound = (sig0 | c1.sig).count_ones();
+            if bound as usize > k {
                 continue;
             }
-            let Some((leaves, len, sig)) = Cut::merged_leaves(&c0, &c1, k) else {
-                continue;
-            };
-            let leaves_s = &leaves[..len as usize];
-            let t0 = expand_tt(c0.tt, c0.leaves(), leaves_s);
-            let t1 = expand_tt(c1.tt, c1.leaves(), leaves_s);
-            let mask = width_mask(len as usize);
-            let t0 = if f0.is_complement() { !t0 & mask } else { t0 };
-            let t1 = if f1.is_complement() { !t1 & mask } else { t1 };
-            merged.push(Cut {
-                leaves,
-                len,
-                sig,
-                tt: t0 & t1,
+            cands.push(Cand {
+                i0,
+                i1: s1 + j as u32,
+                bound: bound as u8,
+                len: PENDING,
+                slot: 0,
             });
         }
     }
@@ -451,17 +620,46 @@ fn node_cut_list(
     // its signature-subset prefilter rejects most candidates in
     // one AND.
     'fill: for size in 1..=k {
-        for c in merged.iter() {
-            if c.size() != size {
+        for cand in cands.iter_mut() {
+            if cand.bound as usize > size {
+                continue; // its union has more than `size` leaves
+            }
+            if cand.len == PENDING {
+                let (c0, c1) = (&arena[cand.i0 as usize], &arena[cand.i1 as usize]);
+                cand.len = match Cut::merged_leaves(c0, c1, k) {
+                    Some((leaves, len, sig)) => {
+                        cand.slot = merged.len() as u32;
+                        merged.push(Cut {
+                            leaves,
+                            len,
+                            sig,
+                            tt: 0,
+                        });
+                        len
+                    }
+                    None => INFEASIBLE,
+                };
+            }
+            if cand.len as usize != size {
                 continue;
             }
+            let mut c = merged[cand.slot as usize];
+            if list.iter().any(|kept| kept.dominates(&c)) {
+                continue;
+            }
+            // Kept: its function, from the same fanin pair.
+            let (c0, c1) = (&arena[cand.i0 as usize], &arena[cand.i1 as usize]);
+            let leaves = c.leaves();
+            let mask = width_mask(leaves.len());
+            let t0 = expand_tt(c0.tt, c0.leaves(), leaves);
+            let t1 = expand_tt(c1.tt, c1.leaves(), leaves);
+            let t0 = if f0.is_complement() { !t0 & mask } else { t0 };
+            let t1 = if f1.is_complement() { !t1 & mask } else { t1 };
+            c.tt = t0 & t1;
+            list.push(c);
             if list.len() >= max_cuts {
                 break 'fill;
             }
-            if list.iter().any(|kept| kept.dominates(c)) {
-                continue;
-            }
-            list.push(*c);
         }
     }
 }
@@ -555,8 +753,7 @@ pub struct CutDb {
     /// Open edit session, `None` outside one.
     journal: Option<EditJournal>,
     // Scratch.
-    merged: Vec<Cut>,
-    list: Vec<Cut>,
+    scratch: NodeScratch,
     heap: BinaryHeap<std::cmp::Reverse<NodeId>>,
     queued: Vec<bool>,
 }
@@ -582,8 +779,7 @@ impl Clone for CutDb {
             vgen: self.vgen,
             live: self.live,
             journal: self.journal.clone(),
-            merged: self.merged.clone(),
-            list: self.list.clone(),
+            scratch: self.scratch.clone(),
             heap: self.heap.clone(),
             queued: self.queued.clone(),
         }
@@ -612,8 +808,7 @@ impl CutDb {
             vgen: 0,
             live: 0,
             journal: None,
-            merged: Vec::new(),
-            list: Vec::new(),
+            scratch: NodeScratch::default(),
             heap: BinaryHeap::new(),
             queued: Vec::new(),
         }
@@ -685,8 +880,7 @@ impl CutDb {
         for &pi in aig.inputs() {
             self.push_list_for(pi, &[Cut::trivial(pi)]);
         }
-        let mut list = std::mem::take(&mut self.list);
-        let mut merged = std::mem::take(&mut self.merged);
+        let mut scratch = std::mem::take(&mut self.scratch);
         let (f0s, f1s) = aig.fanin_arrays();
         aig.for_each_and_topo(|id| {
             node_cut_list(
@@ -697,13 +891,11 @@ impl CutDb {
                 self.max_cuts,
                 &self.arena,
                 &self.span,
-                &mut merged,
-                &mut list,
+                &mut scratch,
             );
-            self.push_list_for(id, &list);
+            self.push_list_for(id, &scratch.list);
         });
-        self.list = list;
-        self.merged = merged;
+        self.scratch = scratch;
         self.live = self.arena.len();
     }
 
@@ -725,8 +917,7 @@ impl CutDb {
         let v = self.bump();
         self.versions.resize(n, v);
         self.queued.resize(n, false);
-        let mut list = std::mem::take(&mut self.list);
-        let mut merged = std::mem::take(&mut self.merged);
+        let mut scratch = std::mem::take(&mut self.scratch);
         let (f0s, f1s) = aig.fanin_arrays();
         for id in old_n as NodeId..n as NodeId {
             if aig.is_and(id) {
@@ -738,18 +929,16 @@ impl CutDb {
                     self.max_cuts,
                     &self.arena,
                     &self.span,
-                    &mut merged,
-                    &mut list,
+                    &mut scratch,
                 );
-                self.push_list_for(id, &list);
-                self.live += list.len();
+                self.push_list_for(id, &scratch.list);
+                self.live += scratch.list.len();
             } else {
                 self.push_list_for(id, &[Cut::trivial(id)]);
                 self.live += 1;
             }
         }
-        self.list = list;
-        self.merged = merged;
+        self.scratch = scratch;
     }
 
     /// Recomputes the cut lists invalidated by an in-place edit.
@@ -791,8 +980,7 @@ impl CutDb {
         for &seed in dirty.edited() {
             self.enqueue(seed);
         }
-        let mut list = std::mem::take(&mut self.list);
-        let mut merged = std::mem::take(&mut self.merged);
+        let mut scratch = std::mem::take(&mut self.scratch);
         let (f0s, f1s) = aig.fanin_arrays();
         while let Some(std::cmp::Reverse(id)) = self.heap.pop() {
             self.queued[id as usize] = false;
@@ -804,9 +992,9 @@ impl CutDb {
                 self.max_cuts,
                 &self.arena,
                 &self.span,
-                &mut merged,
-                &mut list,
+                &mut scratch,
             );
+            let list = &scratch.list;
             if self.cuts(id) == &list[..] {
                 continue; // equality cutoff: consumers see no change
             }
@@ -817,13 +1005,12 @@ impl CutDb {
             }
             self.live = self.live + list.len() - (old.1 - old.0) as usize;
             self.versions[id as usize] = self.bump();
-            self.push_list_for(id, &list);
+            self.push_list_for(id, list);
             for &c in inc.consumers(id) {
                 self.enqueue(c);
             }
         }
-        self.list = list;
-        self.merged = merged;
+        self.scratch = scratch;
     }
 
     /// Opens an edit session: span updates are journaled so
@@ -1033,8 +1220,8 @@ pub fn enumerate_cuts_naive(aig: &Aig, k: usize, max_cuts: usize) -> Vec<Vec<Cut
                 let Some(leaves) = merge_leaves(c0.leaves(), c1.leaves(), k) else {
                     continue;
                 };
-                let t0 = expand_tt_minterm(c0.masked_tt(), c0.leaves(), &leaves);
-                let t1 = expand_tt_minterm(c1.masked_tt(), c1.leaves(), &leaves);
+                let t0 = expand_tt_minterm(c0.tt(), c0.leaves(), &leaves);
+                let t1 = expand_tt_minterm(c1.tt(), c1.leaves(), &leaves);
                 let mask = width_mask(leaves.len());
                 let t0 = if f0.is_complement() { !t0 & mask } else { t0 };
                 let t1 = if f1.is_complement() { !t1 & mask } else { t1 };
@@ -1111,6 +1298,65 @@ mod tests {
     }
 
     #[test]
+    fn shrink_support_examples() {
+        // f = x1 over leaves {10, 20}: drops leaf 10.
+        let (tt, kept, nv) = shrink_support(0b1100, &[10, 20]).expect("non-const");
+        assert_eq!(kept[..nv], [20]);
+        assert_eq!(tt & 0b11, 0b10);
+        assert!(shrink_support(0b1111, &[10, 20]).is_none());
+        assert!(shrink_support(0, &[10, 20]).is_none());
+    }
+
+    #[test]
+    fn shrink_support_drops_redundant() {
+        // f = x0 over 2 leaves (leaf 1 redundant).
+        let cut = Cut::from_leaves(&[4, 9], 0b1010);
+        let (tt, kept, nv) = shrink_support(cut.tt(), cut.leaves()).expect("non-const");
+        assert_eq!(kept[..nv], [4]);
+        assert_eq!(tt & 0b11, 0b10);
+        // constant cut
+        let cut = Cut::from_leaves(&[4, 9], 0b0000);
+        assert!(shrink_support(cut.tt(), cut.leaves()).is_none());
+    }
+
+    /// The mask-and-shift support shrink must agree with the retained
+    /// per-minterm compaction — table and kept leaves — over random
+    /// tables of 1..=6 variables with random support subsets,
+    /// constants and full support included.
+    #[test]
+    fn shrink_support_matches_minterm_reference() {
+        let mut rng = SmallRng::seed_from_u64(0x5EED);
+        for round in 0..20_000 {
+            let n = rng.gen_range(1usize..MAX_CUT_SIZE + 1);
+            let leaves: Vec<NodeId> = (0..n as NodeId).map(|i| 3 * i + 1).collect();
+            // A random function over a random subset of the variables:
+            // a random table over `s` variables, expanded onto the
+            // subset's positions (constants when `s` is 0 or the draw
+            // degenerates; full support when every variable is drawn).
+            let subset: Vec<NodeId> = match round % 4 {
+                0 => leaves.clone(),
+                _ => leaves
+                    .iter()
+                    .copied()
+                    .filter(|_| rng.gen::<bool>())
+                    .collect(),
+            };
+            let tt = match round % 16 {
+                1 => 0,
+                2 => width_mask(n),
+                _ => expand_tt(rng.gen::<u64>(), &subset, &leaves),
+            };
+            let got = shrink_support(tt, &leaves);
+            let want = shrink_support_minterm(tt & width_mask(n), &leaves);
+            assert_eq!(got, want, "tt {tt:#x} over {n} leaves");
+            if let Some((t, kept, nv)) = got {
+                assert_eq!(t & !width_mask(nv), 0, "table confined to its width");
+                assert!(kept[..nv].iter().all(|l| subset.contains(l)));
+            }
+        }
+    }
+
+    #[test]
     fn dominance() {
         let small = Cut::from_leaves(&[1, 3], 0);
         let big = Cut::from_leaves(&[1, 2, 3], 0);
@@ -1123,7 +1369,6 @@ mod tests {
     fn construction_masks_tt_and_builds_signature() {
         let c = Cut::from_leaves(&[2, 5], u64::MAX);
         assert_eq!(c.tt(), 0b1111, "tt masked to 2^2 bits at construction");
-        assert_eq!(c.masked_tt(), c.tt());
         assert_eq!(c.signature(), (1 << 2) | (1 << 5));
         // Signature wraps modulo 64.
         let c = Cut::from_leaves(&[64, 129], 0);
@@ -1217,7 +1462,7 @@ mod tests {
                             idx |= 1 << j;
                         }
                     }
-                    let cut_val = cut.masked_tt() >> idx & 1 == 1;
+                    let cut_val = cut.tt() >> idx & 1 == 1;
                     assert_eq!(
                         cut_val,
                         sim.node_bit(id, m),

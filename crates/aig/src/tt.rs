@@ -532,6 +532,71 @@ pub fn npn4_canon(f: u16) -> (u16, Npn4) {
     (best, best_t)
 }
 
+/// A fixed multiplicative hasher for maps keyed by small truth
+/// tables, such as `(num_vars, tt)`.
+///
+/// The resynthesis cache and the mapper's match shortlists look up
+/// one such key per cut, where `std`'s SipHash costs more than the
+/// rest of the lookup. Each integer write is added and multiplied by
+/// an odd constant, and [`Hasher::finish`](std::hash::Hasher::finish)
+/// rotates the well-mixed high bits down to where hash tables take
+/// their bucket index. It is unseeded, so a map's iteration order is
+/// fixed; neither map ever reads it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct TtHasher(u64);
+
+impl TtHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = self
+            .0
+            .wrapping_add(word)
+            .wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+}
+
+impl std::hash::Hasher for TtHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// The [`BuildHasher`](std::hash::BuildHasher) of [`TtHasher`]:
+/// `HashMap<K, V, TtBuildHasher>` is a map hashed by it.
+pub type TtBuildHasher = std::hash::BuildHasherDefault<TtHasher>;
+
 #[cfg(test)]
 mod tests {
     use super::*;

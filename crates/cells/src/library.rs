@@ -178,15 +178,22 @@ impl Library {
     /// # Panics
     ///
     /// Panics if the library has no inverter — every mapping-capable
-    /// library must provide one.
+    /// library must provide one ([`Library::find_inverter`] asks
+    /// without panicking).
     pub fn smallest_inverter(&self) -> CellId {
+        self.find_inverter()
+            .expect("library must contain an inverter")
+    }
+
+    /// Id of the smallest inverter, or `None` when the library has
+    /// none (a user library can lack one; mapping needs it).
+    pub fn find_inverter(&self) -> Option<CellId> {
         self.cells
             .iter()
             .enumerate()
             .filter(|(_, c)| c.num_inputs() == 1 && c.tt & 0b11 == 0b01)
             .min_by(|a, b| a.1.area_um2.total_cmp(&b.1.area_um2))
             .map(|(i, _)| CellId(i as u32))
-            .expect("library must contain an inverter")
     }
 
     /// Inverters ordered by increasing drive strength (decreasing

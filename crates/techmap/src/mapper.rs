@@ -9,9 +9,10 @@
 
 use crate::matcher::{CellMatch, Matcher};
 use crate::netlist::{NetId, Netlist};
-use aig::cut::{enumerate_cuts_into, Cut, CutDb, CutSet};
+use aig::cut::{enumerate_cuts_into, shrink_support, Cut, CutDb, CutSet};
+use aig::tt::TtBuildHasher;
 use aig::{Aig, Lit, NodeId};
-use cells::Library;
+use cells::{CellId, Library};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
@@ -99,6 +100,9 @@ pub enum MapError {
     },
     /// Invalid [`MapOptions`].
     BadOptions(String),
+    /// The library has no inverter, which mapping needs for every
+    /// complemented connection. Reported before any mapping work.
+    NoInverter,
     /// The caller-maintained [`CutDb`] tracks a different node count
     /// than the graph being mapped — it missed a
     /// [`build`](CutDb::build) / [`sync_appends`](CutDb::sync_appends)
@@ -119,6 +123,7 @@ impl fmt::Display for MapError {
         match self {
             MapError::NoMatch { node } => write!(f, "no library match for node {node}"),
             MapError::BadOptions(m) => write!(f, "bad mapping options: {m}"),
+            MapError::NoInverter => f.write_str("the cell library has no inverter"),
             MapError::StaleCuts {
                 db_nodes,
                 graph_nodes,
@@ -168,6 +173,11 @@ struct PreMatch {
     fixed_area: f64,
 }
 
+/// The per-cut-function match shortlist memo, keyed by `(nv, tt)`.
+/// One lookup per cut, so it hashes with the fixed multiplicative
+/// [`TtHasher`](aig::tt::TtHasher); nothing reads its iteration order.
+type Shortlists = HashMap<(u8, u64), Vec<PreMatch>, TtBuildHasher>;
+
 /// Reusable state for [`Mapper::map_with`]: the cut arena, the
 /// `chosen`/`arrival`/`flow` DP tables, and a per-cut-function match
 /// shortlist memo.
@@ -193,7 +203,7 @@ pub struct MapContext {
     pub(crate) chosen: Vec<Option<Chosen>>,
     arrival: Vec<f64>,
     flow: Vec<f64>,
-    shortlists: HashMap<(u8, u64), Vec<PreMatch>>,
+    shortlists: Shortlists,
     /// [`Mapper::instance_id`] the memo was built for.
     fingerprint: Option<u64>,
     /// Node count the DP rows (`chosen`/`arrival`/`flow`) are valid
@@ -391,6 +401,9 @@ pub struct Mapper<'a> {
     lib: &'a Library,
     matcher: Matcher,
     opts: MapOptions,
+    /// The library's smallest inverter, resolved once; `None` makes
+    /// every mapping call fail with [`MapError::NoInverter`].
+    inverter: Option<CellId>,
     /// Process-unique id keying context memos to this mapper (never
     /// reused, so a dropped mapper's cached constants can't be
     /// mistaken for a new mapper's — unlike an address comparison).
@@ -406,8 +419,16 @@ impl<'a> Mapper<'a> {
             lib,
             matcher: Matcher::new(lib),
             opts,
+            inverter: lib.find_inverter(),
             instance_id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
         }
+    }
+
+    /// Checks what every mapping call needs before it does any work:
+    /// valid options ([`MapOptions::validate`]) and an inverter.
+    fn check_ready(&self) -> Result<CellId, MapError> {
+        self.opts.validate()?;
+        self.inverter.ok_or(MapError::NoInverter)
     }
 
     /// The library this mapper targets.
@@ -429,9 +450,10 @@ impl<'a> Mapper<'a> {
     /// # Errors
     ///
     /// [`MapError::BadOptions`] for out-of-range options (checked
-    /// up front, see [`MapOptions::validate`]); [`MapError::NoMatch`]
-    /// if some node cannot be matched (possible only with an
-    /// incomplete user library).
+    /// up front, see [`MapOptions::validate`]) and
+    /// [`MapError::NoInverter`] for a library without an inverter
+    /// (also up front); [`MapError::NoMatch`] if some node cannot be
+    /// matched (possible only with an incomplete user library).
     pub fn map(&self, aig: &Aig) -> Result<Netlist, MapError> {
         self.map_with(&mut MapContext::new(), aig)
     }
@@ -445,10 +467,11 @@ impl<'a> Mapper<'a> {
     ///
     /// # Errors
     ///
-    /// Exactly [`Mapper::map`]'s errors: options are validated first,
-    /// so bad options never surface as a later [`MapError::NoMatch`].
+    /// Exactly [`Mapper::map`]'s errors: options and the inverter are
+    /// checked first, so neither surfaces as a later
+    /// [`MapError::NoMatch`].
     pub fn map_with(&self, ctx: &mut MapContext, aig: &Aig) -> Result<Netlist, MapError> {
-        self.opts.validate()?;
+        let inv = self.check_ready()?;
         // The shortlist memo folds this mapper's library and load
         // model into its constants: rebuild it if the context last
         // served a different mapper.
@@ -484,6 +507,7 @@ impl<'a> Mapper<'a> {
 
         Ok(self.build_netlist(
             aig,
+            inv,
             &ctx.chosen,
             &mut ctx.net_of,
             &mut ctx.inv_of,
@@ -541,6 +565,7 @@ impl<'a> Mapper<'a> {
         self.dp_update(ctx, aig, cuts, dirty_since)?;
         Ok(self.build_netlist(
             aig,
+            self.inverter.expect("dp_update checked the inverter"),
             &ctx.chosen,
             &mut ctx.net_of,
             &mut ctx.inv_of,
@@ -591,7 +616,7 @@ impl<'a> Mapper<'a> {
         cuts: &CutDb,
         dirty_since: NodeId,
     ) -> Result<NodeId, MapError> {
-        self.opts.validate()?;
+        self.check_ready()?;
         if cuts.k() != self.opts.cut_size || cuts.max_cuts() != self.opts.max_cuts {
             return Err(MapError::BadOptions(format!(
                 "cut database (k={}, max_cuts={}) does not match mapper options (k={}, max_cuts={})",
@@ -1080,17 +1105,21 @@ impl<'a> Mapper<'a> {
         fanout: &[u32],
         arrival: &[f64],
         flow: &[f64],
-        shortlists: &mut HashMap<(u8, u64), Vec<PreMatch>>,
+        shortlists: &mut Shortlists,
     ) -> Option<Chosen> {
         let mut best: Option<Chosen> = None;
         for cut in cut_list {
             if cut.size() == 1 && cut.leaves()[0] == id {
                 continue; // trivial cut: a node cannot implement itself
             }
-            let Some((tt, leaves)) = shrink_support(cut) else {
+            let Some((tt, kept, nv)) = shrink_support(cut.tt(), cut.leaves()) else {
                 continue; // constant function over the cut
             };
-            let nv = leaves.len as usize;
+            debug_assert!(nv <= 4, "mapper cuts have at most four leaves");
+            let leaves = CutLeaves {
+                arr: [kept[0], kept[1], kept[2], kept[3]],
+                len: nv as u8,
+            };
             let matches = shortlists
                 .entry((nv as u8, tt))
                 .or_insert_with(|| self.build_shortlist(nv, tt));
@@ -1136,7 +1165,10 @@ impl<'a> Mapper<'a> {
     /// large — such a match can never be selected, under either
     /// goal, for any leaf arrivals).
     fn build_shortlist(&self, nv: usize, tt: u64) -> Vec<PreMatch> {
-        let inv = self.lib.cell(self.lib.smallest_inverter());
+        let inv = self.lib.cell(
+            self.inverter
+                .expect("mapping calls check the inverter first"),
+        );
         let inv_delay = inv.pins[0].intrinsic_ps + inv.drive_res * self.opts.est_load_ff;
         let inv_area = inv.area_um2;
         let mut out: Vec<PreMatch> = Vec::new();
@@ -1177,13 +1209,13 @@ impl<'a> Mapper<'a> {
     fn build_netlist(
         &self,
         aig: &Aig,
+        inv_cell: CellId,
         chosen: &[Option<Chosen>],
         net_of: &mut Vec<Option<NetId>>,
         inv_of: &mut Vec<Option<NetId>>,
         stack: &mut Vec<(NodeId, bool)>,
     ) -> Netlist {
         let mut nl = Netlist::new();
-        let inv_cell = self.lib.smallest_inverter();
         net_of.clear();
         net_of.resize(aig.num_nodes(), None);
         inv_of.clear();
@@ -1193,7 +1225,7 @@ impl<'a> Mapper<'a> {
         fn inverter_of(
             nl: &mut Netlist,
             inv_of: &mut Vec<Option<NetId>>,
-            inv_cell: cells::CellId,
+            inv_cell: CellId,
             base: NetId,
         ) -> NetId {
             let idx = base.0 as usize;
@@ -1279,64 +1311,6 @@ fn emit_eq(a: &Option<Chosen>, b: &Option<Chosen>) -> bool {
         (Some(a), Some(b)) => a.m == b.m && a.leaves.as_slice() == b.leaves.as_slice(),
         _ => false,
     }
-}
-
-/// Removes non-support leaves from a cut; returns the compacted
-/// (tt, leaves) without heap allocation, or `None` if the function is
-/// constant.
-fn shrink_support(cut: &Cut) -> Option<(u64, CutLeaves)> {
-    let nv = cut.size();
-    debug_assert!(nv <= 4);
-    let tt = cut.masked_tt();
-    let mut kept_var = [0usize; 4];
-    let mut leaves = CutLeaves {
-        arr: [0; 4],
-        len: 0,
-    };
-    for (i, &leaf) in cut.leaves().iter().enumerate() {
-        if depends_u64(tt, nv, i) {
-            kept_var[leaves.len as usize] = i;
-            leaves.arr[leaves.len as usize] = leaf;
-            leaves.len += 1;
-        }
-    }
-    if leaves.len == 0 {
-        return None;
-    }
-    // Compact the tt onto the kept variables.
-    let knv = leaves.len as usize;
-    let mut out = 0u64;
-    for m in 0..(1usize << knv) {
-        let mut src = 0usize;
-        for (jj, &orig) in kept_var.iter().take(knv).enumerate() {
-            src |= ((m >> jj) & 1) << orig;
-        }
-        out |= ((tt >> src) & 1) << m;
-    }
-    Some((out, leaves))
-}
-
-/// Dependence test for a `u64` truth table over `nv <= 6` variables.
-fn depends_u64(tt: u64, nv: usize, i: usize) -> bool {
-    debug_assert!(i < nv && nv <= 6);
-    let bits = 1usize << nv;
-    let mask = if bits >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << bits) - 1
-    };
-    const KEEP: [u64; 6] = [
-        0x5555_5555_5555_5555,
-        0x3333_3333_3333_3333,
-        0x0F0F_0F0F_0F0F_0F0F,
-        0x00FF_00FF_00FF_00FF,
-        0x0000_FFFF_0000_FFFF,
-        0x0000_0000_FFFF_FFFF,
-    ];
-    let shift = 1usize << i;
-    let lo = tt & KEEP[i] & mask;
-    let hi = (tt >> shift) & KEEP[i] & mask;
-    lo != hi
 }
 
 #[cfg(test)]
@@ -1740,15 +1714,52 @@ mod tests {
         ));
     }
 
+    /// A user library without an inverter is a typed error before any
+    /// mapping work, on every entry point; one with only an inverter
+    /// still reports the first unmatchable node.
     #[test]
-    fn shrink_support_drops_redundant() {
-        // f = x0 over 2 leaves (leaf 1 redundant).
-        let cut = Cut::from_leaves(&[4, 9], 0b1010);
-        let (tt, leaves) = shrink_support(&cut).expect("non-const");
-        assert_eq!(leaves.as_slice(), &[4]);
-        assert_eq!(tt & 0b11, 0b10);
-        // constant cut
-        let cut = Cut::from_leaves(&[4, 9], 0b0000);
-        assert!(shrink_support(&cut).is_none());
+    fn library_without_inverter_is_a_typed_error() {
+        let full = sky130ish();
+        let only = |names: &[&str]| {
+            let mut lib = Library::new("user", full.wire_cap_per_fanout_ff());
+            for c in full
+                .cells()
+                .iter()
+                .filter(|c| names.contains(&c.name.as_str()))
+            {
+                lib.push(c.clone());
+            }
+            assert_eq!(lib.len(), names.len(), "cells {names:?} exist");
+            lib
+        };
+        let g = random_aig(5, 5, 30);
+        let nand_only = only(&["NAND2_X1"]);
+        assert!(nand_only.find_inverter().is_none());
+        let mapper = Mapper::new(&nand_only, MapOptions::default());
+        assert!(matches!(mapper.map(&g), Err(MapError::NoInverter)));
+        let mut ctx = MapContext::new();
+        assert!(matches!(
+            mapper.map_with(&mut ctx, &g),
+            Err(MapError::NoInverter)
+        ));
+        let mut db = CutDb::new(4, 8);
+        db.build(&g);
+        assert!(matches!(
+            mapper.map_incremental(&mut ctx, &g, &db, 0),
+            Err(MapError::NoInverter)
+        ));
+        let mut design = crate::MappedDesign::new();
+        assert!(matches!(
+            mapper.sync_design(&mut ctx, &g, &db, 0, &mut design),
+            Err(MapError::NoInverter)
+        ));
+        assert_eq!(
+            MapError::NoInverter.to_string(),
+            "the cell library has no inverter"
+        );
+
+        let inv_only = only(&["INV_X1"]);
+        let mapper = Mapper::new(&inv_only, MapOptions::default());
+        assert!(matches!(mapper.map(&g), Err(MapError::NoMatch { .. })));
     }
 }

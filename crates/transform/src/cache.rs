@@ -9,7 +9,10 @@
 //! levels:
 //!
 //! * a **raw map** keyed by `(nv, tt)` holds the exact derived
-//!   structure (`Arc`-shared, so lookups clone a pointer);
+//!   structure (`Arc`-shared, so lookups clone a pointer). It is
+//!   looked up once per cut, so it hashes with the fixed
+//!   multiplicative [`TtHasher`](aig::tt::TtHasher) instead of
+//!   `std`'s SipHash; nothing reads its iteration order;
 //! * a **canonical map** holds one synthesized structure per
 //!   4-variable NPN class; raw misses derive from it instead of
 //!   re-running ISOP + factoring.
@@ -22,7 +25,7 @@
 
 use crate::factor::synthesize;
 use crate::structure::{SRef, SmallStructure};
-use aig::tt::{npn4_canon, Npn4, Tt};
+use aig::tt::{npn4_canon, Npn4, Tt, TtBuildHasher};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -37,7 +40,7 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct ResynthCache {
     enabled: bool,
-    raw: RefCell<HashMap<(u8, u64), Arc<SmallStructure>>>,
+    raw: RefCell<HashMap<(u8, u64), Arc<SmallStructure>, TtBuildHasher>>,
     canon: RefCell<HashMap<u16, Arc<SmallStructure>>>,
     hits: Cell<u64>,
     misses: Cell<u64>,

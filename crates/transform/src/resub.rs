@@ -14,7 +14,7 @@
 //! complete cut), so no SAT or fraiging is needed for soundness.
 
 use crate::rewrite::{substitute_simplifying, substitution_is_acyclic, InplaceStats};
-use aig::cut::{enumerate_cuts, expand_tt, CutDb};
+use aig::cut::{enumerate_cuts, CutDb};
 use aig::incremental::Transaction;
 use aig::{Aig, Lit, NodeId};
 
@@ -54,9 +54,10 @@ pub fn resub(aig: &Aig) -> Aig {
     for (idx, &pi) in old.inputs().iter().enumerate() {
         map[pi as usize] = new.add_named_input(old.input_name(idx).map(str::to_owned));
     }
-    // Scratch buffers reused across nodes.
+    // Scratch buffers reused across cuts.
     let mut cone: Vec<NodeId> = Vec::new();
-    let mut tts: std::collections::HashMap<NodeId, u64> = std::collections::HashMap::new();
+    let mut stack: Vec<NodeId> = Vec::new();
+    let mut tables = ConeTables::default();
 
     for id in old.and_ids() {
         let [f0, f1] = old.fanins(id);
@@ -64,41 +65,24 @@ pub fn resub(aig: &Aig) -> Aig {
         let b = map[f1.var() as usize].complement_if(f1.is_complement());
         let mut replacement: Option<Lit> = None;
         'cuts: for cut in cuts.cuts(id) {
-            if cut.size() < 2 || (cut.size() == 1 && cut.leaves()[0] == id) {
+            if cut.size() < 2 {
                 continue;
             }
-            let nv = cut.size();
-            let bits = 1usize << nv;
-            let mask = if bits >= 64 {
-                u64::MAX
-            } else {
-                (1u64 << bits) - 1
-            };
+            let mask = width_mask(cut.size());
             // Collect the cone between the cut and `id` (DFS).
-            cone.clear();
-            tts.clear();
+            tables.next_cut(old.num_nodes());
             for (j, &leaf) in cut.leaves().iter().enumerate() {
-                let mut t = 0u64;
-                for m in 0..bits {
-                    if m >> j & 1 == 1 {
-                        t |= 1 << m;
-                    }
-                }
-                tts.insert(leaf, t);
+                tables.set(leaf, VAR_TT[j] & mask);
             }
-            collect_cone(&old, id, cut.leaves(), &mut cone);
+            collect_cone(&old, id, &mut tables, &mut cone, &mut stack);
             // Evaluate cone nodes bottom-up (cone is in topo order
             // because ids are topologically sorted).
             cone.sort_unstable();
-            let root_tt = cut.masked_tt();
-            debug_assert_eq!(
-                root_tt,
-                expand_tt(root_tt, cut.leaves(), cut.leaves()) & mask
-            );
+            let root_tt = cut.tt();
             for &m in &cone {
                 let [g0, g1] = old.fanins(m);
-                let t0 = tts[&g0.var()];
-                let t1 = tts[&g1.var()];
+                let t0 = tables.get(g0.var());
+                let t1 = tables.get(g1.var());
                 let t0 = if g0.is_complement() { !t0 & mask } else { t0 };
                 let t1 = if g1.is_complement() { !t1 & mask } else { t1 };
                 let t = t0 & t1;
@@ -112,19 +96,24 @@ pub fn resub(aig: &Aig) -> Aig {
                         break 'cuts;
                     }
                 }
-                tts.insert(m, t);
+                tables.set(m, t);
             }
-            // A leaf itself may equal the root function (buffer).
-            for (&leaf, &t) in tts.iter() {
-                if leaf != id && !old.is_and(leaf) {
-                    if t == root_tt {
-                        replacement = Some(Lit::new(leaf, false));
-                        break 'cuts;
-                    }
-                    if (!t & mask) == root_tt {
-                        replacement = Some(Lit::new(leaf, true));
-                        break 'cuts;
-                    }
+            // A primary-input leaf may equal the root function
+            // (buffer). Distinct leaves have distinct projections, so
+            // at most one leaf in one polarity can match: the walk's
+            // order does not matter.
+            for (j, &leaf) in cut.leaves().iter().enumerate() {
+                if old.is_and(leaf) {
+                    continue;
+                }
+                let t = VAR_TT[j] & mask;
+                if t == root_tt {
+                    replacement = Some(Lit::new(leaf, false));
+                    break 'cuts;
+                }
+                if (!t & mask) == root_tt {
+                    replacement = Some(Lit::new(leaf, true));
+                    break 'cuts;
                 }
             }
         }
@@ -138,6 +127,71 @@ pub fn resub(aig: &Aig) -> Aig {
         new.add_output(l, o.name.clone());
     }
     new.sweep()
+}
+
+/// `VAR_TT[j]`: the projection of cut variable `j` (bit `m` set iff
+/// bit `j` of `m` is), before masking to the cut's width.
+const VAR_TT: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// The all-ones table of an `nv`-variable function.
+fn width_mask(nv: usize) -> u64 {
+    let bits = 1usize << nv;
+    if bits >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << bits) - 1
+    }
+}
+
+/// Dense per-node truth tables of one cut's cone. An entry holds for
+/// the current cut only when its stamp is the current one, so starting
+/// the next cut clears every entry at once; every read is of a leaf or
+/// of a cone node written earlier for the same cut.
+#[derive(Debug, Default)]
+struct ConeTables {
+    /// `(stamp, table)` per node id.
+    entries: Vec<(u32, u64)>,
+    stamp: u32,
+}
+
+impl ConeTables {
+    /// Starts the next cut over a graph of `num_nodes` nodes: no entry
+    /// holds afterwards.
+    fn next_cut(&mut self, num_nodes: usize) {
+        if self.entries.len() < num_nodes {
+            self.entries.resize(num_nodes, (0, 0));
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.entries.fill((0, 0));
+            self.stamp = 1;
+        }
+    }
+
+    /// Whether node `v` has a table for the current cut.
+    #[inline]
+    fn has(&self, v: NodeId) -> bool {
+        self.entries[v as usize].0 == self.stamp
+    }
+
+    /// The table of node `v`, written for the current cut.
+    #[inline]
+    fn get(&self, v: NodeId) -> u64 {
+        debug_assert!(self.has(v), "node {v} read before written for this cut");
+        self.entries[v as usize].1
+    }
+
+    #[inline]
+    fn set(&mut self, v: NodeId, tt: u64) {
+        self.entries[v as usize] = (self.stamp, tt);
+    }
 }
 
 /// Cone node cap for the windowed in-place move: cuts whose cone
@@ -188,8 +242,9 @@ pub fn resub_inplace_window(
     }
     let start = start.clamp(1, n - 1);
     let mut examined = 0usize;
-    let mut tts: std::collections::HashMap<NodeId, u64> = std::collections::HashMap::new();
+    let mut tables = ConeTables::default();
     let mut stack: Vec<NodeId> = Vec::new();
+    let mut evaluated: Vec<NodeId> = Vec::new();
     for id in (start..n).chain(1..start) {
         if examined >= max_nodes {
             break;
@@ -204,14 +259,8 @@ pub fn resub_inplace_window(
             if cut.size() < 2 {
                 continue;
             }
-            let nv = cut.size();
-            let bits = 1usize << nv;
-            let mask = if bits >= 64 {
-                u64::MAX
-            } else {
-                (1u64 << bits) - 1
-            };
-            let root_tt = cut.masked_tt();
+            let mask = width_mask(cut.size());
+            let root_tt = cut.tt();
             if root_tt == 0 || root_tt == mask {
                 // Constant cone: unbeatable, and cut rewriting's
                 // territory anyway.
@@ -222,22 +271,16 @@ pub fn resub_inplace_window(
             // Seed the cut leaves with their projection tables, then
             // evaluate the cone by memoized DFS (ids may not be in
             // topological order once forward references exist).
-            tts.clear();
+            tables.next_cut(txn.aig().num_nodes());
             for (j, &leaf) in cut.leaves().iter().enumerate() {
-                let mut t = 0u64;
-                for m in 0..bits {
-                    if m >> j & 1 == 1 {
-                        t |= 1 << m;
-                    }
-                }
-                tts.insert(leaf, t);
+                tables.set(leaf, VAR_TT[j] & mask);
             }
+            evaluated.clear();
             stack.clear();
             stack.push(id);
-            let mut evaluated = 0usize;
             let mut abandoned = false;
             while let Some(&m) = stack.last() {
-                if tts.contains_key(&m) {
+                if tables.has(m) {
                     stack.pop();
                     continue;
                 }
@@ -250,7 +293,7 @@ pub fn resub_inplace_window(
                 let [g0, g1] = txn.aig().fanins(m);
                 let mut ready = true;
                 for f in [g0, g1] {
-                    if !tts.contains_key(&f.var()) {
+                    if !tables.has(f.var()) {
                         stack.push(f.var());
                         ready = false;
                     }
@@ -258,30 +301,35 @@ pub fn resub_inplace_window(
                 if !ready {
                     continue;
                 }
-                evaluated += 1;
-                if evaluated > MAX_CONE_NODES {
+                if evaluated.len() == MAX_CONE_NODES {
                     abandoned = true;
                     break;
                 }
-                let t0 = tts[&g0.var()];
-                let t1 = tts[&g1.var()];
+                evaluated.push(m);
+                let t0 = tables.get(g0.var());
+                let t1 = tables.get(g1.var());
                 let t0 = if g0.is_complement() { !t0 & mask } else { t0 };
                 let t1 = if g1.is_complement() { !t1 & mask } else { t1 };
-                tts.insert(m, t0 & t1);
+                tables.set(m, t0 & t1);
                 stack.pop();
             }
             if abandoned {
                 continue;
             }
-            debug_assert_eq!(tts[&id], root_tt, "cone evaluation disagrees with the cut");
+            debug_assert_eq!(
+                tables.get(id),
+                root_tt,
+                "cone evaluation disagrees with the cut"
+            );
             // Any cone member or leaf computing the root function (or
-            // its complement) is an exact replacement. Min over the
-            // map is order-independent, so the HashMap's iteration
-            // order cannot leak into the result.
-            for (&w, &t) in tts.iter() {
+            // its complement) is an exact replacement. The minimum is
+            // order-independent, so the walk's order cannot leak into
+            // the result.
+            for &w in cut.leaves().iter().chain(&evaluated) {
                 if w == id {
                     continue;
                 }
+                let t = tables.get(w);
                 let lit = if t == root_tt {
                     Lit::new(w, false)
                 } else if (!t & mask) == root_tt {
@@ -304,22 +352,29 @@ pub fn resub_inplace_window(
     stats
 }
 
-/// Collects the AND nodes strictly inside the cone of `root` over
-/// `leaves` (excluding the leaves, including `root`).
-fn collect_cone(aig: &Aig, root: NodeId, leaves: &[NodeId], out: &mut Vec<NodeId>) {
-    let mut stack = vec![root];
+/// Collects the AND nodes strictly inside the cone of `root` over the
+/// cut whose leaves `tables` holds (excluding the leaves, including
+/// `root`) into `out`, marking each in `tables` (its table is written
+/// when the cone is evaluated). `stack` is caller-owned scratch.
+fn collect_cone(
+    aig: &Aig,
+    root: NodeId,
+    tables: &mut ConeTables,
+    out: &mut Vec<NodeId>,
+    stack: &mut Vec<NodeId>,
+) {
+    out.clear();
+    stack.clear();
+    stack.push(root);
     while let Some(n) = stack.pop() {
-        if out.contains(&n) || leaves.contains(&n) && n != root {
-            continue;
+        if tables.has(n) {
+            continue; // a leaf, or collected already
         }
-        if leaves.contains(&n) {
-            continue;
-        }
+        tables.set(n, 0);
         out.push(n);
         if aig.is_and(n) {
-            let [f0, f1] = aig.fanins(n);
-            for f in [f0, f1] {
-                if !leaves.contains(&f.var()) && aig.is_and(f.var()) {
+            for f in aig.fanins(n) {
+                if !tables.has(f.var()) && aig.is_and(f.var()) {
                     stack.push(f.var());
                 }
             }

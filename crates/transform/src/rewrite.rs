@@ -16,11 +16,12 @@
 use crate::cache::ResynthCache;
 use crate::structure::SmallStructure;
 use aig::analysis::levels;
-use aig::cut::{enumerate_cuts, CutDb};
+use aig::cut::{enumerate_cuts, shrink_support, CutDb};
 use aig::incremental::Transaction;
 use aig::{Aig, Lit, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Options for the resynthesis engine.
@@ -418,10 +419,10 @@ pub fn resynth_inplace_window(
             if cut.size() == 1 && cut.leaves()[0] == id {
                 continue; // trivial cut: a node cannot define itself
             }
-            match shrink_support(cut.masked_tt(), cut.leaves()) {
+            match shrink_support(cut.tt(), cut.leaves()) {
                 None => {
                     // Constant cone: always the best possible outcome.
-                    let lit = if cut.masked_tt() & 1 == 1 {
+                    let lit = if cut.tt() & 1 == 1 {
                         Lit::TRUE
                     } else {
                         Lit::FALSE
@@ -470,17 +471,23 @@ pub fn resynth_inplace_window(
                             if !improves(mode, est_depth, node_level) {
                                 continue;
                             }
-                            let est_cost = structure.dry_cost(txn.aig(), &leaves[..nv]);
-                            if stats.appended_nodes + est_cost > MAX_WINDOW_APPENDS {
+                            // The cone must fit the pass's append budget
+                            // and beat the best `(depth, cost)` so far:
+                            // count its cost only up to what could.
+                            let budget = MAX_WINDOW_APPENDS.saturating_sub(stats.appended_nodes);
+                            let bound = match &best_cone {
+                                None => budget,
+                                Some((d, c, ..)) => match est_depth.cmp(d) {
+                                    Ordering::Less => budget,
+                                    Ordering::Equal if *c > 0 => budget.min(c - 1),
+                                    _ => continue,
+                                },
+                            };
+                            let est_cost = structure.dry_cost(txn.aig(), &leaves[..nv], bound);
+                            if est_cost > bound {
                                 continue;
                             }
-                            let better = match &best_cone {
-                                None => true,
-                                Some((d, c, ..)) => (est_depth, est_cost) < (*d, *c),
-                            };
-                            if better {
-                                best_cone = Some((est_depth, est_cost, structure, leaves, nv));
-                            }
+                            best_cone = Some((est_depth, est_cost, structure, leaves, nv));
                         }
                         None => {}
                     }
@@ -635,9 +642,9 @@ pub fn resynthesize_with(aig: &Aig, opts: &ResynthOptions, cache: &ResynthCache)
             if cut.size() == 1 && cut.leaves()[0] == id {
                 continue; // trivial cut: a node cannot define itself
             }
-            match shrink_support(cut.masked_tt(), cut.leaves()) {
+            match shrink_support(cut.tt(), cut.leaves()) {
                 None => {
-                    best = Some(Candidate::Const(cut.masked_tt() & 1 == 1));
+                    best = Some(Candidate::Const(cut.tt() & 1 == 1));
                     break;
                 }
                 Some((tt, kept, nv)) => {
@@ -648,16 +655,27 @@ pub fn resynthesize_with(aig: &Aig, opts: &ResynthOptions, cache: &ResynthCache)
                     }
                     debug_assert!(mapped[..nv].iter().all(|&l| l != Lit::INVALID));
                     let structure = cache.structure_for(nv, tt);
-                    let cost = structure.dry_cost(&new, &mapped[..nv]);
+                    if perturb_here {
+                        // `best` is discarded whenever the pool is
+                        // non-empty, so a pooled cut needs no price.
+                        pool.push((structure, mapped, nv));
+                        continue;
+                    }
+                    // A candidate replaces `best` only below its rank,
+                    // and is applied only at or below the default
+                    // cost: past the smaller of the two it can do
+                    // neither, so its count stops there.
+                    let bound = best_rank.0.min(default_cost);
+                    let cost = structure.dry_cost(&new, &mapped[..nv], bound);
+                    if cost > bound {
+                        continue;
+                    }
                     let depth = structure.depth()
                         + kept
                             .iter()
                             .map(|&l| old_levels.level[l as usize])
                             .max()
                             .unwrap_or(0);
-                    if perturb_here {
-                        pool.push((Arc::clone(&structure), mapped, nv));
-                    }
                     if (cost, depth) < best_rank {
                         best_rank = (cost, depth);
                         best = Some(Candidate::Structure {
@@ -707,56 +725,6 @@ pub fn resynthesize_with(aig: &Aig, opts: &ResynthOptions, cache: &ResynthCache)
         new.add_output(l, o.name.clone());
     }
     new.sweep()
-}
-
-/// Drops non-support variables from a `u64` truth table over sorted
-/// leaves: returns the shrunk table and the `nv` surviving leaves (in
-/// order, the first `nv` array entries), or `None` when the function
-/// is constant. Allocation-free; both resynthesis loops call it once
-/// per cut.
-fn shrink_support(tt: u64, leaves: &[NodeId]) -> Option<(u64, [NodeId; 6], usize)> {
-    let nv = leaves.len();
-    debug_assert!(nv <= 6);
-    const KEEP: [u64; 6] = [
-        0x5555_5555_5555_5555,
-        0x3333_3333_3333_3333,
-        0x0F0F_0F0F_0F0F_0F0F,
-        0x00FF_00FF_00FF_00FF,
-        0x0000_FFFF_0000_FFFF,
-        0x0000_0000_FFFF_FFFF,
-    ];
-    let bits = 1usize << nv;
-    let mask = if bits >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << bits) - 1
-    };
-    // Surviving leaves and their original variable positions.
-    let mut kept: [NodeId; 6] = [0; 6];
-    let mut orig = [0usize; 6];
-    let mut knv = 0;
-    for (i, &leaf) in leaves.iter().enumerate() {
-        let shift = 1usize << i;
-        let lo = tt & KEEP[i] & mask;
-        let hi = (tt >> shift) & KEEP[i] & mask;
-        if lo != hi {
-            kept[knv] = leaf;
-            orig[knv] = i;
-            knv += 1;
-        }
-    }
-    if knv == 0 {
-        return None;
-    }
-    let mut out = 0u64;
-    for m in 0..(1usize << knv) {
-        let mut src = 0usize;
-        for (jj, &o) in orig[..knv].iter().enumerate() {
-            src |= ((m >> jj) & 1) << o;
-        }
-        out |= ((tt >> src) & 1) << m;
-    }
-    Some((out, kept, knv))
 }
 
 #[cfg(test)]
@@ -871,16 +839,6 @@ mod tests {
         let r = refactor(&g);
         assert!(equiv_exhaustive(&g, &r).expect("small"));
         assert_eq!(r.num_ands(), 0);
-    }
-
-    #[test]
-    fn shrink_support_examples() {
-        // f = x1 over leaves {10, 20}: drops leaf 10.
-        let (tt, kept, nv) = shrink_support(0b1100, &[10, 20]).expect("non-const");
-        assert_eq!(kept[..nv], [20]);
-        assert_eq!(tt & 0b11, 0b10);
-        assert!(shrink_support(0b1111, &[10, 20]).is_none());
-        assert!(shrink_support(0, &[10, 20]).is_none());
     }
 
     /// In-place rewriting preserves function, never creates nodes,

@@ -139,27 +139,31 @@ impl SmallStructure {
     /// would create in `g` — an upper bound: ops whose operands are
     /// unresolved are pessimistically counted as new nodes.
     ///
+    /// The count stops as soon as it exceeds `bound`: the result is
+    /// exact when it is at most `bound`, and otherwise some value
+    /// above `bound` (pass `usize::MAX` for the exact count). A
+    /// caller that can only use a cost up to some bound — a candidate
+    /// that could neither win nor be applied — thus skips the rest of
+    /// the structure.
+    ///
     /// Allocation-free like [`SmallStructure::find`]: whole-graph
     /// resynthesis prices every cut of every node with it.
-    pub fn dry_cost(&self, g: &Aig, leaves: &[Lit]) -> usize {
+    pub fn dry_cost(&self, g: &Aig, leaves: &[Lit], bound: usize) -> usize {
         with_scratch(self.ops.len(), None, |vals| {
             let mut cost = 0usize;
             for (i, &(a, b)) in self.ops.iter().enumerate() {
                 let la = self.try_resolve(a, leaves, &vals[..i]);
                 let lb = self.try_resolve(b, leaves, &vals[..i]);
                 vals[i] = match (la, lb) {
-                    (Some(x), Some(y)) => {
-                        let found = g.find_and(x, y);
-                        if found.is_none() {
-                            cost += 1;
-                        }
-                        found
-                    }
-                    _ => {
-                        cost += 1;
-                        None
-                    }
+                    (Some(x), Some(y)) => g.find_and(x, y),
+                    _ => None,
                 };
+                if vals[i].is_none() {
+                    cost += 1;
+                    if cost > bound {
+                        break;
+                    }
+                }
             }
             cost
         })
@@ -358,7 +362,7 @@ mod tests {
         // Pre-build x0 & x1 so one op already exists.
         let _existing = g.and(lits[0], lits[1]);
         let before = g.num_ands();
-        let est = s.dry_cost(&g, &lits);
+        let est = s.dry_cost(&g, &lits, usize::MAX);
         let _f = s.instantiate(&mut g, &lits);
         let actual = g.num_ands() - before;
         assert!(est >= actual, "estimate {est} must bound actual {actual}");
@@ -372,9 +376,30 @@ mod tests {
         let mut g = Aig::new();
         let a = g.add_input();
         let b = g.add_input();
-        assert_eq!(s.dry_cost(&g, &[a, b]), 1);
+        assert_eq!(s.dry_cost(&g, &[a, b], usize::MAX), 1);
         let _ = g.and(a, b);
-        assert_eq!(s.dry_cost(&g, &[a, b]), 0);
+        assert_eq!(s.dry_cost(&g, &[a, b], usize::MAX), 0);
+    }
+
+    /// A bounded count is exact up to its bound and stops above it.
+    #[test]
+    fn dry_cost_stops_past_its_bound() {
+        let mut s = SmallStructure::default();
+        let ab = s.push_and(leaf(0), leaf(1));
+        let cd = s.push_and(leaf(2), leaf(3));
+        s.out = s.push_and(ab, cd);
+        let mut g = Aig::new();
+        let lits: Vec<Lit> = (0..4).map(|_| g.add_input()).collect();
+        assert_eq!(s.dry_cost(&g, &lits, usize::MAX), 3);
+        assert_eq!(s.dry_cost(&g, &lits, 3), 3);
+        assert_eq!(
+            s.dry_cost(&g, &lits, 1),
+            2,
+            "stops at the first count past 1"
+        );
+        assert_eq!(s.dry_cost(&g, &lits, 0), 1);
+        let _ = g.and(lits[0], lits[1]);
+        assert_eq!(s.dry_cost(&g, &lits, 2), 2);
     }
 
     #[test]
@@ -408,6 +433,6 @@ mod tests {
         };
         let mut g = Aig::new();
         assert_eq!(s.instantiate(&mut g, &[]), Lit::TRUE);
-        assert_eq!(s.dry_cost(&g, &[]), 0);
+        assert_eq!(s.dry_cost(&g, &[], usize::MAX), 0);
     }
 }
