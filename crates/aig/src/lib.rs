@@ -38,10 +38,22 @@
 //! *leaf signature*, so leaf merging and dominance filtering are
 //! allocation-free and dominance checks short-circuit through an O(1)
 //! signature-subset prefilter. Per-node cut lists live in one flat
-//! arena inside [`cut::CutSet`]. The naive `Vec`-per-cut
-//! implementation is retained as [`cut::enumerate_cuts_naive`] — it is
-//! the oracle for the parity tests and the baseline for the
-//! `cut_enum` component benchmark.
+//! arena inside [`cut::CutSet`]. A node's list does only the work it
+//! needs: the fanin pair loop reads signatures alone, a pair is merged
+//! only when the size-ordered pass reaches its popcount bound (pairs
+//! bounded above the size at which the list filled are never merged),
+//! and a truth table is computed only for a cut that is kept. The
+//! naive `Vec`-per-cut implementation is retained as
+//! [`cut::enumerate_cuts_naive`] — it is the oracle for the parity
+//! tests and the baseline for the `cut_enum` component benchmark.
+//!
+//! Every consumer of cut functions — both resynthesis loops and the
+//! technology mapper — reduces a cut to its support through the one
+//! [`cut::shrink_support`]: a full-support cut (nearly all of them)
+//! returns its table unchanged, and each missing variable costs one
+//! O(n) mask-and-shift deletion instead of a per-minterm loop. Maps
+//! keyed by such functions hash with the fixed multiplicative
+//! [`tt::TtHasher`].
 //!
 //! Simulation ([`sim::SimTable`]) propagates serially, one AND node
 //! at a time in topological order; each node's row is 64 patterns

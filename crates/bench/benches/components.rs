@@ -69,6 +69,10 @@ fn bench_components(c: &mut Criterion) {
     g.bench_function("cut_enum_naive_ref_k6_ex28", |b| {
         b.iter(|| aig::cut::enumerate_cuts_naive(black_box(&large.aig), 6, 5))
     });
+    // The (5, 6) configuration `pt` enumerates with.
+    g.bench_function("cut_enum_k5_ex28", |b| {
+        b.iter(|| aig::cut::enumerate_cuts(black_box(&large.aig), 5, 6))
+    });
     g.bench_function("feature_extract_ex28", |b| {
         b.iter(|| features::extract(black_box(&large.aig)))
     });
@@ -445,6 +449,9 @@ fn bench_components(c: &mut Criterion) {
     });
     g.bench_function("resub_ex28", |b| {
         b.iter(|| transform::resub(black_box(&large.aig)))
+    });
+    g.bench_function("perturb_ex28", |b| {
+        b.iter(|| transform::perturb(black_box(&large.aig), 0x5EED_0002))
     });
     g.bench_function("resize_ex28", |b| {
         b.iter(|| {

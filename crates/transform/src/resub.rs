@@ -49,6 +49,8 @@ pub fn resub(aig: &Aig) -> Aig {
     let cuts = enumerate_cuts(&old, 6, 5);
     let mut new = Aig::new();
     new.set_name(old.name());
+    // The rebuild holds at most one AND per old AND.
+    new.reserve_nodes(old.num_nodes(), old.num_ands());
     let mut map: Vec<Lit> = vec![Lit::INVALID; old.num_nodes()];
     map[0] = Lit::FALSE;
     for (idx, &pi) in old.inputs().iter().enumerate() {
@@ -58,6 +60,7 @@ pub fn resub(aig: &Aig) -> Aig {
     let mut cone: Vec<NodeId> = Vec::new();
     let mut stack: Vec<NodeId> = Vec::new();
     let mut tables = ConeTables::default();
+    let mut changed = false;
 
     for id in old.and_ids() {
         let [f0, f1] = old.fanins(id);
@@ -118,7 +121,10 @@ pub fn resub(aig: &Aig) -> Aig {
             }
         }
         map[id as usize] = match replacement {
-            Some(l) => map[l.var() as usize].complement_if(l.is_complement()),
+            Some(l) => {
+                changed = true;
+                map[l.var() as usize].complement_if(l.is_complement())
+            }
             None => new.and(a, b),
         };
     }
@@ -126,7 +132,13 @@ pub fn resub(aig: &Aig) -> Aig {
         let l = map[o.lit.var() as usize].complement_if(o.lit.is_complement());
         new.add_output(l, o.name.clone());
     }
-    new.sweep()
+    // Without a replacement the rebuild is the swept `old` again, node
+    // for node: nothing died, and a sweep would copy it unchanged.
+    if changed {
+        new.sweep()
+    } else {
+        new
+    }
 }
 
 /// `VAR_TT[j]`: the projection of cut variable `j` (bit `m` set iff
@@ -150,10 +162,12 @@ fn width_mask(nv: usize) -> u64 {
     }
 }
 
-/// Dense per-node truth tables of one cut's cone. An entry holds for
-/// the current cut only when its stamp is the current one, so starting
-/// the next cut clears every entry at once; every read is of a leaf or
-/// of a cone node written earlier for the same cut.
+/// Dense per-node truth tables of one cut's cone, for the whole-graph
+/// pass (which is linear in the graph anyway, and caps no cone). An
+/// entry holds for the current cut only when its stamp is the current
+/// one, so starting the next cut clears every entry at once; every
+/// read is of a leaf or of a cone node written earlier for the same
+/// cut.
 #[derive(Debug, Default)]
 struct ConeTables {
     /// `(stamp, table)` per node id.
@@ -242,9 +256,13 @@ pub fn resub_inplace_window(
     }
     let start = start.clamp(1, n - 1);
     let mut examined = 0usize;
-    let mut tables = ConeTables::default();
+    // The current cut's evaluated nodes with their tables, leaves
+    // first: at most six leaves and `MAX_CONE_NODES` cone nodes, so a
+    // linear scan finds an entry, and the move's cost stays its
+    // footprint rather than the graph's size.
+    let mut cone: Vec<(NodeId, u64)> = Vec::new();
+    let lookup = |cone: &[(NodeId, u64)], v: NodeId| cone.iter().find(|e| e.0 == v).map(|e| e.1);
     let mut stack: Vec<NodeId> = Vec::new();
-    let mut evaluated: Vec<NodeId> = Vec::new();
     for id in (start..n).chain(1..start) {
         if examined >= max_nodes {
             break;
@@ -271,16 +289,18 @@ pub fn resub_inplace_window(
             // Seed the cut leaves with their projection tables, then
             // evaluate the cone by memoized DFS (ids may not be in
             // topological order once forward references exist).
-            tables.next_cut(txn.aig().num_nodes());
-            for (j, &leaf) in cut.leaves().iter().enumerate() {
-                tables.set(leaf, VAR_TT[j] & mask);
-            }
-            evaluated.clear();
+            cone.clear();
+            cone.extend(
+                cut.leaves()
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &leaf)| (leaf, VAR_TT[j] & mask)),
+            );
             stack.clear();
             stack.push(id);
             let mut abandoned = false;
             while let Some(&m) = stack.last() {
-                if tables.has(m) {
+                if lookup(&cone, m).is_some() {
                     stack.pop();
                     continue;
                 }
@@ -291,45 +311,40 @@ pub fn resub_inplace_window(
                     break;
                 }
                 let [g0, g1] = txn.aig().fanins(m);
-                let mut ready = true;
-                for f in [g0, g1] {
-                    if !tables.has(f.var()) {
-                        stack.push(f.var());
-                        ready = false;
+                let (Some(t0), Some(t1)) = (lookup(&cone, g0.var()), lookup(&cone, g1.var()))
+                else {
+                    for f in [g0, g1] {
+                        if lookup(&cone, f.var()).is_none() {
+                            stack.push(f.var());
+                        }
                     }
-                }
-                if !ready {
                     continue;
-                }
-                if evaluated.len() == MAX_CONE_NODES {
+                };
+                if cone.len() - cut.size() == MAX_CONE_NODES {
                     abandoned = true;
                     break;
                 }
-                evaluated.push(m);
-                let t0 = tables.get(g0.var());
-                let t1 = tables.get(g1.var());
                 let t0 = if g0.is_complement() { !t0 & mask } else { t0 };
                 let t1 = if g1.is_complement() { !t1 & mask } else { t1 };
-                tables.set(m, t0 & t1);
+                cone.push((m, t0 & t1));
                 stack.pop();
             }
             if abandoned {
                 continue;
             }
             debug_assert_eq!(
-                tables.get(id),
-                root_tt,
+                lookup(&cone, id),
+                Some(root_tt),
                 "cone evaluation disagrees with the cut"
             );
             // Any cone member or leaf computing the root function (or
             // its complement) is an exact replacement. The minimum is
             // order-independent, so the walk's order cannot leak into
             // the result.
-            for &w in cut.leaves().iter().chain(&evaluated) {
+            for &(w, t) in &cone {
                 if w == id {
                     continue;
                 }
-                let t = tables.get(w);
                 let lit = if t == root_tt {
                     Lit::new(w, false)
                 } else if (!t & mask) == root_tt {

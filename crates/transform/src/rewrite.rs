@@ -612,11 +612,16 @@ pub fn resynthesize_with(aig: &Aig, opts: &ResynthOptions, cache: &ResynthCache)
     let old_levels = levels(&old);
     let mut new = Aig::new();
     new.set_name(old.name());
+    // Without perturbation the rebuild holds at most one AND per old
+    // AND: size the node lanes and the strash table once.
+    new.reserve_nodes(old.num_nodes(), old.num_ands());
     let mut map: Vec<Lit> = vec![Lit::INVALID; old.num_nodes()];
     map[0] = Lit::FALSE;
     for (idx, &pi) in old.inputs().iter().enumerate() {
         map[pi as usize] = new.add_named_input(old.input_name(idx).map(str::to_owned));
     }
+    // Whether any node took something other than its own structure.
+    let mut changed = false;
     let mut rng = opts
         .perturb
         .map(|(seed, prob)| (SmallRng::seed_from_u64(seed), prob));
@@ -693,12 +698,14 @@ pub fn resynthesize_with(aig: &Aig, opts: &ResynthOptions, cache: &ResynthCache)
             if let Some((r, _)) = &mut rng {
                 let (s, leaves, nv) = pool.swap_remove(r.gen_range(0..pool.len()));
                 map[id as usize] = s.instantiate(&mut new, &leaves[..nv]);
+                changed = true;
                 continue;
             }
         }
 
         let new_lit = match best {
             Some(Candidate::Const(v)) => {
+                changed = true;
                 if v {
                     Lit::TRUE
                 } else {
@@ -714,6 +721,7 @@ pub fn resynthesize_with(aig: &Aig, opts: &ResynthOptions, cache: &ResynthCache)
             }) if cost < default_cost
                 || (opts.zero_cost && cost == default_cost && depth < default_depth) =>
             {
+                changed = true;
                 s.instantiate(&mut new, &leaves[..nv])
             }
             _ => new.and(a, b),
@@ -724,7 +732,14 @@ pub fn resynthesize_with(aig: &Aig, opts: &ResynthOptions, cache: &ResynthCache)
         let l = map[o.lit.var() as usize].complement_if(o.lit.is_complement());
         new.add_output(l, o.name.clone());
     }
-    new.sweep()
+    // A rebuild in which every node kept its own structure is the
+    // swept `old` again, node for node: nothing died, and a sweep
+    // would copy it unchanged.
+    if changed {
+        new.sweep()
+    } else {
+        new
+    }
 }
 
 #[cfg(test)]
