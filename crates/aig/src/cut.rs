@@ -515,7 +515,7 @@ pub fn enumerate_cuts_into(aig: &Aig, k: usize, max_cuts: usize, out: &mut CutSe
     });
 }
 
-/// A fanin cut pair of [`node_cut_list`], recorded by the
+/// A fanin cut pair of `node_cut_list`, recorded by the
 /// signature-only pair loop and merged lazily.
 #[derive(Clone, Copy, Debug)]
 struct Cand {
@@ -526,19 +526,19 @@ struct Cand {
     /// `popcount(sig0 | sig1)`: the union has at least this many
     /// leaves.
     bound: u8,
-    /// [`PENDING`] until merged, [`INFEASIBLE`] when the union
+    /// `PENDING` until merged, `INFEASIBLE` when the union
     /// exceeds `k`, else the union's size.
     len: u8,
-    /// Index of the merged leaf set in [`NodeScratch::merged`].
+    /// Index of the merged leaf set in `NodeScratch::merged`.
     slot: u32,
 }
 
-/// [`Cand::len`] of a pair not merged yet.
+/// `Cand::len` of a pair not merged yet.
 const PENDING: u8 = u8::MAX;
-/// [`Cand::len`] of a pair whose union exceeds `k`.
+/// `Cand::len` of a pair whose union exceeds `k`.
 const INFEASIBLE: u8 = u8::MAX - 1;
 
-/// Per-node scratch of [`node_cut_list`], owned by the enumerating
+/// Per-node scratch of `node_cut_list`, owned by the enumerating
 /// [`CutSet`] or [`CutDb`] so steady-state enumeration allocates
 /// nothing.
 #[derive(Clone, Debug, Default)]

@@ -537,11 +537,12 @@ pub fn npn4_canon(f: u16) -> (u16, Npn4) {
 ///
 /// The resynthesis cache and the mapper's match shortlists look up
 /// one such key per cut, where `std`'s SipHash costs more than the
-/// rest of the lookup. Each integer write is added and multiplied by
-/// an odd constant, and [`Hasher::finish`](std::hash::Hasher::finish)
-/// rotates the well-mixed high bits down to where hash tables take
-/// their bucket index. It is unseeded, so a map's iteration order is
-/// fixed; neither map ever reads it.
+/// rest of the lookup. Each `u8` or `u64` write (other writes go byte
+/// by byte) is added and multiplied by an odd constant, and
+/// [`Hasher::finish`](std::hash::Hasher::finish) rotates the
+/// well-mixed high bits down to where hash tables take their bucket
+/// index. It is unseeded, so a map's iteration order is fixed;
+/// neither map ever reads it.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TtHasher(u64);
 
@@ -568,23 +569,8 @@ impl std::hash::Hasher for TtHasher {
     }
 
     #[inline]
-    fn write_u16(&mut self, i: u16) {
-        self.add(u64::from(i));
-    }
-
-    #[inline]
-    fn write_u32(&mut self, i: u32) {
-        self.add(u64::from(i));
-    }
-
-    #[inline]
     fn write_u64(&mut self, i: u64) {
         self.add(i);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, i: usize) {
-        self.add(i as u64);
     }
 
     #[inline]
