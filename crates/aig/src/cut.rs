@@ -15,7 +15,7 @@
 //!   dominance scan in O(1);
 //! * the truth table is masked to the cut's width once, at
 //!   construction, instead of on every [`Cut::tt`] call;
-//! * [`CutSet`] stores all cut lists in one flat arena indexed by
+//! * [`CutDb`] stores all cut lists in one flat arena indexed by
 //!   per-node spans, so enumeration performs no per-node `Vec`
 //!   allocations;
 //! * a node's fanin cut pairs are merged *lazily, in size order*: the
@@ -37,9 +37,10 @@
 //! identical cut sets, and the component benchmark measures the
 //! speedup between them.
 //!
-//! For the SA loop's *in-place* moves, [`CutDb`] keeps the cut table
-//! alive across graph edits: seeded by the
-//! [`DirtyRegion`](crate::incremental::DirtyRegion) of a
+//! [`CutDb`] is the one cut table: [`enumerate_cuts`] builds one once,
+//! a reused one is rebuilt in place by [`CutDb::build`], and the SA
+//! loop's *in-place* moves keep one alive across graph edits. Seeded
+//! by the [`DirtyRegion`](crate::incremental::DirtyRegion) of a
 //! substitution, it recomputes only the edited nodes and the part of
 //! their transitive fanout whose lists actually change (equality
 //! cutoff), and supports exact rollback in step with an edit
@@ -226,40 +227,6 @@ impl Cut {
     }
 }
 
-/// Per-node cut sets produced by [`enumerate_cuts`].
-///
-/// Cut lists are stored back-to-back in a single arena; `cuts(id)`
-/// returns the node's span as a slice.
-#[derive(Clone, Debug, Default)]
-pub struct CutSet {
-    arena: Vec<Cut>,
-    span: Vec<(u32, u32)>,
-    k: usize,
-    // Scratch for `enumerate_cuts_into`, kept here so a reused
-    // `CutSet` makes re-enumeration allocation-free on the steady
-    // state (the mapping context reuses one across thousands of
-    // candidate AIGs).
-    scratch: NodeScratch,
-}
-
-impl CutSet {
-    /// The cuts of node `id` (trivial cut included, first).
-    pub fn cuts(&self, id: NodeId) -> &[Cut] {
-        let (s, e) = self.span[id as usize];
-        &self.arena[s as usize..e as usize]
-    }
-
-    /// The cut-size bound `k` used during enumeration.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Total number of stored cuts across all nodes.
-    pub fn num_cuts(&self) -> usize {
-        self.arena.len()
-    }
-}
-
 /// Duplicates each `2^p`-bit block of `tt`, i.e. inserts a don't-care
 /// variable at position `p`. Butterfly spread by magic masks: the
 /// input may occupy at most 32 bits (a 5-variable table), which holds
@@ -431,13 +398,16 @@ pub fn shrink_support_minterm(
     Some((out, kept, knv))
 }
 
-/// Enumerates up to `max_cuts` k-feasible cuts per node, `k <= 6`.
+/// Enumerates up to `max_cuts` k-feasible cuts per node, `k <= 6`,
+/// into a freshly built [`CutDb`].
 ///
 /// Every node's cut list begins with its trivial cut. Dominated cuts
 /// (supersets of another kept cut) are filtered; surplus cuts are
 /// pruned preferring fewer leaves. Produces exactly the same cut sets
 /// as [`enumerate_cuts_naive`] (asserted by the parity tests) while
-/// performing no per-candidate allocation.
+/// performing no per-candidate allocation. A loop that enumerates
+/// many graphs keeps one database and calls [`CutDb::build`], which
+/// reuses its arena and scratch.
 ///
 /// # Panics
 ///
@@ -459,60 +429,10 @@ pub fn shrink_support_minterm(
 /// // abc has the trivial cut, {ab, c} and {a, b, c}.
 /// assert!(cuts.cuts(abc.var()).len() >= 3);
 /// ```
-pub fn enumerate_cuts(aig: &Aig, k: usize, max_cuts: usize) -> CutSet {
-    let mut out = CutSet::default();
-    enumerate_cuts_into(aig, k, max_cuts, &mut out);
-    out
-}
-
-/// [`enumerate_cuts`] into a caller-owned [`CutSet`], reusing its
-/// arena and scratch allocations.
-///
-/// Re-enumerating into a warm `CutSet` is allocation-free once the
-/// arena has grown to the largest graph seen; the technology mapper's
-/// [reusable context](../../techmap) and the SA evaluation loop lean
-/// on this. Produces exactly the cut sets [`enumerate_cuts`] produces
-/// (the parity tests cover the reuse path).
-///
-/// # Panics
-///
-/// Panics if `k > 6` or `k == 0`.
-pub fn enumerate_cuts_into(aig: &Aig, k: usize, max_cuts: usize, out: &mut CutSet) {
-    assert!(
-        (1..=MAX_CUT_SIZE).contains(&k),
-        "cut size k must be in 1..=6"
-    );
-    let n = aig.num_nodes();
-    out.k = k;
-    let CutSet {
-        arena,
-        span,
-        k: _,
-        scratch,
-    } = out;
-    arena.clear();
-    arena.reserve(n.saturating_mul(max_cuts.min(8) + 1));
-    span.clear();
-    span.resize(n, (0, 0));
-
-    fn push_list(arena: &mut Vec<Cut>, span: &mut [(u32, u32)], id: NodeId, cuts: &[Cut]) {
-        let s = arena.len() as u32;
-        arena.extend_from_slice(cuts);
-        span[id as usize] = (s, arena.len() as u32);
-    }
-
-    // Constant node: single empty cut with constant-false function.
-    push_list(arena, span, 0, &[Cut::from_leaves(&[], 0)]);
-    for &pi in aig.inputs() {
-        push_list(arena, span, pi, &[Cut::trivial(pi)]);
-    }
-
-    let (f0s, f1s) = aig.fanin_arrays();
-    aig.for_each_and_topo(|id| {
-        let (f0, f1) = (f0s[id as usize], f1s[id as usize]);
-        node_cut_list(f0, f1, id, k, max_cuts, arena, span, scratch);
-        push_list(arena, span, id, &scratch.list);
-    });
+pub fn enumerate_cuts(aig: &Aig, k: usize, max_cuts: usize) -> CutDb {
+    let mut db = CutDb::new(k, max_cuts);
+    db.build(aig);
+    db
 }
 
 /// A fanin cut pair of `node_cut_list`, recorded by the
@@ -539,8 +459,7 @@ const PENDING: u8 = u8::MAX;
 const INFEASIBLE: u8 = u8::MAX - 1;
 
 /// Per-node scratch of `node_cut_list`, owned by the enumerating
-/// [`CutSet`] or [`CutDb`] so steady-state enumeration allocates
-/// nothing.
+/// [`CutDb`] so steady-state enumeration allocates nothing.
 #[derive(Clone, Debug, Default)]
 struct NodeScratch {
     /// Fanin cut pairs that pass the signature bound, in `(i0, i1)`
@@ -550,118 +469,6 @@ struct NodeScratch {
     merged: Vec<Cut>,
     /// The node's cut list, the result.
     list: Vec<Cut>,
-}
-
-/// Computes the cut list of AND node `id` (fanins `f0`/`f1`, as read
-/// from [`Aig::fanin_arrays`]) into `scratch.list`, reading the
-/// fanins' lists through `(arena, span)`. This is the shared inner
-/// loop of [`enumerate_cuts_into`] (full enumeration) and [`CutDb`]
-/// (incremental re-enumeration); both therefore keep *identical*
-/// per-node cut lists by construction.
-///
-/// The list is the trivial cut followed by the merged fanin cut
-/// pairs visited in size order, and within a size in `(i0, i1)`
-/// order, skipping dominated ones, until `max_cuts` cuts are kept.
-/// Only the work that list needs is done:
-/// * the pair loop reads signatures only, recording the pairs whose
-///   popcount bound fits `k`;
-/// * a pair is merged when the size pass first reaches its bound (no
-///   union is smaller), so once the list fills, pairs with a larger
-///   bound are never merged;
-/// * a truth table is computed only for a cut that is kept.
-#[allow(clippy::too_many_arguments)]
-fn node_cut_list(
-    f0: Lit,
-    f1: Lit,
-    id: NodeId,
-    k: usize,
-    max_cuts: usize,
-    arena: &[Cut],
-    span: &[(u32, u32)],
-    scratch: &mut NodeScratch,
-) {
-    let NodeScratch {
-        cands,
-        merged,
-        list,
-    } = scratch;
-    list.clear();
-    list.push(Cut::trivial(id));
-    if list.len() >= max_cuts {
-        return;
-    }
-    let (s0, e0) = span[f0.var() as usize];
-    let (s1, e1) = span[f1.var() as usize];
-    let c1s = &arena[s1 as usize..e1 as usize];
-    cands.clear();
-    merged.clear();
-    for i0 in s0..e0 {
-        let sig0 = arena[i0 as usize].sig;
-        for (j, c1) in c1s.iter().enumerate() {
-            // Signature prefilter: the union has at least
-            // popcount(sig0 | sig1) distinct leaves.
-            let bound = (sig0 | c1.sig).count_ones();
-            if bound as usize > k {
-                continue;
-            }
-            cands.push(Cand {
-                i0,
-                i1: s1 + j as u32,
-                bound: bound as u8,
-                len: PENDING,
-                slot: 0,
-            });
-        }
-    }
-    // Visit candidates in size order (prefer small cuts) without
-    // sorting: sizes span 1..=6, so stable size-bucket passes are
-    // cheaper than a (heap-allocating) stable sort. Filter
-    // dominated/duplicate cuts; `dominates` covers equality, and
-    // its signature-subset prefilter rejects most candidates in
-    // one AND.
-    'fill: for size in 1..=k {
-        for cand in cands.iter_mut() {
-            if cand.bound as usize > size {
-                continue; // its union has more than `size` leaves
-            }
-            if cand.len == PENDING {
-                let (c0, c1) = (&arena[cand.i0 as usize], &arena[cand.i1 as usize]);
-                cand.len = match Cut::merged_leaves(c0, c1, k) {
-                    Some((leaves, len, sig)) => {
-                        cand.slot = merged.len() as u32;
-                        merged.push(Cut {
-                            leaves,
-                            len,
-                            sig,
-                            tt: 0,
-                        });
-                        len
-                    }
-                    None => INFEASIBLE,
-                };
-            }
-            if cand.len as usize != size {
-                continue;
-            }
-            let mut c = merged[cand.slot as usize];
-            if list.iter().any(|kept| kept.dominates(&c)) {
-                continue;
-            }
-            // Kept: its function, from the same fanin pair.
-            let (c0, c1) = (&arena[cand.i0 as usize], &arena[cand.i1 as usize]);
-            let leaves = c.leaves();
-            let mask = width_mask(leaves.len());
-            let t0 = expand_tt(c0.tt, c0.leaves(), leaves);
-            let t1 = expand_tt(c1.tt, c1.leaves(), leaves);
-            let t0 = if f0.is_complement() { !t0 & mask } else { t0 };
-            let t1 = if f1.is_complement() { !t1 & mask } else { t1 };
-            c.tt = t0 & t1;
-            list.push(c);
-            if list.len() >= max_cuts {
-                break 'fill;
-            }
-        }
-    }
 }
 
 /// One open [`CutDb`] edit session: `(node, old span, old version)`
@@ -675,17 +482,18 @@ struct EditJournal {
     live: usize,
 }
 
-/// An incrementally maintained per-node cut database.
+/// The per-node cut table, built once or maintained through edits.
 ///
-/// [`enumerate_cuts`] recomputes every node's cut list from scratch —
-/// the right tool when the whole graph changed. The SA loop's
-/// in-place moves instead edit a handful of nodes, and a single
-/// substitution can only change the cut sets of the edited nodes and
-/// their transitive fanout. `CutDb` keeps the full per-node cut table
-/// (same arena + span layout as [`CutSet`]) alive across edits:
+/// Cut lists are stored back-to-back in one arena; [`CutDb::cuts`]
+/// returns a node's span as a slice. [`CutDb::build`] (and
+/// [`enumerate_cuts`], which calls it) recomputes every node's list
+/// from scratch — the right tool when the whole graph changed. The SA
+/// loop's in-place moves instead edit a handful of nodes, and a
+/// single substitution can only change the cut sets of the edited
+/// nodes and their transitive fanout, so the table can also be kept
+/// alive across edits:
 ///
-/// * [`CutDb::build`] — full enumeration (cost of one
-///   [`enumerate_cuts`]);
+/// * [`CutDb::build`] — full enumeration, reusing the arena;
 /// * [`CutDb::sync_appends`] — absorbs appended nodes only;
 /// * [`CutDb::invalidate`] — seeded by a
 ///   [`DirtyRegion`](crate::incremental::DirtyRegion)'s
@@ -850,6 +658,11 @@ impl CutDb {
         self.span.len()
     }
 
+    /// Total number of cuts across all nodes' current lists.
+    pub fn num_cuts(&self) -> usize {
+        self.live
+    }
+
     /// The cuts of node `id` (trivial cut included, first).
     pub fn cuts(&self, id: NodeId) -> &[Cut] {
         let (s, e) = self.span[id as usize];
@@ -883,16 +696,7 @@ impl CutDb {
         let mut scratch = std::mem::take(&mut self.scratch);
         let (f0s, f1s) = aig.fanin_arrays();
         aig.for_each_and_topo(|id| {
-            node_cut_list(
-                f0s[id as usize],
-                f1s[id as usize],
-                id,
-                self.k,
-                self.max_cuts,
-                &self.arena,
-                &self.span,
-                &mut scratch,
-            );
+            self.node_cut_list(f0s[id as usize], f1s[id as usize], id, &mut scratch);
             self.push_list_for(id, &scratch.list);
         });
         self.scratch = scratch;
@@ -921,16 +725,7 @@ impl CutDb {
         let (f0s, f1s) = aig.fanin_arrays();
         for id in old_n as NodeId..n as NodeId {
             if aig.is_and(id) {
-                node_cut_list(
-                    f0s[id as usize],
-                    f1s[id as usize],
-                    id,
-                    self.k,
-                    self.max_cuts,
-                    &self.arena,
-                    &self.span,
-                    &mut scratch,
-                );
+                self.node_cut_list(f0s[id as usize], f1s[id as usize], id, &mut scratch);
                 self.push_list_for(id, &scratch.list);
                 self.live += scratch.list.len();
             } else {
@@ -984,16 +779,7 @@ impl CutDb {
         let (f0s, f1s) = aig.fanin_arrays();
         while let Some(std::cmp::Reverse(id)) = self.heap.pop() {
             self.queued[id as usize] = false;
-            node_cut_list(
-                f0s[id as usize],
-                f1s[id as usize],
-                id,
-                self.k,
-                self.max_cuts,
-                &self.arena,
-                &self.span,
-                &mut scratch,
-            );
+            self.node_cut_list(f0s[id as usize], f1s[id as usize], id, &mut scratch);
             let list = &scratch.list;
             if self.cuts(id) == &list[..] {
                 continue; // equality cutoff: consumers see no change
@@ -1081,6 +867,110 @@ impl CutDb {
         }
         self.arena = fresh;
         debug_assert_eq!(self.arena.len(), self.live);
+    }
+
+    /// Computes the cut list of AND node `id` (fanins `f0`/`f1`, as read
+    /// from [`Aig::fanin_arrays`]) into `scratch.list`, reading the
+    /// fanins' lists from the table. This is the one inner loop of
+    /// [`CutDb::build`] (full enumeration), [`CutDb::sync_appends`] and
+    /// [`CutDb::invalidate`] (incremental re-enumeration), so a
+    /// maintained table keeps *identical* per-node cut lists to a fresh
+    /// build by construction.
+    ///
+    /// The list is the trivial cut followed by the merged fanin cut
+    /// pairs visited in size order, and within a size in `(i0, i1)`
+    /// order, skipping dominated ones, until `max_cuts` cuts are kept.
+    /// Only the work that list needs is done:
+    /// * the pair loop reads signatures only, recording the pairs whose
+    ///   popcount bound fits `k`;
+    /// * a pair is merged when the size pass first reaches its bound (no
+    ///   union is smaller), so once the list fills, pairs with a larger
+    ///   bound are never merged;
+    /// * a truth table is computed only for a cut that is kept.
+    fn node_cut_list(&self, f0: Lit, f1: Lit, id: NodeId, scratch: &mut NodeScratch) {
+        let (k, max_cuts, arena, span) = (self.k, self.max_cuts, &self.arena[..], &self.span[..]);
+        let NodeScratch {
+            cands,
+            merged,
+            list,
+        } = scratch;
+        list.clear();
+        list.push(Cut::trivial(id));
+        if list.len() >= max_cuts {
+            return;
+        }
+        let (s0, e0) = span[f0.var() as usize];
+        let (s1, e1) = span[f1.var() as usize];
+        let c1s = &arena[s1 as usize..e1 as usize];
+        cands.clear();
+        merged.clear();
+        for i0 in s0..e0 {
+            let sig0 = arena[i0 as usize].sig;
+            for (j, c1) in c1s.iter().enumerate() {
+                // Signature prefilter: the union has at least
+                // popcount(sig0 | sig1) distinct leaves.
+                let bound = (sig0 | c1.sig).count_ones();
+                if bound as usize > k {
+                    continue;
+                }
+                cands.push(Cand {
+                    i0,
+                    i1: s1 + j as u32,
+                    bound: bound as u8,
+                    len: PENDING,
+                    slot: 0,
+                });
+            }
+        }
+        // Visit candidates in size order (prefer small cuts) without
+        // sorting: sizes span 1..=6, so stable size-bucket passes are
+        // cheaper than a (heap-allocating) stable sort. Filter
+        // dominated/duplicate cuts; `dominates` covers equality, and
+        // its signature-subset prefilter rejects most candidates in
+        // one AND.
+        'fill: for size in 1..=k {
+            for cand in cands.iter_mut() {
+                if cand.bound as usize > size {
+                    continue; // its union has more than `size` leaves
+                }
+                if cand.len == PENDING {
+                    let (c0, c1) = (&arena[cand.i0 as usize], &arena[cand.i1 as usize]);
+                    cand.len = match Cut::merged_leaves(c0, c1, k) {
+                        Some((leaves, len, sig)) => {
+                            cand.slot = merged.len() as u32;
+                            merged.push(Cut {
+                                leaves,
+                                len,
+                                sig,
+                                tt: 0,
+                            });
+                            len
+                        }
+                        None => INFEASIBLE,
+                    };
+                }
+                if cand.len as usize != size {
+                    continue;
+                }
+                let mut c = merged[cand.slot as usize];
+                if list.iter().any(|kept| kept.dominates(&c)) {
+                    continue;
+                }
+                // Kept: its function, from the same fanin pair.
+                let (c0, c1) = (&arena[cand.i0 as usize], &arena[cand.i1 as usize]);
+                let leaves = c.leaves();
+                let mask = width_mask(leaves.len());
+                let t0 = expand_tt(c0.tt, c0.leaves(), leaves);
+                let t1 = expand_tt(c1.tt, c1.leaves(), leaves);
+                let t0 = if f0.is_complement() { !t0 & mask } else { t0 };
+                let t1 = if f1.is_complement() { !t1 & mask } else { t1 };
+                c.tt = t0 & t1;
+                list.push(c);
+                if list.len() >= max_cuts {
+                    break 'fill;
+                }
+            }
+        }
     }
 
     fn push_list_for(&mut self, id: NodeId, cuts: &[Cut]) {

@@ -130,10 +130,15 @@ impl std::ops::Deref for TopoIndex {
 
 /// A combinational And-Inverter Graph with structural hashing.
 ///
-/// Nodes are stored in a topologically sorted arena: node 0 is the
-/// constant-false node, and every AND node appears after both of its
-/// fanins. Inversion is represented on edges via [`Lit`] complement
-/// bits, so the graph itself only contains AND gates and inputs.
+/// Nodes are stored in an arena: node 0 is the constant-false node,
+/// and an AND node made by [`Aig::and`] appears after both of its
+/// fanins. A transaction that splices an appended cone into an
+/// earlier node leaves forward references ([`Aig::forward_ids`]), so
+/// ascending ids are a dependency order only while
+/// [`Aig::is_topological`] holds; code that needs dependency order
+/// uses [`Aig::for_each_and_topo`]. Inversion is represented on edges
+/// via [`Lit`] complement bits, so the graph itself only contains AND
+/// gates and inputs.
 ///
 /// [`Aig::and`] performs constant propagation, trivial simplification
 /// (`a & a = a`, `a & !a = 0`, ...) and structural hashing, so

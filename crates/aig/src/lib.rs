@@ -38,7 +38,7 @@
 //! *leaf signature*, so leaf merging and dominance filtering are
 //! allocation-free and dominance checks short-circuit through an O(1)
 //! signature-subset prefilter. Per-node cut lists live in one flat
-//! arena inside [`cut::CutSet`]. A node's list does only the work it
+//! arena inside [`cut::CutDb`]. A node's list does only the work it
 //! needs: the fanin pair loop reads signatures alone, a pair is merged
 //! only when the size-ordered pass reaches its popcount bound (pairs
 //! bounded above the size at which the list filled are never merged),

@@ -1,9 +1,14 @@
 //! Shared fixtures for the benchmark suite.
 //!
-//! Benchmarks regenerate the paper's tables and figures (see the
-//! per-table benches in `benches/`) and time the individual flow
-//! components. This library provides the common fixtures so each
-//! bench pays setup cost once.
+//! The benches in `benches/` time the individual flow components
+//! (`components`), one SA iteration under the baseline and the
+//! ground-truth evaluator (`fig2_iteration_cost`, the paper's Fig. 2
+//! slowdown) and the priced step's scaling on the large tier
+//! (`scale_sweep`), and write the machine-readable `BENCH_*.json`
+//! reports. The paper's tables and figures themselves
+//! are regenerated, and their runtimes timed, by the `repro` binary
+//! of the `experiments` crate. This library provides the common
+//! fixtures so each bench pays setup cost once.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,8 +17,6 @@
 use aig::Aig;
 use benchgen::Design;
 use cells::Library;
-use experiments::datagen::{labeled_set, LabeledSet, Target};
-use gbt::{GbtModel, GbtParams};
 
 /// A small/large design pair used by size-scaling benches.
 pub fn design_pair() -> (Design, Design) {
@@ -23,33 +26,6 @@ pub fn design_pair() -> (Design, Design) {
 /// The builtin library.
 pub fn library() -> Library {
     cells::sky130ish()
-}
-
-/// A bench-scale labeled corpus for one design.
-pub fn small_corpus(design: &Design, lib: &Library, n: usize, seed: u64) -> LabeledSet {
-    labeled_set(design, n, seed, lib)
-}
-
-/// Trains a bench-scale delay model from a labeled set.
-pub fn small_delay_model(set: &LabeledSet, rounds: usize) -> GbtModel {
-    gbt::train(
-        &set.to_dataset(Target::Delay),
-        &GbtParams {
-            num_rounds: rounds,
-            ..GbtParams::default()
-        },
-    )
-}
-
-/// A bench-scale area model.
-pub fn small_area_model(set: &LabeledSet, rounds: usize) -> GbtModel {
-    gbt::train(
-        &set.to_dataset(Target::Area),
-        &GbtParams {
-            num_rounds: rounds,
-            ..GbtParams::default()
-        },
-    )
 }
 
 /// A fixed candidate AIG (one recipe applied) for evaluator benches.

@@ -9,7 +9,7 @@
 
 use crate::matcher::{CellMatch, Matcher};
 use crate::netlist::{NetId, Netlist};
-use aig::cut::{enumerate_cuts_into, shrink_support, Cut, CutDb, CutSet};
+use aig::cut::{shrink_support, Cut, CutDb};
 use aig::tt::TtBuildHasher;
 use aig::{Aig, Lit, NodeId};
 use cells::{CellId, Library};
@@ -178,7 +178,7 @@ struct PreMatch {
 /// [`TtHasher`](aig::tt::TtHasher); nothing reads its iteration order.
 type Shortlists = HashMap<(u8, u64), Vec<PreMatch>, TtBuildHasher>;
 
-/// Reusable state for [`Mapper::map_with`]: the cut arena, the
+/// Reusable state for [`Mapper::map_with`]: the cut table, the
 /// `chosen`/`arrival`/`flow` DP tables, and a per-cut-function match
 /// shortlist memo.
 ///
@@ -198,7 +198,9 @@ type Shortlists = HashMap<(u8, u64), Vec<PreMatch>, TtBuildHasher>;
 /// context.
 #[derive(Debug, Default)]
 pub struct MapContext {
-    cuts: CutSet,
+    /// The cut table [`Mapper::map_with`] rebuilds per call; replaced
+    /// when a mapper with other cut parameters uses the context.
+    cuts: Option<CutDb>,
     fanout: Vec<u32>,
     pub(crate) chosen: Vec<Option<Chosen>>,
     arrival: Vec<f64>,
@@ -480,16 +482,21 @@ impl<'a> Mapper<'a> {
             ctx.fingerprint = Some(self.instance_id);
         }
         ctx.rows_for = None;
-        // Full enumeration bypasses the CutDb, so the version
-        // snapshot no longer matches any database: the next
-        // incremental call falls back to the watermark sweep. Any
-        // row may have changed, so the accumulated changed-row
-        // record degrades to a full scan.
+        // The rows come from the context's own table, not a caller's
+        // database, so the version snapshot no longer matches any
+        // database: the next incremental call falls back to the
+        // watermark sweep. Any row may have changed, so the
+        // accumulated changed-row record degrades to a full scan.
         ctx.seen_db = None;
         ctx.changed_rows_exact = false;
         ctx.changed_rows.clear();
         ctx.changed_since = 0;
-        enumerate_cuts_into(aig, self.opts.cut_size, self.opts.max_cuts, &mut ctx.cuts);
+        let (k, max_cuts) = (self.opts.cut_size, self.opts.max_cuts);
+        let mut cuts = match ctx.cuts.take() {
+            Some(db) if db.k() == k && db.max_cuts() == max_cuts => db,
+            _ => CutDb::new(k, max_cuts),
+        };
+        cuts.build(aig);
         // Every row is recomputed, and non-AND rows (inputs of this
         // graph that may have been ANDs of the last one) must read 0.
         let n = aig.num_nodes();
@@ -499,9 +506,8 @@ impl<'a> Mapper<'a> {
         ctx.arrival.resize(n, 0.0);
         ctx.flow.clear();
         ctx.flow.resize(n, 0.0);
-        let cuts = std::mem::take(&mut ctx.cuts);
-        ctx.last_recomputed_rows = self.dp_sweep(ctx, aig, |id| cuts.cuts(id), 0);
-        ctx.cuts = cuts;
+        ctx.last_recomputed_rows = self.dp_sweep(ctx, aig, &cuts, 0);
+        ctx.cuts = Some(cuts);
         ctx.check_unmatched(aig)?;
         ctx.rows_for = Some(n);
 
@@ -780,23 +786,16 @@ impl<'a> Mapper<'a> {
                 ctx.prev_fanins[id as usize] = [f0, f1];
             }
         }
-        self.dp_sweep(ctx, aig, |id| cuts.cuts(id), since)
+        self.dp_sweep(ctx, aig, cuts, since)
     }
 
-    /// The DP sweep shared by [`Mapper::map_with`] (`since = 0`, cut
-    /// lists from a fresh enumeration) and the watermark path of
-    /// [`Mapper::dp_update`] (cut lists from the caller's [`CutDb`]):
-    /// recounts fanout, recomputes every row at or above `since`
-    /// from the cut lists `cut_list` serves, and rebuilds the
-    /// ascending unmatchable-row set. Returns the number of rows
-    /// recomputed.
-    fn dp_sweep<'c>(
-        &self,
-        ctx: &mut MapContext,
-        aig: &Aig,
-        cut_list: impl Fn(NodeId) -> &'c [Cut],
-        since: NodeId,
-    ) -> usize {
+    /// The DP sweep shared by [`Mapper::map_with`] (`since = 0`, the
+    /// context's freshly built table) and the watermark path of
+    /// [`Mapper::dp_update`] (the caller's maintained table): recounts
+    /// fanout, recomputes every row at or above `since` from the lists
+    /// of `cuts`, and rebuilds the ascending unmatchable-row set.
+    /// Returns the number of rows recomputed.
+    fn dp_sweep(&self, ctx: &mut MapContext, aig: &Aig, cuts: &CutDb, since: NodeId) -> usize {
         aig::analysis::fanout_counts_into(aig, &mut ctx.fanout);
         let MapContext {
             fanout,
@@ -832,7 +831,7 @@ impl<'a> Mapper<'a> {
             }
             recomputed += 1;
             let Some(best) =
-                self.choose_for_node(id, cut_list(id), fanout, arrival, flow, shortlists)
+                self.choose_for_node(id, cuts.cuts(id), fanout, arrival, flow, shortlists)
             else {
                 chosen[id as usize] = None;
                 arrival[id as usize] = 0.0;

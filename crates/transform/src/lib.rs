@@ -62,6 +62,6 @@ pub use recipes::{apply, apply_with, recipes, InplacePlan, ParseRecipeError, Rec
 pub use resub::{resub, resub_inplace_window};
 pub use rewrite::{
     perturb, perturb_with, refactor, refactor_with, refactor_zero, refactor_zero_with,
-    resynth_inplace_window, resynthesize, resynthesize_with, rewrite, rewrite_inplace_window,
-    rewrite_with, rewrite_zero, rewrite_zero_with, InplaceMode, InplaceStats, ResynthOptions,
+    resynth_inplace_window, resynthesize_with, rewrite, rewrite_inplace_window, rewrite_with,
+    rewrite_zero, rewrite_zero_with, InplaceMode, InplaceStats, ResynthOptions,
 };

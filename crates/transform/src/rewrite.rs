@@ -555,13 +555,19 @@ enum Candidate {
     },
 }
 
-/// The shared rewriting engine.
+/// The shared rewriting engine, against a reusable resynthesis
+/// `cache`.
 ///
 /// Returns a functionally equivalent AIG whose live node count never
 /// exceeds the input's: each node keeps its original structure unless
 /// a strictly cheaper (or, with `zero_cost`, equally cheap but
 /// shallower) replacement is found, and cost estimates upper-bound
 /// the nodes actually created.
+///
+/// The cache may be carried across calls, SA iterations and graphs;
+/// results are byte-identical to a fresh or a
+/// [`ResynthCache::disabled`] cache because cached structures are
+/// pure functions of the cut function.
 ///
 /// # Panics
 ///
@@ -587,20 +593,6 @@ enum Candidate {
 /// assert!(r.num_ands() < g.num_ands());
 /// # Ok::<(), aig::AigError>(())
 /// ```
-pub fn resynthesize(aig: &Aig, opts: &ResynthOptions) -> Aig {
-    resynthesize_with(aig, opts, &ResynthCache::new())
-}
-
-/// [`resynthesize`] against a reusable resynthesis `cache`.
-///
-/// The cache may be carried across calls, SA iterations and graphs;
-/// results are byte-identical to [`resynthesize`] (and to a
-/// [`ResynthCache::disabled`] cache) because cached structures are
-/// pure functions of the cut function.
-///
-/// # Panics
-///
-/// Panics if `opts.cut_size` is outside `2..=6`.
 pub fn resynthesize_with(aig: &Aig, opts: &ResynthOptions, cache: &ResynthCache) -> Aig {
     assert!(
         (2..=6).contains(&opts.cut_size),
@@ -1126,7 +1118,7 @@ mod tests {
     #[should_panic(expected = "cut size")]
     fn bad_cut_size_panics() {
         let g = random_aig(1, 4, 10);
-        let _ = resynthesize(
+        let _ = resynthesize_with(
             &g,
             &ResynthOptions {
                 cut_size: 7,
@@ -1134,6 +1126,7 @@ mod tests {
                 zero_cost: false,
                 perturb: None,
             },
+            &ResynthCache::new(),
         );
     }
 }

@@ -54,20 +54,25 @@ fn main() {
 
 type ToolResult = Result<(), Box<dyn std::error::Error>>;
 
+/// The first argument that is neither a flag nor the value of a flag
+/// that takes one, wherever the flags stand.
 fn positional(rest: &[String]) -> Result<&str, String> {
-    rest.iter()
-        .find(|a| !a.starts_with("--") && !is_flag_value(rest, a))
-        .map(String::as_str)
-        .ok_or_else(|| "missing input file".to_owned())
-}
-
-fn is_flag_value(rest: &[String], a: &String) -> bool {
-    let idx = rest.iter().position(|x| x == a).expect("element of rest");
-    idx > 0 && rest[idx - 1].starts_with("--") && flag_takes_value(&rest[idx - 1])
+    let mut i = 0;
+    while i < rest.len() {
+        let a = rest[i].as_str();
+        if flag_takes_value(a) {
+            i += 2;
+        } else if a.starts_with('-') {
+            i += 1;
+        } else {
+            return Ok(a);
+        }
+    }
+    Err("missing input file".to_owned())
 }
 
 fn flag_takes_value(flag: &str) -> bool {
-    matches!(flag, "--script" | "-o" | "--lib" | "--verilog" | "--paths") || flag == "--out"
+    matches!(flag, "--script" | "-o" | "--lib" | "--verilog" | "--paths")
 }
 
 fn flag_value<'a>(rest: &'a [String], flag: &str) -> Option<&'a str> {

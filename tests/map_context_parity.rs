@@ -75,11 +75,20 @@ fn benchgen_designs_match_fresh() {
 }
 
 /// Handing one context between mappers with different options (the
-/// memo fingerprint must invalidate) keeps parity.
+/// memo fingerprint must invalidate, and a mapper with other cut
+/// parameters must replace the context's cut table) keeps parity.
 #[test]
 fn context_handoff_between_mappers_matches_fresh() {
     let lib = sky130ish();
     let delay = Mapper::new(&lib, MapOptions::default());
+    let small_cuts = Mapper::new(
+        &lib,
+        MapOptions {
+            cut_size: 3,
+            max_cuts: 6,
+            ..MapOptions::default()
+        },
+    );
     let area = Mapper::new(
         &lib,
         MapOptions {
@@ -91,7 +100,7 @@ fn context_handoff_between_mappers_matches_fresh() {
     let mut ctx = MapContext::new();
     for seed in 0..4u64 {
         let g = random_aig_with(100 + seed, 6, 50, 3);
-        for m in [&delay, &area, &delay] {
+        for m in [&delay, &small_cuts, &area, &delay] {
             let fresh = m.map(&g).expect("mappable");
             let reused = m.map_with(&mut ctx, &g).expect("mappable");
             assert_same_netlist(&fresh, &reused, &format!("seed {seed}"));
