@@ -5,10 +5,10 @@
 //! ground-truth evaluator (`fig2_iteration_cost`, the paper's Fig. 2
 //! slowdown) and the priced step's scaling on the large tier
 //! (`scale_sweep`), and write the machine-readable `BENCH_*.json`
-//! reports. The paper's tables and figures themselves
-//! are regenerated, and their runtimes timed, by the `repro` binary
-//! of the `experiments` crate. This library provides the common
-//! fixtures so each bench pays setup cost once.
+//! reports. The paper's tables and figures themselves are
+//! regenerated, and their runtimes timed, by the `repro` binary of
+//! the `experiments` crate. This library provides the common fixtures
+//! so each bench pays setup cost once.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,7 +9,7 @@
 //!
 //! Loops that map many candidates (the SA ground-truth evaluator,
 //! data-generation labeling) hold a [`MapContext`] and call
-//! [`Mapper::map_with`]: the context keeps the cut arena, the
+//! [`Mapper::map_with`]: the context keeps the cut table, the
 //! `chosen`/`arrival`/`flow` DP tables, and a dominance-pruned match
 //! shortlist memo warm across calls, making the steady-state DP
 //! allocation-free while producing netlists identical to

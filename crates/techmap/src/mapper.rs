@@ -460,7 +460,7 @@ impl<'a> Mapper<'a> {
         self.map_with(&mut MapContext::new(), aig)
     }
 
-    /// Maps `aig` reusing `ctx`'s cut arena and DP tables.
+    /// Maps `aig` reusing `ctx`'s cut table and DP tables.
     ///
     /// Produces a netlist identical to [`Mapper::map`]'s regardless of
     /// what the context previously mapped (asserted by the parity
