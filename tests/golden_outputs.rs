@@ -4,16 +4,21 @@
 //! (memo on/off, engine on/off, cache on/off, traced vs production),
 //! so a kernel change that alters what `rw` produces passes them all.
 //! This suite pins the outputs themselves: FNV-1a-64 digests of the
-//! binary AIGER each primitive, `datagen::degrade` and a few recipes
-//! produce on `ex11`, the bit patterns of `GroundTruthCost::evaluate`
-//! on two graphs, and the outcome of a short paper-recipe
-//! ground-truth SA chain. A digest changes only when an output does;
+//! binary AIGER each primitive, each in-place window pass,
+//! `datagen::degrade` and a few recipes produce on `ex11`, the bit
+//! patterns of `GroundTruthCost::evaluate` on two graphs, and the
+//! outcome of a short paper-recipe ground-truth SA chain. A digest changes only when an output does;
 //! an intended output change updates the constants here and says why.
 
 use aig::aiger::to_binary;
-use aig::Aig;
+use aig::cut::CutDb;
+use aig::incremental::{IncrementalAnalysis, Transaction};
+use aig::{Aig, NodeId};
 use saopt::{optimize_with, CostEvaluator, EvalContext, GroundTruthCost, SaOptions};
-use transform::{apply, recipes, Recipe, Transform};
+use transform::{
+    apply, balance_inplace_window, recipes, resub_inplace_window, resynth_inplace_window,
+    InplacePlan, Recipe, ResynthCache, Transform,
+};
 
 mod common;
 use common::random_aig_with;
@@ -32,16 +37,29 @@ fn digest(g: &Aig) -> u64 {
 /// Compares every `(name, actual)` pair with its expected value and
 /// reports all mismatches at once, in the table's own format.
 fn check(table: &[(&str, u64)], actual: &[(String, u64)]) {
+    check_with(table, actual, |v| format!("{v:#018x}"));
+}
+
+/// [`check`] for any value type, written back by `show`.
+fn check_with<V: PartialEq>(
+    table: &[(&str, V)],
+    actual: &[(String, V)],
+    show: impl Fn(&V) -> String,
+) {
     assert_eq!(
         table.len(),
         actual.len(),
         "table and outputs differ in length"
     );
     let mut bad = Vec::new();
-    for (&(name, want), (got_name, got)) in table.iter().zip(actual) {
+    for ((name, want), (got_name, got)) in table.iter().zip(actual) {
         assert_eq!(name, got_name, "table order");
-        if want != *got {
-            bad.push(format!("(\"{name}\", {got:#018x}), // was {want:#018x}"));
+        if want != got {
+            bad.push(format!(
+                "(\"{name}\", {}), // was {}",
+                show(got),
+                show(want)
+            ));
         }
     }
     assert!(bad.is_empty(), "golden outputs moved:\n{}", bad.join("\n"));
@@ -102,6 +120,103 @@ fn primitives_on_ex11() {
         }
     }
     check(&PRIMITIVES, &actual);
+}
+
+/// Digest of the committed, unswept graph and the
+/// `(substitutions, appended_nodes, skipped_nontopo)` counters.
+type InplaceOutput = (u64, [usize; 3]);
+
+const INPLACE: [(&str, InplaceOutput); 24] = [
+    ("degraded b @1", (0x5aad9ad91369f188, [3, 1, 0])),
+    ("degraded b @1500", (0x7f13eeb16c1cfae8, [5, 7, 0])),
+    ("degraded rw @1", (0x20329def4433143b, [2, 0, 0])),
+    ("degraded rw @1500", (0xb7646f6080f0652c, [3, 0, 0])),
+    ("degraded rwz @1", (0x3e59f1079fd75bca, [12, 0, 0])),
+    ("degraded rwz @1500", (0x919e2b8c0ed2bce2, [15, 0, 0])),
+    ("degraded rf @1", (0xba42131cf0e44c9f, [12, 15, 0])),
+    ("degraded rf @1500", (0xe8a937b4da43d63c, [8, 11, 0])),
+    ("degraded rfz @1", (0xf1ed3992215c7ceb, [41, 32, 0])),
+    ("degraded rfz @1500", (0x896aca5f15cc6b6e, [32, 32, 0])),
+    ("degraded rsb @1", (0xa198ceffa9ab9ca1, [0, 0, 0])),
+    ("degraded rsb @1500", (0xa198ceffa9ab9ca1, [0, 0, 0])),
+    ("random b @1", (0x929051b25fa6a853, [0, 0, 0])),
+    ("random b @300", (0x5bc6bea69db5b46e, [2, 4, 0])),
+    ("random rw @1", (0x438a91d2543f41de, [26, 0, 0])),
+    ("random rw @300", (0x6280ab956507a57d, [4, 0, 0])),
+    ("random rwz @1", (0x438a91d2543f41de, [26, 0, 0])),
+    ("random rwz @300", (0x6280ab956507a57d, [4, 0, 0])),
+    ("random rf @1", (0x55eef0016dfe2102, [53, 32, 0])),
+    ("random rf @300", (0xe369c1455101c81d, [18, 32, 0])),
+    ("random rfz @1", (0xfe003e67f2a90c95, [59, 32, 0])),
+    ("random rfz @300", (0x439034b34e11bde9, [21, 32, 0])),
+    ("random rsb @1", (0x438a91d2543f41de, [26, 0, 0])),
+    ("random rsb @300", (0x6280ab956507a57d, [4, 0, 0])),
+];
+
+/// Every in-place plan [`Recipe::as_inplace`] returns, run as the SA
+/// engine runs it: one window through a [`Transaction`] over a (4, 8)
+/// [`CutDb`], 64 nodes wide (128 for the appending `rf` / `rfz`), at
+/// two fixed starts on the degraded `ex11` and on the random graph.
+#[test]
+fn inplace_passes_on_ex11() {
+    let degraded = experiments::datagen::degrade(&ex11(), 1);
+    let random = random_aig_with(2024, 12, 600, 8);
+    let cache = ResynthCache::new();
+    let mut actual = Vec::new();
+    for (prefix, graph, starts) in [
+        ("degraded", &degraded, [1, 1500]),
+        ("random", &random, [1, 300]),
+    ] {
+        for t in Transform::ALL {
+            let Some(plan) = Recipe(vec![t]).as_inplace() else {
+                continue;
+            };
+            for start in starts {
+                let mut g = graph.clone();
+                let mut inc = IncrementalAnalysis::new(&g);
+                let mut db = CutDb::new(4, 8);
+                db.build(&g);
+                let mut txn = Transaction::begin(&mut g, &mut inc);
+                let stats = run_plan(plan, &mut txn, &mut db, &cache, start);
+                txn.commit();
+                let counters = [
+                    stats.substitutions,
+                    stats.appended_nodes,
+                    stats.skipped_nontopo,
+                ];
+                actual.push((format!("{prefix} {t} @{start}"), (digest(&g), counters)));
+            }
+        }
+    }
+    check_with(&INPLACE, &actual, |(d, s)| format!("({d:#018x}, {s:?})"));
+    for t in ["rw", "rwz", "rf", "rfz", "b", "rsb"] {
+        assert!(
+            INPLACE
+                .iter()
+                .any(|(name, (_, [subs, ..]))| name.split(' ').nth(1) == Some(t) && *subs > 0),
+            "no `{t}` window fired"
+        );
+    }
+}
+
+/// One in-place window of `plan`, with the SA engine's widths.
+fn run_plan(
+    plan: InplacePlan,
+    txn: &mut Transaction<'_>,
+    db: &mut CutDb,
+    cache: &ResynthCache,
+    start: NodeId,
+) -> transform::InplaceStats {
+    match plan {
+        InplacePlan::Rewrite(mode) => {
+            resynth_inplace_window(txn, db, cache, mode, false, start, 64)
+        }
+        InplacePlan::Refactor(mode) => {
+            resynth_inplace_window(txn, db, cache, mode, true, start, 128)
+        }
+        InplacePlan::Balance => balance_inplace_window(txn, db, start, 64),
+        InplacePlan::Resub => resub_inplace_window(txn, db, start, 64),
+    }
 }
 
 const RECIPES: [(&str, u64); 4] = [
