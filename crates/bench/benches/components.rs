@@ -13,6 +13,7 @@ use bench::{bench_json_path, design_pair, library};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use techmap::{MapContext, MapOptions, Mapper};
+use transform::Transform;
 
 /// Transitive-fanout cone size of every node (plan classification
 /// only — distinguishes footprint-bounded moves from global ones).
@@ -442,16 +443,16 @@ fn bench_components(c: &mut Criterion) {
         b.iter(|| transform::balance(black_box(&large.aig)))
     });
     g.bench_function("rewrite_ex28", |b| {
-        b.iter(|| transform::rewrite(black_box(&large.aig)))
+        b.iter(|| transform::apply(black_box(&large.aig), Transform::Rewrite))
     });
     g.bench_function("refactor_ex28", |b| {
-        b.iter(|| transform::refactor(black_box(&large.aig)))
+        b.iter(|| transform::apply(black_box(&large.aig), Transform::Refactor))
     });
     g.bench_function("resub_ex28", |b| {
         b.iter(|| transform::resub(black_box(&large.aig)))
     });
     g.bench_function("perturb_ex28", |b| {
-        b.iter(|| transform::perturb(black_box(&large.aig), 0x5EED_0002))
+        b.iter(|| transform::apply(black_box(&large.aig), Transform::Perturb))
     });
     g.bench_function("resize_ex28", |b| {
         b.iter(|| {
@@ -473,7 +474,7 @@ fn bench_components(c: &mut Criterion) {
     // still builds the in-place engine's analysis and cut database,
     // which belong to the run.
     {
-        use transform::{Recipe, Transform};
+        use transform::Recipe;
         let actions = vec![
             Recipe(vec![Transform::Rewrite]),
             Recipe(vec![Transform::RewriteZero]),

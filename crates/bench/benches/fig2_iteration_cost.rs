@@ -13,7 +13,7 @@ use saopt::{CostEvaluator, EditScope, GroundTruthCost, ProxyCost};
 use sta::IncrementalSta;
 use std::hint::black_box;
 use techmap::{GateId, MapContext, MapOptions, MappedDesign, Mapper, SizingTable};
-use transform::{InplaceMode, ResynthCache};
+use transform::{InplaceMode, ResynthCache, Transform};
 
 fn bench_fig2(c: &mut Criterion) {
     let (small, large) = design_pair();
@@ -64,7 +64,7 @@ fn bench_fig2(c: &mut Criterion) {
         g.bench_function("sa_step_rebuild_ex28", |b| {
             let mut e = ProxyCost;
             b.iter(|| {
-                let next = transform::rewrite_with(black_box(&cand), &cache);
+                let next = transform::apply_with(black_box(&cand), Transform::Rewrite, &cache);
                 e.evaluate(&next)
             })
         });
@@ -80,11 +80,12 @@ fn bench_fig2(c: &mut Criterion) {
                 start = (start.wrapping_mul(2654435761)) % n.max(2); // rotate the window like SA's RNG draw
                 db.begin_edit();
                 let mut txn = Transaction::begin(&mut current, &mut inc);
-                transform::rewrite_inplace_window(
+                transform::resynth_inplace_window(
                     &mut txn,
                     &mut db,
                     &cache,
                     InplaceMode::ZeroCost,
+                    false,
                     start,
                     64,
                 );
@@ -176,7 +177,7 @@ fn bench_fig2(c: &mut Criterion) {
         g.bench_function("sa_step_rebuild_refactor_ex28", |b| {
             let mut e = ProxyCost;
             b.iter(|| {
-                let next = transform::refactor_with(black_box(&cand), &cache);
+                let next = transform::apply_with(black_box(&cand), Transform::Refactor, &cache);
                 e.evaluate(&next)
             })
         });
@@ -247,11 +248,12 @@ fn bench_fig2(c: &mut Criterion) {
                 let start = state % n.max(2);
                 db.begin_edit();
                 let mut txn = Transaction::begin(&mut current, &mut inc);
-                transform::rewrite_inplace_window(
+                transform::resynth_inplace_window(
                     &mut txn,
                     &mut db,
                     &cache,
                     InplaceMode::ZeroCost,
+                    false,
                     start,
                     64,
                 );

@@ -1,18 +1,18 @@
 //! Function-preserving AIG transformations.
 //!
 //! This crate substitutes for ABC's logic-optimization commands in
-//! the paper's flows. It provides the primitives
-//! ([`balance`], [`rewrite`], [`rewrite_zero`], [`refactor`],
-//! [`refactor_zero`], plus sweep via [`aig::Aig::sweep`]), the
-//! [`Transform`]/[`Recipe`] action abstraction, and [`recipes`] — the
+//! the paper's flows. Each of its ten primitives is a [`Transform`]
+//! (balance, rewrite and refactor with their zero-cost variants,
+//! sweep, and the diversifiers), run on a whole graph by [`apply`] or
+//! [`apply_with`]; a [`Recipe`] chains them, and [`recipes`] is the
 //! 103-entry action space matching the industry flow the paper cites.
 //!
 //! Cut resynthesis is memoized through [`ResynthCache`], an
 //! NPN-canonical structure cache: 4-input cut functions are
 //! synthesized once per NPN class and derived by leaf relabeling, and
 //! one cache may be carried across SA iterations and runs on one
-//! thread (`*_with` variants accept it; the plain entry points create
-//! a transient one, with byte-identical results either way). Whole
+//! thread ([`apply_with`] accepts it; [`apply`] creates a transient
+//! one, with byte-identical results either way). Whole
 //! recipes are memoized per base graph through [`RecipeMemo`], which
 //! holds each distinct graph reached from the base once and runs each
 //! primitive at most once per distinct input graph.
@@ -61,7 +61,5 @@ pub use memo::{RecipeMemo, Walk, MEMO_BASE};
 pub use recipes::{apply, apply_with, recipes, InplacePlan, ParseRecipeError, Recipe, Transform};
 pub use resub::{resub, resub_inplace_window};
 pub use rewrite::{
-    perturb, perturb_with, refactor, refactor_with, refactor_zero, refactor_zero_with,
-    resynth_inplace_window, resynthesize_with, rewrite, rewrite_inplace_window, rewrite_with,
-    rewrite_zero, rewrite_zero_with, InplaceMode, InplaceStats, ResynthOptions,
+    resynth_inplace_window, resynthesize_with, InplaceMode, InplaceStats, ResynthOptions,
 };

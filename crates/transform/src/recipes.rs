@@ -13,9 +13,7 @@
 use crate::balance::{balance, balance_dup, reshape};
 use crate::cache::ResynthCache;
 use crate::resub::resub;
-use crate::rewrite::{
-    perturb_with, refactor_with, refactor_zero_with, rewrite_with, rewrite_zero_with,
-};
+use crate::rewrite::{resynthesize_with, ResynthOptions};
 use aig::Aig;
 use std::fmt;
 
@@ -41,8 +39,28 @@ pub enum Transform {
     /// result depends on the current structure, so repeated use keeps
     /// exploring).
     Reshape,
-    /// Random cut resynthesis (function-preserving; may grow or
-    /// shrink cones, re-implementing XOR/MUX structures differently).
+    /// Random cut resynthesis: every node is, with probability ~0.35,
+    /// re-implemented from the factored cover of a random 5-input cut
+    /// regardless of cost, so unlike the optimizers it may *grow* the
+    /// graph. It is the diversification move behind the training data
+    /// (paper §III-C needs 40k structurally distinct variants per
+    /// design, spanning a ~3x node-count range).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use aig::{Aig, sim::equiv_exhaustive};
+    /// use transform::{apply, Transform};
+    ///
+    /// let mut g = Aig::new();
+    /// let [a, b, c] = [(); 3].map(|()| g.add_input());
+    /// let x = g.xor(a, b);
+    /// let f = g.xor(x, c);
+    /// g.add_output(f, None::<&str>);
+    /// let p = apply(&g, Transform::Perturb);
+    /// assert!(equiv_exhaustive(&g, &p)?);
+    /// # Ok::<(), aig::AigError>(())
+    /// ```
     Perturb,
     /// Cone-internal resubstitution (exact 0-resub over 6-cuts).
     Resub,
@@ -78,9 +96,7 @@ impl Transform {
             Transform::Resub => "rsb",
         }
     }
-}
 
-impl Transform {
     /// Parses a mnemonic produced by [`Transform::mnemonic`].
     pub fn from_mnemonic(m: &str) -> Option<Transform> {
         Transform::ALL.into_iter().find(|t| t.mnemonic() == m)
@@ -141,18 +157,27 @@ pub fn apply(aig: &Aig, t: Transform) -> Aig {
 /// * its result does not depend on the `cache` state (cached
 ///   structures are pure functions of their key).
 pub fn apply_with(aig: &Aig, t: Transform, cache: &ResynthCache) -> Aig {
+    let resynth = |cut_size, max_cuts, zero_cost, perturb| {
+        let opts = ResynthOptions {
+            cut_size,
+            max_cuts,
+            zero_cost,
+            perturb,
+        };
+        resynthesize_with(aig, &opts, cache)
+    };
     match t {
         Transform::Balance => balance(aig),
-        Transform::Rewrite => rewrite_with(aig, cache),
-        Transform::RewriteZero => rewrite_zero_with(aig, cache),
-        Transform::Refactor => refactor_with(aig, cache),
-        Transform::RefactorZero => refactor_zero_with(aig, cache),
+        Transform::Rewrite => resynth(4, 8, false, None),
+        Transform::RewriteZero => resynth(4, 8, true, None),
+        Transform::Refactor => resynth(6, 5, false, None),
+        Transform::RefactorZero => resynth(6, 5, true, None),
         Transform::Sweep => aig.sweep(),
         Transform::BalanceDup => balance_dup(aig),
         // Fixed internal seeds keep `apply` deterministic; diversity
         // comes from the evolving input structure across iterations.
         Transform::Reshape => reshape(aig, 0x5EED_0001),
-        Transform::Perturb => perturb_with(aig, 0x5EED_0002, cache),
+        Transform::Perturb => resynth(5, 6, false, Some((0x5EED_0002, 0.35))),
         Transform::Resub => resub(aig),
     }
 }

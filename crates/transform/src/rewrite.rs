@@ -1,15 +1,16 @@
 //! Cut-based rewriting and refactoring.
 //!
-//! Both transforms share one engine: enumerate k-feasible cuts on the
-//! source graph, resynthesize each cut function from its factored
-//! irredundant cover ([`crate::factor::synthesize`]), estimate the
-//! replacement's cost against the graph under reconstruction
-//! (DAG-aware: existing nodes are free), and keep whichever of
-//! {original structure, best replacement} is cheaper.
+//! Both transforms share one engine, [`resynthesize_with`]: enumerate
+//! k-feasible cuts on the source graph, resynthesize each cut function
+//! from its factored irredundant cover ([`crate::factor::synthesize`]),
+//! estimate the replacement's cost against the graph under
+//! reconstruction (DAG-aware: existing nodes are free), and keep
+//! whichever of {original structure, best replacement} is cheaper.
+//! [`crate::apply_with`] names its configurations, among them:
 //!
-//! * `rewrite`  — 4-input cuts (ABC `rewrite` analog);
-//! * `refactor` — 6-input cuts (ABC `refactor` analog, larger cones);
-//! * `*_zero`   — also accept equal-cost replacements when they
+//! * `rw` — 4-input cuts (ABC `rewrite` analog);
+//! * `rf` — 6-input cuts (ABC `refactor` analog, larger cones);
+//! * `rwz` / `rfz` — also accept equal-cost replacements when they
 //!   reduce estimated depth (ABC's `-z` flag analog), diversifying
 //!   the search space for the optimization flows.
 
@@ -39,128 +40,7 @@ pub struct ResynthOptions {
     pub perturb: Option<(u64, f64)>,
 }
 
-/// Rewrites `aig` using 4-input cuts; never increases live node count.
-pub fn rewrite(aig: &Aig) -> Aig {
-    rewrite_with(aig, &ResynthCache::new())
-}
-
-/// [`rewrite`] against a reusable resynthesis `cache` (see
-/// [`ResynthCache`]); results are identical to [`rewrite`].
-pub fn rewrite_with(aig: &Aig, cache: &ResynthCache) -> Aig {
-    resynthesize_with(
-        aig,
-        &ResynthOptions {
-            cut_size: 4,
-            max_cuts: 8,
-            zero_cost: false,
-            perturb: None,
-        },
-        cache,
-    )
-}
-
-/// Zero-cost-accepting variant of [`rewrite`].
-pub fn rewrite_zero(aig: &Aig) -> Aig {
-    rewrite_zero_with(aig, &ResynthCache::new())
-}
-
-/// [`rewrite_zero`] against a reusable resynthesis `cache`.
-pub fn rewrite_zero_with(aig: &Aig, cache: &ResynthCache) -> Aig {
-    resynthesize_with(
-        aig,
-        &ResynthOptions {
-            cut_size: 4,
-            max_cuts: 8,
-            zero_cost: true,
-            perturb: None,
-        },
-        cache,
-    )
-}
-
-/// Refactors `aig` using 6-input cuts (larger resynthesis cones).
-pub fn refactor(aig: &Aig) -> Aig {
-    refactor_with(aig, &ResynthCache::new())
-}
-
-/// [`refactor`] against a reusable resynthesis `cache`.
-pub fn refactor_with(aig: &Aig, cache: &ResynthCache) -> Aig {
-    resynthesize_with(
-        aig,
-        &ResynthOptions {
-            cut_size: 6,
-            max_cuts: 5,
-            zero_cost: false,
-            perturb: None,
-        },
-        cache,
-    )
-}
-
-/// Function-preserving structural perturbation: every node is, with
-/// probability ~0.35, re-implemented from the factored cover of a
-/// randomly chosen cut, regardless of node-count cost.
-///
-/// Unlike the optimizing transforms this can *grow* the graph; it is
-/// the diversification move behind the training-data generation
-/// (paper §III-C needs 40k structurally distinct variants per
-/// design, spanning a ~3x node-count range).
-///
-/// # Examples
-///
-/// ```
-/// use aig::{Aig, sim::equiv_exhaustive};
-/// use transform::perturb;
-///
-/// let mut g = Aig::new();
-/// let a = g.add_input();
-/// let b = g.add_input();
-/// let c = g.add_input();
-/// let x = g.xor(a, b);
-/// let f = g.xor(x, c);
-/// g.add_output(f, None::<&str>);
-/// let p = perturb(&g, 99);
-/// assert!(equiv_exhaustive(&g, &p)?);
-/// # Ok::<(), aig::AigError>(())
-/// ```
-pub fn perturb(aig: &Aig, seed: u64) -> Aig {
-    perturb_with(aig, seed, &ResynthCache::new())
-}
-
-/// [`perturb`] against a reusable resynthesis `cache`.
-pub fn perturb_with(aig: &Aig, seed: u64, cache: &ResynthCache) -> Aig {
-    resynthesize_with(
-        aig,
-        &ResynthOptions {
-            cut_size: 5,
-            max_cuts: 6,
-            zero_cost: false,
-            perturb: Some((seed, 0.35)),
-        },
-        cache,
-    )
-}
-
-/// Zero-cost-accepting variant of [`refactor`].
-pub fn refactor_zero(aig: &Aig) -> Aig {
-    refactor_zero_with(aig, &ResynthCache::new())
-}
-
-/// [`refactor_zero`] against a reusable resynthesis `cache`.
-pub fn refactor_zero_with(aig: &Aig, cache: &ResynthCache) -> Aig {
-    resynthesize_with(
-        aig,
-        &ResynthOptions {
-            cut_size: 6,
-            max_cuts: 5,
-            zero_cost: true,
-            perturb: None,
-        },
-        cache,
-    )
-}
-
-/// Acceptance rule of [`rewrite_inplace_window`].
+/// Acceptance rule of [`resynth_inplace_window`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum InplaceMode {
     /// Substitute only when the replacement literal sits at a
@@ -186,15 +66,6 @@ pub struct InplaceStats {
     /// the node). These are the replacements the engine used to drop
     /// silently; they are now visible — and legal whenever acyclic.
     pub skipped_nontopo: usize,
-}
-
-impl InplaceStats {
-    /// Accumulates another pass's counters into `self`.
-    pub fn absorb(&mut self, other: InplaceStats) {
-        self.substitutions += other.substitutions;
-        self.appended_nodes += other.appended_nodes;
-        self.skipped_nontopo += other.skipped_nontopo;
-    }
 }
 
 /// Whether substituting `node` by `with` keeps the graph acyclic.
@@ -283,55 +154,6 @@ fn simplified([a, b]: [Lit; 2]) -> Option<Lit> {
     }
 }
 
-/// In-place local rewriting: the transaction-native sibling of
-/// [`rewrite`], for the SA loop's cheap moves.
-///
-/// Where [`rewrite`] rebuilds the whole graph, this walks the current
-/// graph's AND nodes and applies **zero-new-node** replacements
-/// through `txn`: for each live node, each cached cut function (from
-/// `cuts`) is resynthesized via `cache`, and if the resulting
-/// structure already exists in the graph (probed with
-/// [`SmallStructure::find`]; constants count), the node is
-/// substituted by that literal — rewiring its readers, re-leveling
-/// its transitive fanout, and invalidating exactly the affected cut
-/// lists before the walk proceeds. Among acceptable candidates the
-/// one with the smallest `(level, literal)` wins, so the result is a
-/// pure function of the inputs.
-///
-/// The graph's function is preserved (cut functions are exact and the
-/// probe is strashed), no nodes are created, and ids are stable;
-/// replaced nodes go dangling until a later sweep. Because everything
-/// flows through `txn`, the whole move can be rolled back exactly —
-/// pair with [`CutDb::begin_edit`]/[`CutDb::rollback_edit`].
-///
-/// The walk covers a *window* of the graph: at most `max_nodes` live
-/// AND nodes are examined, beginning at the first AND node with id
-/// `>= start` and wrapping around to the low ids (`start = 1`,
-/// `max_nodes = usize::MAX` walks the whole graph in ascending id
-/// order). This is the SA loop's actual in-place move: the examined
-/// set — and with it the edit footprint — is a constant, so the per-iteration
-/// cost is independent of the graph size, which is the paper's
-/// O(edit) claim. The window position is part of the move (SA draws
-/// it from the chain's RNG), so the result stays a pure function of
-/// `(graph, start, max_nodes)`.
-///
-/// Returns the number of substitutions performed.
-///
-/// # Panics
-///
-/// Panics (debug) if `cuts` is out of sync with the transaction's
-/// graph.
-pub fn rewrite_inplace_window(
-    txn: &mut Transaction<'_>,
-    cuts: &mut CutDb,
-    cache: &ResynthCache,
-    mode: InplaceMode,
-    start: NodeId,
-    max_nodes: usize,
-) -> usize {
-    resynth_inplace_window(txn, cuts, cache, mode, false, start, max_nodes).substitutions
-}
-
 /// Fresh AND nodes one windowed pass may append before further
 /// append-mode candidates are skipped. Bounds the move's footprint
 /// (and the dead logic it strands) regardless of the window size;
@@ -343,18 +165,25 @@ pub(crate) const MAX_WINDOW_APPENDS: usize = 32;
 /// and how many of those leaves are in use.
 type ConeCandidate = (u32, usize, Arc<SmallStructure>, [Lit; 6], usize);
 
-/// The full-control in-place resynthesis pass behind
-/// [`rewrite_inplace_window`] and the refactor-flavor SA moves.
+/// In-place windowed resynthesis, the transaction-native sibling of
+/// [`resynthesize_with`] behind the SA loop's `rw` / `rwz` / `rf` /
+/// `rfz` moves.
 ///
-/// Walks at most `max_nodes` live AND nodes starting at `start`
-/// (wrapping) and, per node, resynthesizes each cached cut function:
+/// Walks at most `max_nodes` live AND nodes, beginning at the first
+/// AND node with id `>= start` and wrapping around to the low ids
+/// (`start = 1`, `max_nodes = usize::MAX` walks the whole graph in
+/// ascending id order), so a move's footprint and cost do not grow
+/// with the graph: the paper's O(edit) claim. Per node, each cached
+/// cut function is resynthesized:
 ///
-/// * a replacement already present in the graph (zero new nodes) is
-///   substituted in when it improves per `mode` — **wherever it
-///   sits**: targets that do not precede the node are legal and leave
-///   the graph carrying forward references ([`Aig::forward_ids`]);
-///   only candidates that would close a combinational cycle are
-///   rejected, visibly, via [`InplaceStats::skipped_nontopo`];
+/// * a replacement already present in the graph (zero new nodes,
+///   probed with [`SmallStructure::find`]) is substituted in when it
+///   improves per `mode`, smallest `(level, literal)` first —
+///   **wherever it sits**: targets that do not precede the node are
+///   legal and leave the graph carrying forward references
+///   ([`Aig::forward_ids`]); only candidates that would close a
+///   combinational cycle are rejected, visibly, via
+///   [`InplaceStats::skipped_nontopo`];
 /// * with `allow_appends`, a node with no existing replacement may
 ///   instead get a **fresh replacement cone**: the best
 ///   depth-improving structure is instantiated above the high-water
@@ -370,9 +199,10 @@ type ConeCandidate = (u32, usize, Arc<SmallStructure>, [Lit; 6], usize);
 /// substitution leaves degenerate (`AND(0, x)`, `AND(x, x)`, ...) are
 /// simplified in the same move.
 ///
-/// The result is a pure function of `(graph, mode, allow_appends,
-/// start, max_nodes)` — warm or fresh caches and databases never
-/// change it.
+/// Everything flows through `txn`, so the move rolls back exactly
+/// (pair with [`CutDb::begin_edit`] / [`CutDb::rollback_edit`]). The
+/// result is a pure function of `(graph, mode, allow_appends, start,
+/// max_nodes)` — warm or fresh caches and databases never change it.
 ///
 /// # Panics
 ///
@@ -555,12 +385,13 @@ enum Candidate {
     },
 }
 
-/// The shared rewriting engine, against a reusable resynthesis
-/// `cache`.
+/// The shared resynthesis engine behind `rw`, `rwz`, `rf`, `rfz` and
+/// `pt` ([`crate::apply_with`] names their options), against a
+/// reusable resynthesis `cache`.
 ///
-/// Returns a functionally equivalent AIG whose live node count never
-/// exceeds the input's: each node keeps its original structure unless
-/// a strictly cheaper (or, with `zero_cost`, equally cheap but
+/// Returns a functionally equivalent AIG whose live node count, without
+/// `opts.perturb`, never exceeds the input's: each node keeps its
+/// original structure unless a strictly cheaper (or, with `zero_cost`, equally cheap but
 /// shallower) replacement is found, and cost estimates upper-bound
 /// the nodes actually created.
 ///
@@ -577,7 +408,7 @@ enum Candidate {
 ///
 /// ```
 /// use aig::{Aig, sim::equiv_exhaustive};
-/// use transform::rewrite;
+/// use transform::{resynthesize_with, ResynthCache, ResynthOptions};
 ///
 /// // A redundant mux-of-equal-branches structure shrinks.
 /// let mut g = Aig::new();
@@ -588,7 +419,8 @@ enum Candidate {
 /// let f = g.or(t0, t1); // == a
 /// g.add_output(f, None::<&str>);
 ///
-/// let r = rewrite(&g);
+/// let opts = ResynthOptions { cut_size: 4, max_cuts: 8, zero_cost: false, perturb: None };
+/// let r = resynthesize_with(&g, &opts, &ResynthCache::new());
 /// assert!(equiv_exhaustive(&g, &r)?);
 /// assert!(r.num_ands() < g.num_ands());
 /// # Ok::<(), aig::AigError>(())
@@ -737,6 +569,7 @@ pub fn resynthesize_with(aig: &Aig, opts: &ResynthOptions, cache: &ResynthCache)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{apply, Transform};
     use aig::sim::equiv_exhaustive;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -761,7 +594,7 @@ mod tests {
     fn rewrite_preserves_function() {
         for seed in 0..10 {
             let g = random_aig(seed, 7, 80);
-            let r = rewrite(&g);
+            let r = apply(&g, Transform::Rewrite);
             assert!(
                 equiv_exhaustive(&g, &r).expect("small"),
                 "seed {seed} not equivalent"
@@ -773,7 +606,7 @@ mod tests {
     fn refactor_preserves_function() {
         for seed in 0..10 {
             let g = random_aig(seed + 1000, 8, 80);
-            let r = refactor(&g);
+            let r = apply(&g, Transform::Refactor);
             assert!(
                 equiv_exhaustive(&g, &r).expect("small"),
                 "seed {seed} not equivalent"
@@ -785,8 +618,8 @@ mod tests {
     fn zero_cost_variants_preserve_function() {
         for seed in 0..6 {
             let g = random_aig(seed + 2000, 7, 60);
-            let rz = rewrite_zero(&g);
-            let fz = refactor_zero(&g);
+            let rz = apply(&g, Transform::RewriteZero);
+            let fz = apply(&g, Transform::RefactorZero);
             assert!(equiv_exhaustive(&g, &rz).expect("small"));
             assert!(equiv_exhaustive(&g, &fz).expect("small"));
         }
@@ -797,7 +630,12 @@ mod tests {
         for seed in 0..10 {
             let g = random_aig(seed + 3000, 8, 120);
             let before = g.num_live_ands();
-            for r in [rewrite(&g), refactor(&g), rewrite_zero(&g)] {
+            for t in [
+                Transform::Rewrite,
+                Transform::Refactor,
+                Transform::RewriteZero,
+            ] {
+                let r = apply(&g, t);
                 assert!(
                     r.num_live_ands() <= before,
                     "seed {seed}: {before} -> {}",
@@ -819,7 +657,7 @@ mod tests {
         let o1 = g.or(t0, t1);
         let f = g.or(o1, t2);
         g.add_output(f, None::<&str>);
-        let r = rewrite(&g);
+        let r = apply(&g, Transform::Rewrite);
         assert!(equiv_exhaustive(&g, &r).expect("small"));
         assert!(
             r.num_ands() <= 2,
@@ -828,7 +666,7 @@ mod tests {
         );
         // The zero-cost variant also restructures cost ties and finds
         // the single-AND form.
-        let rz = rewrite_zero(&g);
+        let rz = apply(&g, Transform::RewriteZero);
         assert!(equiv_exhaustive(&g, &rz).expect("small"));
         assert_eq!(rz.num_ands(), 1, "a|b is one AND");
     }
@@ -843,7 +681,7 @@ mod tests {
         let y = g.and(a, !b);
         let f = g.and(x, y);
         g.add_output(f, None::<&str>);
-        let r = refactor(&g);
+        let r = apply(&g, Transform::Refactor);
         assert!(equiv_exhaustive(&g, &r).expect("small"));
         assert_eq!(r.num_ands(), 0);
     }
@@ -865,7 +703,9 @@ mod tests {
                 db.build(&g);
                 let cache = ResynthCache::new();
                 let mut txn = Transaction::begin(&mut g, &mut inc);
-                let subs = rewrite_inplace_window(&mut txn, &mut db, &cache, mode, 1, usize::MAX);
+                let subs =
+                    resynth_inplace_window(&mut txn, &mut db, &cache, mode, false, 1, usize::MAX)
+                        .substitutions;
                 txn.commit();
                 assert_eq!(g.num_nodes(), before_nodes, "zero-new-node contract");
                 assert!(
@@ -898,14 +738,16 @@ mod tests {
         db.build(&g);
         let cache = ResynthCache::new();
         let mut txn = Transaction::begin(&mut g, &mut inc);
-        let subs = rewrite_inplace_window(
+        let subs = resynth_inplace_window(
             &mut txn,
             &mut db,
             &cache,
             InplaceMode::Standard,
+            false,
             1,
             usize::MAX,
-        );
+        )
+        .substitutions;
         txn.commit();
         assert!(subs >= 1, "the OR node reduces to `a`");
         assert!(equiv_exhaustive(&g0, &g).expect("small"));
@@ -934,8 +776,9 @@ mod tests {
     /// Windowed in-place rewriting: any (start, width) is function-
     /// preserving, and the full pass equals the max-width window.
     #[test]
-    fn rewrite_inplace_window_preserves_function() {
+    fn rewrite_window_preserves_function() {
         use aig::incremental::{IncrementalAnalysis, Transaction};
+        use InplaceMode::ZeroCost;
         let g0 = random_aig(5200, 7, 90);
         let n = g0.num_nodes() as NodeId;
         for start in [0u32, 1, n / 2, n - 1, n + 7] {
@@ -945,7 +788,7 @@ mod tests {
             db.build(&g);
             let cache = ResynthCache::new();
             let mut txn = Transaction::begin(&mut g, &mut inc);
-            rewrite_inplace_window(&mut txn, &mut db, &cache, InplaceMode::ZeroCost, start, 16);
+            resynth_inplace_window(&mut txn, &mut db, &cache, ZeroCost, false, start, 16);
             txn.commit();
             assert!(
                 equiv_exhaustive(&g0, &g).expect("small"),
@@ -1004,7 +847,7 @@ mod tests {
     #[test]
     fn cycle_candidates_are_counted_not_silent() {
         use aig::incremental::{IncrementalAnalysis, Transaction};
-        let mut total = InplaceStats::default();
+        let mut substitutions = 0;
         for seed in 0..16u64 {
             let g0 = random_aig(seed + 7300, 7, 110);
             let mut g = g0.clone();
@@ -1013,7 +856,7 @@ mod tests {
             db.build(&g);
             let cache = ResynthCache::new();
             let mut txn = Transaction::begin(&mut g, &mut inc);
-            total.absorb(resynth_inplace_window(
+            substitutions += resynth_inplace_window(
                 &mut txn,
                 &mut db,
                 &cache,
@@ -1021,11 +864,12 @@ mod tests {
                 true,
                 1,
                 usize::MAX,
-            ));
+            )
+            .substitutions;
             txn.commit();
             assert!(equiv_exhaustive(&g0, &g).expect("small"), "seed {seed}");
         }
-        assert!(total.substitutions > 0);
+        assert!(substitutions > 0);
     }
 
     /// A window that reaches a constant cone but not its readers
@@ -1056,14 +900,16 @@ mod tests {
             db.begin_edit();
             let mut txn = Transaction::begin(&mut g, &mut inc);
             // Only `k` is examined: its readers lie outside the window.
-            let subs = rewrite_inplace_window(
+            let subs = resynth_inplace_window(
                 &mut txn,
                 &mut db,
                 &cache,
                 InplaceMode::Standard,
+                false,
                 k.var(),
                 1,
-            );
+            )
+            .substitutions;
             assert_eq!(subs, 3, "k, then its readers r0 and r1");
             for id in txn.aig().and_ids() {
                 if txn.analysis().fanout(id) > 0 {
@@ -1099,11 +945,12 @@ mod tests {
         let cache = ResynthCache::new();
         db.begin_edit();
         let mut txn = Transaction::begin(&mut g, &mut inc);
-        rewrite_inplace_window(
+        resynth_inplace_window(
             &mut txn,
             &mut db,
             &cache,
             InplaceMode::ZeroCost,
+            false,
             1,
             usize::MAX,
         );

@@ -81,5 +81,5 @@ pub mod prelude {
     pub use saopt::{optimize, GroundTruthCost, MlCost, ProxyCost, SaOptions};
     pub use sta;
     pub use techmap::{MapOptions, Mapper, Netlist};
-    pub use transform::{balance, recipes, rewrite, Recipe, Transform};
+    pub use transform::{balance, recipes, Recipe, Transform};
 }

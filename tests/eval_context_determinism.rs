@@ -399,8 +399,8 @@ fn warm_shared_cache_does_not_change_transform_outputs() {
     // Pollute the cache with structures from unrelated graphs.
     for seed in 200..204u64 {
         let other = random_aig_with(seed, 7, 90, 3);
-        let _ = transform::rewrite_with(&other, &cache);
-        let _ = transform::refactor_with(&other, &cache);
+        let _ = transform::apply_with(&other, Transform::Rewrite, &cache);
+        let _ = transform::apply_with(&other, Transform::Refactor, &cache);
     }
     assert!(cache.hits() + cache.misses() > 0);
 
@@ -447,10 +447,10 @@ fn shared_cache_chains_match_serial_runs() {
 fn second_run_is_all_hits() {
     let g = random_aig_with(99, 8, 120, 3);
     let cache = ResynthCache::new();
-    let first = transform::rewrite_with(&g, &cache);
+    let first = transform::apply_with(&g, Transform::Rewrite, &cache);
     let misses_after_first = cache.misses();
     assert!(misses_after_first > 0, "first run must synthesize");
-    let second = transform::rewrite_with(&g, &cache);
+    let second = transform::apply_with(&g, Transform::Rewrite, &cache);
     assert_eq!(
         cache.misses(),
         misses_after_first,

@@ -12,7 +12,7 @@ use aig::aiger;
 use aig::sim::{equiv_exhaustive, SimTable};
 use cells::sky130ish;
 use techmap::{MapOptions, Mapper};
-use transform::{perturb, reshape, Transform};
+use transform::{reshape, resynthesize_with, ResynthCache, ResynthOptions, Transform};
 
 mod common;
 use common::small_random_aig as random_aig;
@@ -43,7 +43,13 @@ fn diversifiers_preserve_function() {
             equiv_exhaustive(&g, &r).expect("small graphs"),
             "case {case}: reshape broke function"
         );
-        let p = perturb(&g, case * 77);
+        let opts = ResynthOptions {
+            cut_size: 5,
+            max_cuts: 6,
+            zero_cost: false,
+            perturb: Some((case * 77, 0.35)),
+        };
+        let p = resynthesize_with(&g, &opts, &ResynthCache::new());
         assert!(
             equiv_exhaustive(&g, &p).expect("small graphs"),
             "case {case}: perturb broke function"

@@ -51,7 +51,7 @@ fn drive_edit_walk(g0: &Aig, seed: u64, steps: usize) {
             } else {
                 InplaceMode::ZeroCost
             };
-            transform::rewrite_inplace_window(&mut txn, &mut db, &cache, mode, start, 64);
+            transform::resynth_inplace_window(&mut txn, &mut db, &cache, mode, false, start, 64);
         } else {
             // Harsher cover churn: raw substitutions.
             for _ in 0..rng.gen_range(1..3) {
