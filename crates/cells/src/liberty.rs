@@ -99,11 +99,11 @@ pub fn parse(text: &str) -> Result<Library, ParseLibertyError> {
         .map(|(i, l)| (i + 1, l.trim()))
         .filter(|(_, l)| !l.is_empty() && !l.starts_with("//"));
 
-    let (ln, first) = lines.next().ok_or_else(|| err(0, "empty document"))?;
+    let (lib_line, first) = lines.next().ok_or_else(|| err(1, "empty document"))?;
     let lib_name = first
         .strip_prefix("library(")
         .and_then(|r| r.split(')').next())
-        .ok_or_else(|| err(ln, "expected `library(NAME) {`"))?
+        .ok_or_else(|| err(lib_line, "expected `library(NAME) {`"))?
         .to_owned();
     let mut wire_cap = 0.0f64;
     let mut cells: Vec<Cell> = Vec::new();
@@ -216,7 +216,9 @@ pub fn parse(text: &str) -> Result<Library, ParseLibertyError> {
             return Err(err(ln, format!("cannot parse line: `{line}`")));
         }
     }
-    Err(err(0, "unexpected end of input (unclosed block)"))
+    // The innermost open block: a pending cell, else the library.
+    let open = current.map_or(lib_line, |pc| pc.line);
+    Err(err(open, "unexpected end of input (unclosed block)"))
 }
 
 /// Splits `key : value;` into components.
@@ -271,8 +273,13 @@ mod tests {
 
     #[test]
     fn error_reporting() {
-        assert!(parse("").is_err());
-        assert!(parse("library(x) {").is_err()); // unclosed
+        assert_eq!(parse("").unwrap_err().line, 1);
+        assert_eq!(parse("library(x) {").unwrap_err().line, 1); // unclosed
+                                                                // A cell left open: the error points at the line that opened it.
+        let open_cell = "library(x) {\n  cell(C) {\n    area : 1.0;\n";
+        let e = parse(open_cell).unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
+        assert!(e.msg.contains("unclosed"), "{e}");
         let bad_fn = r#"
             library(x) {
               cell(C) {

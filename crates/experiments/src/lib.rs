@@ -38,8 +38,8 @@ use std::path::PathBuf;
 /// Shared experiment configuration.
 ///
 /// The defaults are sized so the complete suite runs in minutes on a
-/// laptop; the paper's full scale (40,000 AIGs per design) is reached
-/// by raising `samples` (see EXPERIMENTS.md for the scaling note).
+/// laptop. The paper labels 40,000 AIGs per design for Table III;
+/// `samples` defaults to 600, and raising it approaches that scale.
 #[derive(Clone, Debug)]
 pub struct Config {
     /// Labeled samples per design (Table III corpus).

@@ -5,12 +5,16 @@
 //!
 //! commands:
 //!   stats <file>                      AIG statistics (PI/PO/nodes/levels)
-//!   opt <file> --script S [-o OUT]    apply a transformation script
+//!   opt <file> [--script S] [-o OUT]  apply a transformation script
 //!   map <file> [--lib L] [--verilog OUT.v] [--no-resize]
 //!                                     technology map; report delay/area
-//!   sta <file> [--lib L] [--paths N]  full timing report
+//!   sta <file> [--lib L] [--paths N] [--no-resize]
+//!                                     full timing report
 //!   features <file>                   print the Table II feature vector
 //!   gen <design> -o OUT               write a builtin benchmark design
+//!
+//! A command rejects any flag it does not list, a flag without its
+//! value, and a second input.
 //!
 //! file formats: ASCII (.aag) / binary (.aig) AIGER and .blif.
 //! scripts: semicolon-separated mnemonics, e.g. "b;rw;rf;rwz;b"
@@ -54,36 +58,58 @@ fn main() {
 
 type ToolResult = Result<(), Box<dyn std::error::Error>>;
 
-/// The first argument that is neither a flag nor the value of a flag
-/// that takes one, wherever the flags stand.
-fn positional(rest: &[String]) -> Result<&str, String> {
-    let mut i = 0;
-    while i < rest.len() {
-        let a = rest[i].as_str();
-        if flag_takes_value(a) {
-            i += 2;
-        } else if a.starts_with('-') {
+/// A command's input (a file or a design name) and the flags it was
+/// given, each with its value when it takes one.
+struct Args<'a> {
+    input: &'a str,
+    flags: Vec<(&'a str, Option<&'a str>)>,
+}
+
+impl<'a> Args<'a> {
+    /// Reads `rest` in one indexed pass: a flag in `valued` takes the
+    /// next argument as its value, one in `switches` stands alone, and
+    /// the one other argument is the input, wherever the flags stand.
+    /// Any other `-`-prefixed argument, a valued flag without a value
+    /// and a second input are errors that name them; so is a missing
+    /// input.
+    fn parse(rest: &'a [String], valued: &[&str], switches: &[&str]) -> Result<Self, String> {
+        let mut input = None;
+        let mut flags = Vec::new();
+        let mut i = 0;
+        while i < rest.len() {
+            let a = rest[i].as_str();
+            if valued.contains(&a) {
+                let value = rest
+                    .get(i + 1)
+                    .ok_or_else(|| format!("flag `{a}` needs a value"))?;
+                flags.push((a, Some(value.as_str())));
+                i += 1;
+            } else if switches.contains(&a) {
+                flags.push((a, None));
+            } else if a.starts_with('-') {
+                return Err(format!("unknown flag `{a}`"));
+            } else if input.is_some() {
+                return Err(format!("unexpected argument `{a}`"));
+            } else {
+                input = Some(a);
+            }
             i += 1;
-        } else {
-            return Ok(a);
         }
+        let input = input.ok_or("missing input file")?;
+        Ok(Args { input, flags })
     }
-    Err("missing input file".to_owned())
-}
 
-fn flag_takes_value(flag: &str) -> bool {
-    matches!(flag, "--script" | "-o" | "--lib" | "--verilog" | "--paths")
-}
+    /// The value of the first `flag`, when it was given.
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.flags
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .and_then(|(_, v)| *v)
+    }
 
-fn flag_value<'a>(rest: &'a [String], flag: &str) -> Option<&'a str> {
-    rest.iter()
-        .position(|a| a == flag)
-        .and_then(|i| rest.get(i + 1))
-        .map(String::as_str)
-}
-
-fn has_flag(rest: &[String], flag: &str) -> bool {
-    rest.iter().any(|a| a == flag)
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| *f == flag)
+    }
 }
 
 fn load(path: &str) -> Result<Aig, Box<dyn std::error::Error>> {
@@ -107,8 +133,8 @@ fn save(g: &Aig, path: &str) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn load_library(rest: &[String]) -> Result<Library, Box<dyn std::error::Error>> {
-    match flag_value(rest, "--lib").unwrap_or("sky130ish") {
+fn load_library(args: &Args<'_>) -> Result<Library, Box<dyn std::error::Error>> {
+    match args.value("--lib").unwrap_or("sky130ish") {
         "sky130ish" => Ok(cells::sky130ish()),
         "asap7ish" => Ok(cells::asap7ish()),
         path => {
@@ -119,7 +145,7 @@ fn load_library(rest: &[String]) -> Result<Library, Box<dyn std::error::Error>> 
 }
 
 fn cmd_stats(rest: &[String]) -> ToolResult {
-    let g = load(positional(rest)?)?;
+    let g = load(Args::parse(rest, &[], &[])?.input)?;
     println!("{}", g.stats());
     let f = features::extract(&g);
     println!(
@@ -132,8 +158,10 @@ fn cmd_stats(rest: &[String]) -> ToolResult {
 }
 
 fn cmd_opt(rest: &[String]) -> ToolResult {
-    let g = load(positional(rest)?)?;
-    let script: transform::Recipe = flag_value(rest, "--script")
+    let args = Args::parse(rest, &["--script", "-o"], &[])?;
+    let g = load(args.input)?;
+    let script: transform::Recipe = args
+        .value("--script")
         .unwrap_or("b;rw;rf;b;rwz;rfz")
         .parse()?;
     let out = script.apply(&g);
@@ -142,28 +170,27 @@ fn cmd_opt(rest: &[String]) -> ToolResult {
     if !aig::sim::equiv_auto(&g, &out, 16, 7)? {
         return Err("INTERNAL: transformation changed the function".into());
     }
-    if let Some(path) = flag_value(rest, "-o") {
+    if let Some(path) = args.value("-o") {
         save(&out, path)?;
         println!("wrote {path}");
     }
     Ok(())
 }
 
-fn map_with(
-    rest: &[String],
-) -> Result<(Aig, Library, techmap::Netlist), Box<dyn std::error::Error>> {
-    let g = load(positional(rest)?)?;
-    let lib = load_library(rest)?;
+fn map_with(args: &Args<'_>) -> Result<(Library, techmap::Netlist), Box<dyn std::error::Error>> {
+    let g = load(args.input)?;
+    let lib = load_library(args)?;
     let mapper = techmap::Mapper::new(&lib, techmap::MapOptions::default());
     let mut nl = mapper.map(&g)?;
-    if !has_flag(rest, "--no-resize") {
+    if !args.has("--no-resize") {
         techmap::resize_greedy(&mut nl, &lib, 2);
     }
-    Ok((g, lib, nl))
+    Ok((lib, nl))
 }
 
 fn cmd_map(rest: &[String]) -> ToolResult {
-    let (_, lib, nl) = map_with(rest)?;
+    let args = Args::parse(rest, &["--lib", "--verilog"], &["--no-resize"])?;
+    let (lib, nl) = map_with(&args)?;
     let (delay, area) = sta::delay_and_area(&nl, &lib);
     println!(
         "mapped to {}: {} gates, {:.1} um2, {:.1} ps",
@@ -175,7 +202,7 @@ fn cmd_map(rest: &[String]) -> ToolResult {
     for (cell, n) in nl.cell_histogram(&lib) {
         println!("  {cell:12} x{n}");
     }
-    if let Some(path) = flag_value(rest, "--verilog") {
+    if let Some(path) = args.value("--verilog") {
         let module = "mapped";
         let mut text = techmap::to_verilog(&nl, &lib, module);
         text.push('\n');
@@ -187,7 +214,8 @@ fn cmd_map(rest: &[String]) -> ToolResult {
 }
 
 fn cmd_sta(rest: &[String]) -> ToolResult {
-    let (_, lib, nl) = map_with(rest)?;
+    let args = Args::parse(rest, &["--lib", "--paths"], &["--no-resize"])?;
+    let (lib, nl) = map_with(&args)?;
     let report = sta::analyze(&nl, &lib);
     println!(
         "critical path {:.1} ps, area {:.1} um2, worst slack {:.2} ps",
@@ -195,7 +223,7 @@ fn cmd_sta(rest: &[String]) -> ToolResult {
         report.area_um2,
         report.worst_slack_ps()
     );
-    let n: usize = flag_value(rest, "--paths").unwrap_or("3").parse()?;
+    let n: usize = args.value("--paths").unwrap_or("3").parse()?;
     for p in sta::worst_output_paths(&nl, &lib, n) {
         println!(
             "output {} ({}): {:.1} ps, {} stages",
@@ -215,13 +243,14 @@ fn cmd_sta(rest: &[String]) -> ToolResult {
 }
 
 fn cmd_features(rest: &[String]) -> ToolResult {
-    let g = load(positional(rest)?)?;
+    let g = load(Args::parse(rest, &[], &[])?.input)?;
     print!("{}", features::extract(&g));
     Ok(())
 }
 
 fn cmd_gen(rest: &[String]) -> ToolResult {
-    let name = positional(rest)?;
+    let args = Args::parse(rest, &["-o"], &[])?;
+    let name = args.input;
     let design = if let Some(bits) = name.strip_prefix("mult") {
         benchgen::multiplier(bits.parse()?)
     } else if name == "large10k" {
@@ -231,14 +260,17 @@ fn cmd_gen(rest: &[String]) -> ToolResult {
     } else if name == "large1m" {
         benchgen::large_1m()
     } else if let Some(ands) = name.strip_prefix("large") {
-        benchgen::large_mix(ands.parse()?)
+        match ands.parse()? {
+            0 => return Err(format!("design `{name}` needs a positive AND count").into()),
+            ands => benchgen::large_mix(ands),
+        }
     } else {
         benchgen::iwls_like_suite()
             .into_iter()
             .find(|d| d.name == name)
             .ok_or_else(|| format!("unknown design `{name}`"))?
     };
-    let out = flag_value(rest, "-o").ok_or("missing -o OUT")?;
+    let out = args.value("-o").ok_or("missing -o OUT")?;
     save(&design.aig, out)?;
     println!("wrote {} ({}) to {out}", design.name, design.aig.stats());
     Ok(())

@@ -1,5 +1,8 @@
 //! The `aigtool` command line: an input file is found wherever the
 //! flags stand, and a flag's value is never read as the input file.
+//! A flag the command does not read, a flag without its value, a
+//! second input and a design it cannot build are errors that name the
+//! argument: the tool exits 1 and writes nothing.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -78,4 +81,101 @@ fn flags_alone_report_a_missing_input() {
         stderr.contains("missing input file"),
         "unexpected stderr: {stderr}"
     );
+}
+
+/// A `mult4` AIGER file in a fresh temp directory.
+fn mult4_input(name: &str) -> (PathBuf, PathBuf) {
+    let dir = temp_dir(name);
+    let input = dir.join("m4.aag");
+    assert_ok(&aigtool(&["gen", "mult4", "-o", path_str(&input)]), "gen");
+    (dir, input)
+}
+
+/// Runs `args` and asserts a failure with exit code 1 whose message
+/// names `culprit`, and that `out` was not written.
+fn assert_rejected(args: &[&str], culprit: &str, out: &std::path::Path) {
+    let run = aigtool(args);
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "{args:?}: stderr: {stderr}");
+    assert!(
+        stderr.contains(&format!("`{culprit}`")),
+        "{args:?}: stderr does not name `{culprit}`: {stderr}"
+    );
+    assert!(!out.exists(), "{args:?} wrote {}", out.display());
+}
+
+#[test]
+fn misspelled_flag_is_rejected() {
+    let (dir, input) = mult4_input("misspelled");
+    let out = dir.join("out.aag");
+    let args = [
+        "opt",
+        path_str(&input),
+        "--scirpt",
+        "b",
+        "-o",
+        path_str(&out),
+    ];
+    assert_rejected(&args, "--scirpt", &out);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn flag_without_value_is_rejected() {
+    let (dir, input) = mult4_input("novalue");
+    let out = dir.join("out.aag");
+    let args = ["opt", path_str(&input), "-o", path_str(&out), "--script"];
+    assert_rejected(&args, "--script", &out);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn misspelled_switch_is_rejected() {
+    let (dir, input) = mult4_input("switch");
+    let out = dir.join("out.v");
+    let args = [
+        "map",
+        path_str(&input),
+        "--verilog",
+        path_str(&out),
+        "--no-resise",
+    ];
+    assert_rejected(&args, "--no-resise", &out);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn paths_without_value_is_rejected() {
+    let (dir, input) = mult4_input("paths");
+    let run = aigtool(&["sta", path_str(&input), "--paths"]);
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("`--paths`"), "unexpected stderr: {stderr}");
+    assert!(run.stdout.is_empty(), "sta printed a report");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn second_input_is_rejected() {
+    let (dir, input) = mult4_input("second");
+    let other = dir.join("other.aag");
+    std::fs::copy(&input, &other).expect("copy input");
+    let out = dir.join("out.aag");
+    let args = [
+        "opt",
+        path_str(&input),
+        path_str(&other),
+        "-o",
+        path_str(&out),
+    ];
+    assert_rejected(&args, path_str(&other), &out);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn empty_large_design_is_rejected() {
+    let dir = temp_dir("large0");
+    let out = dir.join("l0.aag");
+    assert_rejected(&["gen", "large0", "-o", path_str(&out)], "large0", &out);
+    std::fs::remove_dir_all(&dir).ok();
 }
