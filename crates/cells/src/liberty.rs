@@ -274,10 +274,10 @@ mod tests {
     #[test]
     fn error_reporting() {
         assert_eq!(parse("").unwrap_err().line, 1);
-        assert_eq!(parse("library(x) {").unwrap_err().line, 1); // unclosed
-                                                                // A cell left open: the error points at the line that opened it.
-        let open_cell = "library(x) {\n  cell(C) {\n    area : 1.0;\n";
-        let e = parse(open_cell).unwrap_err();
+        // An unclosed block points at the line that opened the
+        // innermost one: the library header, or a cell left open.
+        assert_eq!(parse("library(x) {").unwrap_err().line, 1);
+        let e = parse("library(x) {\n  cell(C) {\n    area : 1.0;\n").unwrap_err();
         assert_eq!(e.line, 2, "{e}");
         assert!(e.msg.contains("unclosed"), "{e}");
         let bad_fn = r#"

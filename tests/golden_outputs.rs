@@ -7,8 +7,9 @@
 //! binary AIGER each primitive, each in-place window pass,
 //! `datagen::degrade` and a few recipes produce on `ex11`, the bit
 //! patterns of `GroundTruthCost::evaluate` on two graphs, and the
-//! outcome of a short paper-recipe ground-truth SA chain. A digest changes only when an output does;
-//! an intended output change updates the constants here and says why.
+//! outcome of a short paper-recipe ground-truth SA chain. A digest
+//! changes only when an output does; an intended output change
+//! updates the constants here and says why.
 
 use aig::aiger::to_binary;
 use aig::cut::CutDb;
