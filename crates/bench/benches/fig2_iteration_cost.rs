@@ -7,21 +7,138 @@
 
 use aig::cut::CutDb;
 use aig::incremental::{IncrementalAnalysis, Transaction};
+use aig::Aig;
 use bench::{bench_json_path, candidate_of, design_pair, library};
+use cells::Library;
 use criterion::{criterion_group, criterion_main, Criterion};
-use saopt::{CostEvaluator, EditScope, GroundTruthCost, ProxyCost};
+use saopt::{CostEvaluator, EditScope, EvalContext, GroundTruthCost, ProxyCost};
 use sta::IncrementalSta;
 use std::hint::black_box;
 use techmap::{GateId, MapContext, MapOptions, MappedDesign, Mapper, SizingTable};
 use transform::{InplaceMode, ResynthCache, Transform};
 
+/// Length of the deterministic accepted-append walk whose DP row
+/// counters (`map_dp_append_recomputed_rows`,
+/// `map_dp_append_rows_above_watermark`) feed the footprint gate in
+/// `scripts/verify.sh`. Fixed, so the counters are pure functions of
+/// the design: sampling knobs (`BENCH_SAMPLE_MS`,
+/// `BENCH_MAX_SAMPLES`) cannot move them.
+const COUNTER_STEPS: u32 = 64;
+
+/// One accepted fresh-cone move of the append benches, drawn from the
+/// LCG `state`: picks a live AND in the top quarter of the id space
+/// (the recently built region an SA exploit streak keeps reworking),
+/// appends a two-node cone built from the target's own fanin literals
+/// (polarities from the draw's high bits — fanins precede the target,
+/// so the splice can never close a cycle), substitutes the target
+/// with the appended root and commits. Returns the edit watermark
+/// (`Transaction::min_touched`), or `None` when the move did not
+/// fire: no live target in the top quarter, or strashing folded the
+/// cone onto existing logic and the move rolled back (exercising the
+/// append-rollback path at shared cost).
+fn append_move(
+    current: &mut Aig,
+    inc: &mut IncrementalAnalysis,
+    db: &mut CutDb,
+    state: u32,
+) -> Option<u32> {
+    let n = current.num_nodes() as u32;
+    let quarter = (n / 4).max(1);
+    let lo = n - quarter;
+    let start = lo + state % quarter;
+    let target = (0..quarter)
+        .map(|off| lo + (start - lo + off) % quarter)
+        .find(|&id| current.is_and(id) && !inc.consumers(id).is_empty())?;
+    db.begin_edit();
+    let mut txn = Transaction::begin(current, inc);
+    let [f0, f1] = txn.aig().fanins(target);
+    let sel = state >> 16;
+    let a = if sel & 1 == 0 { f0 } else { !f0 };
+    let b = if sel & 2 == 0 { f1 } else { !f1 };
+    let c = if sel & 4 == 0 { f1 } else { !f0 };
+    let before = txn.aig().num_nodes() as u32;
+    let cone = txn.and(a, b);
+    let root = txn.and(cone, c);
+    if cone.var() < before || root.var() <= cone.var() {
+        txn.rollback();
+        db.rollback_edit();
+        return None;
+    }
+    db.sync_appends(txn.aig());
+    txn.substitute(target, root);
+    db.invalidate(txn.aig(), txn.analysis(), txn.analysis().last_dirty());
+    let since = txn.min_touched();
+    txn.commit();
+    db.commit_edit();
+    Some(since)
+}
+
+/// The product path of the append benches: a ground-truth evaluator
+/// pricing each committed `append_move` through its persistent design
+/// (grown in place, DP cutoff live), sweeping the graph with the SA
+/// engine's garbage-ratio policy (live * 4 < total) so growth stays
+/// bounded.
+struct CutoffAppend<'a> {
+    e: GroundTruthCost<'a>,
+    ctx: EvalContext,
+    current: Aig,
+    inc: IncrementalAnalysis,
+    db: CutDb,
+    state: u32,
+}
+
+impl<'a> CutoffAppend<'a> {
+    /// Starts the walk at `cand`, with the evaluator's persistent
+    /// design/STA state warmed on it.
+    fn new(cand: &Aig, lib: &'a Library) -> Self {
+        let mut e = GroundTruthCost::new(lib);
+        let mut ctx = EvalContext::new();
+        let mut db = CutDb::new(4, 8);
+        db.build(cand);
+        let _ = e.evaluate_edit(cand, &EditScope::new(&db, 0), &mut ctx);
+        CutoffAppend {
+            e,
+            ctx,
+            current: cand.clone(),
+            inc: IncrementalAnalysis::new(cand),
+            db,
+            state: 1,
+        }
+    }
+
+    /// One move, priced. When it fired, returns the DP rows the
+    /// pricing recomputed and the rows the watermark fallback would
+    /// have: every row at or above the watermark clamped to the first
+    /// committed forward reference.
+    fn step(&mut self) -> Option<(u64, u64)> {
+        self.state = self.state.wrapping_mul(1664525).wrapping_add(1013904223);
+        let since = append_move(&mut self.current, &mut self.inc, &mut self.db, self.state)?;
+        let eff = since.min(self.current.forward_ids().next().unwrap_or(u32::MAX));
+        let scope = EditScope::new(&self.db, since);
+        let _ = self.e.evaluate_edit(&self.current, &scope, &mut self.ctx);
+        let rows = (
+            self.e.dp_recomputed_rows() as u64,
+            (self.current.num_nodes() as u64).saturating_sub(u64::from(eff)),
+        );
+        if self.current.num_live_ands() * 4 < self.current.num_ands() {
+            self.current = self.current.sweep();
+            self.inc = IncrementalAnalysis::new(&self.current);
+            self.db = CutDb::new(4, 8);
+            self.db.build(&self.current);
+            let scope = EditScope::new(&self.db, 0);
+            let _ = self.e.evaluate_edit(&self.current, &scope, &mut self.ctx);
+        }
+        Some(rows)
+    }
+}
+
 fn bench_fig2(c: &mut Criterion) {
     let (small, large) = design_pair();
     let lib = library();
-    // Deterministic work counters accumulated by the cutoff-on append
-    // bench and reported as pseudo-series after the group closes: the
-    // footprint gate in `scripts/verify.sh` is a ratio over these, not
-    // over wall time.
+    // Deterministic work counters of the fixed-length append walk,
+    // reported as pseudo-series after the group closes: the footprint
+    // gate in `scripts/verify.sh` is a ratio over these, not over wall
+    // time.
     let mut append_recomputed_rows: u64 = 0;
     let mut append_rows_above_watermark: u64 = 0;
     let mut g = c.benchmark_group("fig2_iteration");
@@ -221,7 +338,6 @@ fn bench_fig2(c: &mut Criterion) {
     // O(netlist) -> O(edit) win of the incremental timing engine
     // (tracked >= 5x).
     {
-        use saopt::EvalContext;
         let cand = candidate_of(&large);
         let cache = ResynthCache::new();
         g.bench_function("gt_eval_rebuild_ex28", |b| {
@@ -266,22 +382,15 @@ fn bench_fig2(c: &mut Criterion) {
             })
         });
     }
-    // Accepted fresh-cone moves: each iteration picks a live AND in
-    // the top quarter of the id space (the recently built region an
-    // SA exploit streak keeps reworking), appends a two-node cone
-    // built from the target's own fanin literals (polarities drawn
-    // from the shared LCG — fanins precede the target, so the splice
-    // can never close a cycle), and substitutes the target with the
-    // appended root. Iterations where strashing folds the cone onto
-    // existing logic roll back, exercising the append-rollback path
-    // at shared cost. The move itself is microseconds, so the
-    // comparison isolates the bench's actual subject — the
-    // mapper/design/STA resync pipeline — instead of move-generation
-    // cost. The committed stream accumulates forward references and
-    // the persistent design must track a *growing* node table: this
-    // is the cutoff's scenario. `map_dp_cutoff_append_ex28` runs the
-    // product path — the design grows in place and the DP cutoff
-    // (topo-position worklist keys) stays live.
+    // Accepted fresh-cone moves (`append_move`): the move itself is
+    // microseconds, so the comparison isolates the bench's actual
+    // subject — the mapper/design/STA resync pipeline — instead of
+    // move-generation cost. The committed stream accumulates forward
+    // references and the persistent design must track a *growing*
+    // node table: this is the cutoff's scenario.
+    // `map_dp_cutoff_append_ex28` runs the product path
+    // (`CutoffAppend`): the design grows in place and the DP cutoff
+    // (a dependency-ordered sweep above the watermark) stays live.
     // `map_dp_reset_rebuild_append_ex28` replays the byte-identical
     // trajectory (same LCG, same deterministic move) under the
     // pre-cutover policy: any growth drops the design (full reset +
@@ -290,84 +399,24 @@ fn bench_fig2(c: &mut Criterion) {
     // variants sweep the graph with the SA engine's garbage-ratio
     // policy (live * 4 < total) so growth stays bounded; the sweep +
     // re-warm cost lands on both sides identically. The wall-clock
-    // ratio is tracked >= 2x; the cutoff-on variant also accumulates
+    // ratio is tracked >= 2x. The footprint gate's work-bound series,
     // `map_dp_append_recomputed_rows` vs
-    // `map_dp_append_rows_above_watermark` — the work-bound series the
-    // footprint gate checks (recomputed strictly below the
-    // watermark-to-top row count).
+    // `map_dp_append_rows_above_watermark` (recomputed strictly below
+    // the watermark-to-top row count), are summed over a separate
+    // `COUNTER_STEPS`-move walk of the product path, outside the
+    // timed series.
     {
-        use saopt::EvalContext;
         let cand = candidate_of(&large);
+        let mut walk = CutoffAppend::new(&cand, &lib);
+        for _ in 0..COUNTER_STEPS {
+            if let Some((recomputed, above)) = walk.step() {
+                append_recomputed_rows += recomputed;
+                append_rows_above_watermark += above;
+            }
+        }
         g.bench_function("map_dp_cutoff_append_ex28", |b| {
-            let mut e = GroundTruthCost::new(&lib);
-            let mut ctx = EvalContext::new();
-            let mut current = cand.clone();
-            let mut inc = IncrementalAnalysis::new(&current);
-            let mut db = CutDb::new(4, 8);
-            db.build(&current);
-            let m0 = e.evaluate_edit(&current, &EditScope::new(&db, 0), &mut ctx);
-            let mut last = (m0.delay, m0.area);
-            let mut state = 1u32;
-            b.iter(|| {
-                state = state.wrapping_mul(1664525).wrapping_add(1013904223);
-                let n = current.num_nodes() as u32;
-                let quarter = (n / 4).max(1);
-                let lo = n - quarter;
-                let start = lo + state % quarter;
-                // Pick a live AND in the top quarter to splice over.
-                let mut target = 0u32;
-                for off in 0..quarter {
-                    let id = lo + (start - lo + off) % quarter;
-                    if current.is_and(id) && !inc.consumers(id).is_empty() {
-                        target = id;
-                        break;
-                    }
-                }
-                if target == 0 {
-                    return last;
-                }
-                db.begin_edit();
-                let mut txn = Transaction::begin(&mut current, &mut inc);
-                let [f0, f1] = txn.aig().fanins(target);
-                let sel = state >> 16;
-                let a = if sel & 1 == 0 { f0 } else { !f0 };
-                let bl = if sel & 2 == 0 { f1 } else { !f1 };
-                let c = if sel & 4 == 0 { f1 } else { !f0 };
-                let before = txn.aig().num_nodes() as u32;
-                let cone = txn.and(a, bl);
-                let root = txn.and(cone, c);
-                if cone.var() < before || root.var() <= cone.var() {
-                    // Strashing folded the cone onto existing logic:
-                    // not a fresh-cone move, roll back (exercises the
-                    // append-rollback path at shared cost).
-                    txn.rollback();
-                    db.rollback_edit();
-                    return last;
-                }
-                db.sync_appends(txn.aig());
-                txn.substitute(target, root);
-                db.invalidate(txn.aig(), txn.analysis(), txn.analysis().last_dirty());
-                let since = txn.min_touched();
-                txn.commit();
-                db.commit_edit();
-                // Rows the watermark fallback would recompute: every
-                // row at or above the dirty watermark clamped to the
-                // first committed forward reference.
-                let eff = since.min(current.forward_ids().next().unwrap_or(u32::MAX));
-                let m = e.evaluate_edit(&current, &EditScope::new(&db, since), &mut ctx);
-                append_recomputed_rows += e.dp_recomputed_rows() as u64;
-                append_rows_above_watermark +=
-                    (current.num_nodes() as u64).saturating_sub(eff as u64);
-                if current.num_live_ands() * 4 < current.num_ands() {
-                    current = current.sweep();
-                    inc = IncrementalAnalysis::new(&current);
-                    db = CutDb::new(4, 8);
-                    db.build(&current);
-                    let _ = e.evaluate_edit(&current, &EditScope::new(&db, 0), &mut ctx);
-                }
-                last = (m.delay, m.area);
-                last
-            })
+            let mut walk = CutoffAppend::new(&cand, &lib);
+            b.iter(|| walk.step())
         });
         g.bench_function("map_dp_reset_rebuild_append_ex28", |b| {
             let mapper = Mapper::new(&lib, MapOptions::default());
@@ -381,7 +430,7 @@ fn bench_fig2(c: &mut Criterion) {
             let mut inc = IncrementalAnalysis::new(&current);
             let mut db = CutDb::new(4, 8);
             db.build(&current);
-            let warm = |current: &aig::Aig,
+            let warm = |current: &Aig,
                         db: &CutDb,
                         since: u32,
                         mctx: &mut MapContext,
@@ -416,45 +465,9 @@ fn bench_fig2(c: &mut Criterion) {
             b.iter(|| {
                 state = state.wrapping_mul(1664525).wrapping_add(1013904223);
                 let n = current.num_nodes() as u32;
-                let quarter = (n / 4).max(1);
-                let lo = n - quarter;
-                let start = lo + state % quarter;
-                // Pick a live AND in the top quarter to splice over.
-                let mut target = 0u32;
-                for off in 0..quarter {
-                    let id = lo + (start - lo + off) % quarter;
-                    if current.is_and(id) && !inc.consumers(id).is_empty() {
-                        target = id;
-                        break;
-                    }
-                }
-                if target == 0 {
+                let Some(since) = append_move(&mut current, &mut inc, &mut db, state) else {
                     return last;
-                }
-                db.begin_edit();
-                let mut txn = Transaction::begin(&mut current, &mut inc);
-                let [f0, f1] = txn.aig().fanins(target);
-                let sel = state >> 16;
-                let a = if sel & 1 == 0 { f0 } else { !f0 };
-                let bl = if sel & 2 == 0 { f1 } else { !f1 };
-                let c = if sel & 4 == 0 { f1 } else { !f0 };
-                let before = txn.aig().num_nodes() as u32;
-                let cone = txn.and(a, bl);
-                let root = txn.and(cone, c);
-                if cone.var() < before || root.var() <= cone.var() {
-                    // Strashing folded the cone onto existing logic:
-                    // not a fresh-cone move, roll back (exercises the
-                    // append-rollback path at shared cost).
-                    txn.rollback();
-                    db.rollback_edit();
-                    return last;
-                }
-                db.sync_appends(txn.aig());
-                txn.substitute(target, root);
-                db.invalidate(txn.aig(), txn.analysis(), txn.analysis().last_dirty());
-                let since = txn.min_touched();
-                txn.commit();
-                db.commit_edit();
+                };
                 // Pre-cutover policy: appended rows failed the shape
                 // check, so any growth drops the whole design.
                 if current.num_nodes() as u32 > n {
@@ -489,18 +502,16 @@ fn bench_fig2(c: &mut Criterion) {
         });
     }
     g.finish();
-    if append_rows_above_watermark > 0 {
-        c.record_value(
-            "fig2_iteration",
-            "map_dp_append_recomputed_rows",
-            append_recomputed_rows as f64,
-        );
-        c.record_value(
-            "fig2_iteration",
-            "map_dp_append_rows_above_watermark",
-            append_rows_above_watermark as f64,
-        );
-    }
+    c.record_value(
+        "fig2_iteration",
+        "map_dp_append_recomputed_rows",
+        append_recomputed_rows as f64,
+    );
+    c.record_value(
+        "fig2_iteration",
+        "map_dp_append_rows_above_watermark",
+        append_rows_above_watermark as f64,
+    );
     if let (Some(rebuild), Some(inplace)) = (
         c.median_ns("fig2_iteration", "sa_step_rebuild_ex28"),
         c.median_ns("fig2_iteration", "sa_step_inplace_ex28"),

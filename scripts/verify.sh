@@ -165,9 +165,9 @@ gates = [
     (fig2, "fig2_iteration/sa_step_rebuild_refactor_ex28", "fig2_iteration/sa_step_inplace_refactor_ex28", 5.0),
     (fig2, "fig2_iteration/map_dp_reset_rebuild_append_ex28", "fig2_iteration/map_dp_cutoff_append_ex28", 2.0),
     # Work-bound (deterministic counters, immune to machine noise): on
-    # the accepted-append walk the per-row DP cutoff must recompute
-    # strictly fewer rows than the forward-clamped watermark fallback
-    # would touch (measured ~10x tighter).
+    # the fixed 64-move accepted-append walk the per-row DP cutoff must
+    # recompute strictly fewer rows than the forward-clamped watermark
+    # fallback would touch (measured 3.0x tighter).
     (fig2, "fig2_iteration/map_dp_append_rows_above_watermark", "fig2_iteration/map_dp_append_recomputed_rows", 1.5),
 ]
 
