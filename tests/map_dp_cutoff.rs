@@ -195,14 +195,75 @@ fn recompute_count_is_footprint_bounded_on_windowed_edits() {
     assert!(exercised >= 4, "too few committed windowed edits");
 }
 
-/// Committed fresh-cone walks: windowed in-place passes that append
-/// replacement cones and splice them into earlier readers, leaving
-/// the graph non-topological after commit. Three mappers race as in
-/// `drive_walk` — fresh `map` (oracle), cutoff-on, cutoff-off — and a
-/// persistent [`techmap::MappedDesign`] + incremental sizing/STA
-/// pipeline rides along: after the warm-up sync, appended-only growth
-/// must take the in-place grow path (never a rebuild) and its priced
-/// delay/area must stay bit-identical to the fresh full pipeline.
+/// A persistent [`techmap::MappedDesign`] plus incremental
+/// sizing/STA riding one mapping context through a walk, priced the
+/// way `GroundTruthCost::evaluate_edit` prices it.
+struct DesignRider {
+    ctx: MapContext,
+    sizing: techmap::SizingTable,
+    design: techmap::MappedDesign,
+    ista: sta::IncrementalSta,
+    seeds: Vec<techmap::GateId>,
+}
+
+impl DesignRider {
+    fn new(lib: &cells::Library, cutoff: bool) -> Self {
+        let mut ctx = MapContext::new();
+        ctx.set_row_cutoff(cutoff);
+        DesignRider {
+            ctx,
+            sizing: techmap::SizingTable::new(lib),
+            design: techmap::MappedDesign::new(),
+            ista: sta::IncrementalSta::new(),
+            seeds: Vec::new(),
+        }
+    }
+
+    /// Syncs the design to `g` at watermark `since` and asserts its
+    /// priced delay/area are bit-identical to a fresh `map` +
+    /// `resize_greedy(.., 2)` + `delay_and_area`. Returns whether the
+    /// sync rebuilt the design.
+    fn sync(&mut self, mapper: &Mapper, g: &Aig, db: &CutDb, since: NodeId, what: &str) -> bool {
+        let lib = mapper.library();
+        let rebuilt = mapper
+            .sync_design(&mut self.ctx, g, db, since, &mut self.design)
+            .expect("mappable");
+        if rebuilt {
+            self.design.finish_full(&self.sizing);
+            let (nl, keys) = (self.design.netlist(), self.design.topo_keys());
+            self.ista.build(nl, lib, keys);
+        } else {
+            self.seeds.clear();
+            self.design
+                .finish_incremental(&self.sizing, &mut self.seeds);
+            let (nl, keys) = (self.design.netlist(), self.design.topo_keys());
+            self.ista.update(nl, lib, keys, &self.seeds);
+        }
+        let pd = self.ista.max_delay_ps(self.design.netlist());
+        let pa = self.design.netlist().area_um2(lib);
+        let mut full = mapper.map(g).expect("mappable");
+        techmap::resize_greedy(&mut full, lib, 2);
+        let (fd, fa) = sta::delay_and_area(&full, lib);
+        assert!(
+            pd.to_bits() == fd.to_bits() && pa.to_bits() == fa.to_bits(),
+            "{what}: design diverged: {pd}/{pa} vs {fd}/{fa}"
+        );
+        rebuilt
+    }
+}
+
+/// Fresh-cone walks: windowed in-place passes that append replacement
+/// cones and splice them into earlier readers, leaving the graph
+/// non-topological after commit. Three mappers race as in
+/// `drive_walk` — fresh `map` (oracle), cutoff-on, cutoff-off — and
+/// two persistent designs ride along, one through a cutoff-on and one
+/// through a cutoff-off context. Each design syncs on every mid-edit
+/// graph (grown shape) and again after the move's outcome: after a
+/// commit, or after a rollback (shrunk shape, nonzero watermark) —
+/// SA rolls back every move it could not price and a share of those
+/// it could. After the warm-up sync only a zero-watermark shrink may
+/// rebuild, and every sync prices bit-identically to the fresh full
+/// pipeline.
 fn drive_append_walk(g0: &Aig, seed: u64, steps: usize) -> bool {
     let lib = sky130ish();
     let mapper = Mapper::new(&lib, MapOptions::default());
@@ -212,7 +273,6 @@ fn drive_append_walk(g0: &Aig, seed: u64, steps: usize) -> bool {
         // mappable start.
         return false;
     }
-    let sizing = techmap::SizingTable::new(&lib);
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut g = g0.clone();
     let mut inc = IncrementalAnalysis::new(&g);
@@ -231,15 +291,10 @@ fn drive_append_walk(g0: &Aig, seed: u64, steps: usize) -> bool {
     mapper
         .map_incremental(&mut ctx_on, &g, &db, NodeId::MAX)
         .expect("mappable");
-    let mut ctx_d = MapContext::new();
-    let mut design = techmap::MappedDesign::new();
-    let mut ista = sta::IncrementalSta::new();
-    let mut sta_seeds: Vec<techmap::GateId> = Vec::new();
-    mapper
-        .sync_design(&mut ctx_d, &g, &db, 0, &mut design)
-        .expect("mappable");
-    design.finish_full(&sizing);
-    ista.build(design.netlist(), &lib, design.topo_keys());
+    let mut riders = [DesignRider::new(&lib, true), DesignRider::new(&lib, false)];
+    for r in &mut riders {
+        r.sync(&mapper, &g, &db, 0, "warm-up");
+    }
 
     let cache = transform::ResynthCache::new();
     let mut saw_forward = false;
@@ -268,11 +323,21 @@ fn drive_append_walk(g0: &Aig, seed: u64, steps: usize) -> bool {
             }
         }
         let since = txn.min_touched();
-        // SA never commits a move it could not price: a window that
-        // left a live unmatchable node is rolled back (the reject
-        // path — which also exercises append rollback against the
-        // cached topo index), everything else commits.
-        if mapper.map(txn.aig()).is_ok() {
+        let priceable = mapper.map(txn.aig()).is_ok();
+        let mid_n = txn.aig().num_nodes();
+        if priceable {
+            for r in &mut riders {
+                let what = format!("append step {step} mid");
+                assert!(
+                    !r.sync(&mapper, txn.aig(), &db, since, &what),
+                    "{what}: rebuilt"
+                );
+            }
+        }
+        // A window that left a live unmatchable node is rolled back
+        // (which also exercises append rollback against the cached
+        // topo index); so is a quarter of the rest.
+        if priceable && rng.gen_bool(0.75) {
             txn.commit();
             db.commit_edit();
         } else {
@@ -286,26 +351,15 @@ fn drive_append_walk(g0: &Aig, seed: u64, steps: usize) -> bool {
         assert_same_outcome(incr, mapper.map(&g), &format!("append step {step}"));
         assert_same_outcome(off, fresh, &format!("append step {step} (cutoff off)"));
         db.assert_matches_fresh(&g);
-        // The design follows through the in-place grow path.
-        let rebuilt = mapper
-            .sync_design(&mut ctx_d, &g, &db, since, &mut design)
-            .expect("mappable");
-        assert!(
-            !rebuilt,
-            "append step {step}: appended-only growth must extend in place"
-        );
-        sta_seeds.clear();
-        design.finish_incremental(&sizing, &mut sta_seeds);
-        ista.update(design.netlist(), &lib, design.topo_keys(), &sta_seeds);
-        let pd = ista.max_delay_ps(design.netlist());
-        let pa = design.netlist().area_um2(&lib);
-        let mut full = mapper.map(&g).expect("mappable");
-        techmap::resize_greedy(&mut full, &lib, 2);
-        let (fd, fa) = sta::delay_and_area(&full, &lib);
-        assert!(
-            pd.to_bits() == fd.to_bits() && pa.to_bits() == fa.to_bits(),
-            "append step {step}: grown design diverged: {pd}/{pa} vs {fd}/{fa}"
-        );
+        // A rollback that shrinks a mid-edit-synced design under a
+        // zero watermark (the edit touched the constant node's
+        // fanout) reads as a compaction sweep and rebuilds; every
+        // other outcome patches in place.
+        let compaction = priceable && since == 0 && g.num_nodes() < mid_n;
+        for r in &mut riders {
+            let what = format!("append step {step} post");
+            assert_eq!(r.sync(&mapper, &g, &db, since, &what), compaction, "{what}");
+        }
     }
     saw_forward
 }
