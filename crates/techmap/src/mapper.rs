@@ -532,11 +532,11 @@ impl<'a> Mapper<'a> {
     /// last mapped this graph. The caller contracts that (a) `cuts`
     /// is live for `aig` with this mapper's `cut_size`/`max_cuts`,
     /// and (b) the context's previous map call (any of the three
-    /// entry points, with this mapper) was for the same graph modulo
-    /// edits at ids `>= dirty_since` — node ids below the watermark
-    /// then have bit-identical cut lists (and [`CutDb::version`]
-    /// counters), fanout counts and leaf arrivals, so their reused
-    /// rows equal what a full DP would recompute. Above the
+    /// entry points) was for the same graph modulo edits at ids
+    /// `>= dirty_since` — node ids below the watermark then have
+    /// bit-identical cut lists (and [`CutDb::version`] counters),
+    /// fanout counts and leaf arrivals, so their reused rows equal
+    /// what a full DP would recompute. Above the
     /// watermark, consecutive calls against the same database reuse
     /// rows through a per-row cutoff: a row is recomputed only if its
     /// [`CutDb::version`] moved or a candidate cut leaf's
@@ -648,6 +648,9 @@ impl<'a> Mapper<'a> {
         if ctx.fingerprint != Some(self.instance_id) {
             ctx.shortlists.clear();
             ctx.fingerprint = Some(self.instance_id);
+            // The version snapshot dates the other mapper's rows: it
+            // must not send this call down the cutoff path.
+            ctx.seen_db = None;
             since = 0;
         }
         let prev_n = match ctx.rows_for {

@@ -5,6 +5,7 @@
 //! size sequences, benchgen designs, and context hand-off between
 //! mappers with different options.
 
+use aig::cut::CutDb;
 use aig::Aig;
 use cells::sky130ish;
 use techmap::{MapContext, MapGoal, MapOptions, Mapper};
@@ -76,7 +77,12 @@ fn benchgen_designs_match_fresh() {
 
 /// Handing one context between mappers with different options (the
 /// memo fingerprint must invalidate, and a mapper with other cut
-/// parameters must replace the context's cut table) keeps parity.
+/// parameters must replace the context's cut table) keeps parity,
+/// through `map_with` and through `map_incremental`. The incremental
+/// context is handed over too, each mapper reading the `CutDb` of its
+/// own cut parameters: the delay and area mappers share one, so the
+/// version snapshot a mapper leaves behind must not let the next one
+/// skip rows it never computed.
 #[test]
 fn context_handoff_between_mappers_matches_fresh() {
     let lib = sky130ish();
@@ -98,12 +104,26 @@ fn context_handoff_between_mappers_matches_fresh() {
         },
     );
     let mut ctx = MapContext::new();
+    let mut incr_ctx = MapContext::new();
     for seed in 0..4u64 {
         let g = random_aig_with(100 + seed, 6, 50, 3);
+        let mut wide = CutDb::new(4, 8);
+        wide.build(&g);
+        let mut narrow = CutDb::new(3, 6);
+        narrow.build(&g);
         for m in [&delay, &small_cuts, &area, &delay] {
             let fresh = m.map(&g).expect("mappable");
             let reused = m.map_with(&mut ctx, &g).expect("mappable");
             assert_same_netlist(&fresh, &reused, &format!("seed {seed}"));
+            let cuts = if m.options().cut_size == 4 {
+                &wide
+            } else {
+                &narrow
+            };
+            let incr = m
+                .map_incremental(&mut incr_ctx, &g, cuts, 0)
+                .expect("mappable");
+            assert_same_netlist(&fresh, &incr, &format!("seed {seed} incremental"));
         }
     }
 }
