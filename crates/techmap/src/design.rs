@@ -590,26 +590,14 @@ impl MappedDesign {
 
     /// Applies the refreshed DP rows: plans demand changes, processes
     /// the retain/release cascades, patches the gates, and repoints
-    /// the ports. `since` is [`Mapper::dp_update`]'s effective
-    /// watermark — rows below it are unchanged.
-    fn apply_rows(&mut self, ctx: &MapContext, aig: &Aig, lib: &Library, since: NodeId) {
+    /// the ports.
+    fn apply_rows(&mut self, ctx: &MapContext, aig: &Aig, lib: &Library) {
         let inv_cell = lib.smallest_inverter();
-        // Re-emission scan: materialized nodes whose refreshed row
-        // selects different gates. The DP's per-row cutoff hands over
-        // the exact emission-visible changed rows accumulated since
-        // the design last applied them; the fallback scans everything
-        // at or above the smallest watermark any contributing map
-        // call used.
-        if ctx.changed_rows_exact {
-            for i in 0..ctx.changed_rows.len() {
-                let vi = ctx.changed_rows[i] as usize;
-                self.check_reemit(ctx, vi);
-            }
-        } else {
-            let scan_from = since.min(ctx.changed_since) as usize;
-            for vi in scan_from..aig.num_nodes() {
-                self.check_reemit(ctx, vi);
-            }
+        // Re-emission: materialized nodes whose refreshed row selects
+        // different gates, among the rows the DP recorded as changed
+        // since the design last applied them.
+        for &id in &ctx.changed_rows {
+            self.check_reemit(ctx, id as usize);
         }
         // Port diffs (the first sync sees an empty snapshot: every
         // port is an addition).
@@ -769,11 +757,13 @@ impl Mapper<'_> {
     /// [`Mapper::map_incremental`]) and patches the design's netlist
     /// to the new rows, recording the footprint in
     /// [`MappedDesign::changed_gates`] /
-    /// [`MappedDesign::touched_nets`]. When the DP ran its per-row
-    /// cutoff, cover maintenance is seeded by the *exact* set of rows
-    /// whose emission-visible choice changed — the downstream
-    /// sizing/STA worklists then see only the edit's true footprint
-    /// instead of everything above the watermark.
+    /// [`MappedDesign::touched_nets`]. Cover maintenance is seeded by
+    /// the context's one changed-row record: the rows whose
+    /// emission-visible choice changed since the design last synced,
+    /// recorded by whichever DP pass refreshed them (the per-row
+    /// cutoff or the watermark sweep) — so the downstream sizing/STA
+    /// worklists see only the edit's footprint, never everything
+    /// above the watermark.
     ///
     /// Returns `true` when the design had to be (re)built from
     /// scratch — uninitialized, invalidated, or incompatibly
@@ -803,40 +793,35 @@ impl Mapper<'_> {
         design: &mut MappedDesign,
     ) -> Result<bool, MapError> {
         let fit = design.shape_fit(aig);
-        let since = match self.dp_update(ctx, aig, cuts, dirty_since) {
-            Ok(since) => since,
-            Err(e) => {
-                design.invalidate();
-                return Err(e);
-            }
-        };
-        let (fresh, since) = match fit {
-            ShapeFit::Exact => (false, since),
+        if let Err(e) = self.dp_update(ctx, aig, cuts, dirty_since) {
+            design.invalidate();
+            return Err(e);
+        }
+        let fresh = match fit {
+            ShapeFit::Exact => false,
             ShapeFit::Grown => {
-                // Appended rows only: extend the tables in place and
-                // keep the DP watermark — the patch (and with it the
-                // sizing/STA worklists) stays footprint-seeded
-                // instead of rebuilding the whole cover.
+                // Appended rows only: extend the tables in place — the
+                // patch (and with it the sizing/STA worklists) stays
+                // footprint-seeded instead of rebuilding the whole
+                // cover.
                 design.grow(aig);
-                (false, since)
+                false
             }
-            ShapeFit::Shrunk if dirty_since > 0 => {
-                // Rejected append rolled back: the tables stay at the
-                // recorded (larger) size through the patch — the
-                // release cascade reads the dropped rows' emitted
-                // keys — and are truncated right after it.
-                (false, since)
-            }
+            // Rejected append rolled back: the tables stay at the
+            // recorded (larger) size through the patch — the release
+            // cascade reads the dropped rows' emitted keys — and are
+            // truncated right after it.
+            ShapeFit::Shrunk if dirty_since > 0 => false,
             ShapeFit::Shrunk | ShapeFit::Fresh => {
                 // A zero watermark under a shrink is a compaction
                 // sweep: ids were re-ranked, the tables describe
                 // other nodes — rebuild.
                 design.reset(aig, self.library());
-                (true, 0)
+                true
             }
         };
         design.begin_sync();
-        design.apply_rows(ctx, aig, self.library(), since);
+        design.apply_rows(ctx, aig, self.library());
         if fit == ShapeFit::Shrunk && !fresh {
             design.shrink(aig.num_nodes());
         }

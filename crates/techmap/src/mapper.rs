@@ -11,10 +11,9 @@ use crate::matcher::{CellMatch, Matcher};
 use crate::netlist::{NetId, Netlist};
 use aig::cut::{shrink_support, Cut, CutDb};
 use aig::tt::TtBuildHasher;
-use aig::{Aig, Lit, NodeId};
+use aig::{Aig, NodeId};
 use cells::{CellId, Library};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Mapping objective.
@@ -195,7 +194,7 @@ type Shortlists = HashMap<(u8, u64), Vec<PreMatch>, TtBuildHasher>;
 /// A context may be reused across mappers: the memo is keyed to the
 /// mapper instance that built it (libraries and options differ per
 /// mapper) and silently rebuilt when a different mapper uses the
-/// context.
+/// context, whose first call then recomputes every DP row.
 #[derive(Debug, Default)]
 pub struct MapContext {
     /// The cut table [`Mapper::map_with`] rebuilds per call; replaced
@@ -233,59 +232,25 @@ pub struct MapContext {
     cutoff_disabled: bool,
     /// [`CutDb::instance_id`] the `seen_versions` snapshot was taken
     /// from, `None` when no valid snapshot exists (after `map_with`,
-    /// an error, or a different database).
+    /// an error, or a mapper change).
     seen_db: Option<u64>,
     /// Per-node [`CutDb::version`] values at the last successful
     /// [`Mapper::dp_update`]; equality proves the node's cut list is
     /// unchanged since the rows were computed.
     seen_versions: Vec<u64>,
-    /// Rows whose emission-visible choice (cell/pins/leaves/
-    /// polarities) changed, **accumulated** across every `dp_update`
-    /// since a design last consumed the record
+    /// Ascending ids of the rows whose emission-visible choice
+    /// (cell/pins/leaves/polarities) changed, **accumulated** across
+    /// every DP pass since a design last consumed the record
     /// ([`MapContext::consume_changed_rows`]) — an interleaved
     /// `map_incremental` must stay visible to the next
-    /// `sync_design`. Exact only when `changed_rows_exact`; otherwise
-    /// every row at or above `changed_since` (and the current
-    /// watermark) may have changed.
+    /// `sync_design`. Both passes record into it; `map_with`, which
+    /// recomputes every row from a cleared table, starts it afresh.
     pub(crate) changed_rows: Vec<NodeId>,
-    /// Whether `changed_rows` is the exact accumulated changed set
-    /// (only per-row-cutoff calls contributed) or the watermark scan
-    /// from `changed_since` applies.
-    pub(crate) changed_rows_exact: bool,
-    /// Smallest effective watermark of any contributing map call
-    /// since the record was last consumed (scan lower bound for the
-    /// non-exact case).
-    pub(crate) changed_since: NodeId,
-    /// `row_changed[v]`: v's leaf-visible row state (arrival, flow,
-    /// fanout) changed in the current `dp_update` — rows using v as a
-    /// cut leaf must be recomputed. Per-call scratch.
-    row_changed: Vec<bool>,
+    /// Per-node `CHANGED` / `WAKE` bits of the cutoff sweep in
+    /// progress; reset per call.
+    row_bits: Vec<u8>,
     /// Suffix fanout recompute scratch for the per-row cutoff.
     fanout_scratch: Vec<u32>,
-    /// Leaves whose fanout count moved in the current `dp_update`
-    /// (worklist seed scratch).
-    fanout_changed: Vec<NodeId>,
-    /// Structural consumer adjacency mirroring the graph at the last
-    /// successful `dp_update` — `consumers[v]` lists the AND nodes
-    /// reading `v`, one entry per fanin edge. Maintained by
-    /// fanin-diffing above the watermark (same lineage/validity as
-    /// `seen_versions`); the cutoff's worklist propagates row changes
-    /// along it, so clean rows are never even visited.
-    consumers: Vec<Vec<NodeId>>,
-    /// AND fanins at the last successful `dp_update` (adjacency diff
-    /// baseline; unused entries for non-AND ids).
-    prev_fanins: Vec<[Lit; 2]>,
-    /// Dependency-ordered worklist scratch for the cutoff pass,
-    /// keyed by topo position (== id on topological graphs).
-    heap: BinaryHeap<Reverse<(u32, NodeId)>>,
-    queued: Vec<bool>,
-    /// Batched consumer-edge removals `(old target, reader)` for the
-    /// fanin diff, grouped per target so a high-fanout substitution
-    /// costs one pass over the affected list instead of one scan per
-    /// rewired reader.
-    removals: Vec<(NodeId, NodeId)>,
-    /// Per-reader pending-removal counts for the batched pass.
-    remove_cnt: Vec<u32>,
     /// DP rows actually recomputed by the last mapping call.
     last_recomputed_rows: usize,
 }
@@ -366,10 +331,27 @@ impl MapContext {
     /// applied it (see `changed_rows`).
     pub(crate) fn consume_changed_rows(&mut self) {
         self.changed_rows.clear();
-        self.changed_rows_exact = true;
-        self.changed_since = NodeId::MAX;
+    }
+
+    /// Sorts and deduplicates the changed-row record and drops the
+    /// ids an `n`-node graph no longer has (a shrink retires those
+    /// rows through the design's release cascade instead), so the
+    /// record stays at most `n` long however many passes feed it.
+    fn settle_changed_rows(&mut self, n: usize) {
+        self.changed_rows.sort_unstable();
+        self.changed_rows.dedup();
+        let kept = self.changed_rows.partition_point(|&id| (id as usize) < n);
+        self.changed_rows.truncate(kept);
     }
 }
+
+/// Cutoff-sweep bit: the node's leaf-visible row state (arrival, flow,
+/// fanout) changed in this call, so a row using it as a candidate cut
+/// leaf must be recomputed.
+const CHANGED: u8 = 1;
+/// Cutoff-sweep bit: the node passes a wake-up on to the rows reading
+/// it as a structural fanin.
+const WAKE: u8 = 2;
 
 /// A reusable technology mapper bound to a library.
 ///
@@ -485,12 +467,10 @@ impl<'a> Mapper<'a> {
         // The rows come from the context's own table, not a caller's
         // database, so the version snapshot no longer matches any
         // database: the next incremental call falls back to the
-        // watermark sweep. Any row may have changed, so the
-        // accumulated changed-row record degrades to a full scan.
+        // watermark sweep. The sweep recomputes every row of a
+        // cleared table and so records every matched row afresh.
         ctx.seen_db = None;
-        ctx.changed_rows_exact = false;
         ctx.changed_rows.clear();
-        ctx.changed_since = 0;
         let (k, max_cuts) = (self.opts.cut_size, self.opts.max_cuts);
         let mut cuts = match ctx.cuts.take() {
             Some(db) if db.k() == k && db.max_cuts() == max_cuts => db,
@@ -507,6 +487,7 @@ impl<'a> Mapper<'a> {
         ctx.flow.clear();
         ctx.flow.resize(n, 0.0);
         ctx.last_recomputed_rows = self.dp_sweep(ctx, aig, &cuts, 0);
+        ctx.settle_changed_rows(n);
         ctx.cuts = Some(cuts);
         ctx.check_unmatched(aig)?;
         ctx.rows_for = Some(n);
@@ -536,16 +517,16 @@ impl<'a> Mapper<'a> {
     /// `>= dirty_since` — node ids below the watermark then have
     /// bit-identical cut lists (and [`CutDb::version`] counters),
     /// fanout counts and leaf arrivals, so their reused rows equal
-    /// what a full DP would recompute. Above the
-    /// watermark, consecutive calls against the same database reuse
-    /// rows through a per-row cutoff: a row is recomputed only if its
+    /// what a full DP would recompute. Above the watermark,
+    /// consecutive calls against the same database reuse rows through
+    /// a per-row cutoff: a row is recomputed only if its
     /// [`CutDb::version`] moved or a candidate cut leaf's
-    /// arrival/flow/fanout changed (bit-equality, propagated in
-    /// topological order). Either way the produced netlist is
-    /// **identical** to
-    /// [`Mapper::map`]'s (asserted by the parity suites on random
-    /// edit walks). Pass `0` (or an unrelated context) to recompute
-    /// every row while still skipping cut enumeration.
+    /// arrival/flow/fanout changed (bit-equality, settled in
+    /// dependency order). Either way the produced netlist is
+    /// **identical** to [`Mapper::map`]'s (asserted by the parity
+    /// suites on random edit walks). Pass `0` to check every row, or a
+    /// fresh context to recompute every row, while still skipping cut
+    /// enumeration.
     ///
     /// [`Transaction::min_touched`]:
     /// aig::incremental::Transaction::min_touched
@@ -580,48 +561,47 @@ impl<'a> Mapper<'a> {
     }
 
     /// The shared DP core of [`Mapper::map_incremental`] and
-    /// [`Mapper::sync_design`]: refreshes the context's DP rows from
-    /// the effective watermark on (validating options, cut-database
-    /// parameters, and the row-reuse handshake), and returns that
-    /// effective watermark — every row below it is untouched.
+    /// [`Mapper::sync_design`]: refreshes the context's DP rows at or
+    /// above the effective watermark (validating options, cut-database
+    /// parameters, and the row-reuse handshake) and records the rows
+    /// whose emission-visible choice changed in `changed_rows`. Every
+    /// row below the effective watermark is untouched.
     ///
     /// Above the watermark the rows are refreshed through a **per-row
     /// equality cutoff** whenever the context's previous call left a
     /// live [`CutDb::version`] snapshot for the same database: a row
     /// is recomputed only if its cut-list version moved or the
     /// leaf-visible state (arrival, flow, fanout) of one of its
-    /// candidate cuts' leaves changed, with changes propagated in
-    /// dependency order by bit-equality. Skipped rows are provably
-    /// bit-identical to what a recompute would produce (deterministic
-    /// DP over unchanged inputs), so the result — and the produced
-    /// netlist — never depends on the cutoff. Without a valid
-    /// snapshot (first incremental call after `map_with`, a foreign
+    /// candidate cuts' leaves changed, compared by bit-equality.
+    /// Skipped rows are provably bit-identical to what a recompute
+    /// would produce (deterministic DP over unchanged inputs), so the
+    /// result — and the produced netlist — never depends on the
+    /// cutoff. Without a valid snapshot (first incremental call after
+    /// `map_with` or after another mapper used the context, a foreign
     /// database, or [`MapContext::set_row_cutoff`]`(false)`) every row
     /// at or above the watermark is recomputed and a fresh snapshot
     /// is taken.
     ///
-    /// **Cutoff invariant (leaf settles before root).** The worklist
-    /// is keyed by [`aig::TopoIndex`] position — the identity on
-    /// topological graphs, the cached dependency order under
+    /// **Cutoff invariant (leaf settles before root).** The cutoff
+    /// sweep visits rows in dependency order: ascending ids on
+    /// topological graphs, the cached [`aig::TopoIndex`] order under
     /// committed forward references. Every leaf of every candidate
-    /// cut lies in the transitive fanin of its root, so its position
-    /// key is strictly smaller than the root's; the ascending-key pop
-    /// therefore finalizes a leaf's (arrival, flow, fanout) bits and
-    /// its `row_changed` mark before any root row consults them, and
+    /// cut lies in the transitive fanin of its root, so the sweep
+    /// finalizes a leaf's (arrival, flow, fanout) bits and its
+    /// `CHANGED` / `WAKE` bits before any root row consults them, and
     /// the equality cutoff never reads half-settled state. The
     /// watermark is additionally clamped below the first forward id
     /// (see the clamp in the body), which restores the suffix-closure
-    /// argument the three sequential scans (version diff, suffix
-    /// fanout refresh, fanin diff) rely on: below the clamp no
-    /// forward node exists, so no node below the watermark reads one
-    /// at or above it.
+    /// argument the suffix fanout refresh relies on: below the clamp
+    /// no forward node exists, so no node below the watermark reads
+    /// one at or above it.
     pub(crate) fn dp_update(
         &self,
         ctx: &mut MapContext,
         aig: &Aig,
         cuts: &CutDb,
         dirty_since: NodeId,
-    ) -> Result<NodeId, MapError> {
+    ) -> Result<(), MapError> {
         self.check_ready()?;
         if cuts.k() != self.opts.cut_size || cuts.max_cuts() != self.opts.max_cuts {
             return Err(MapError::BadOptions(format!(
@@ -683,7 +663,7 @@ impl<'a> Mapper<'a> {
             // previous call, so every row — and the previous call's
             // liveness verdict — still holds. The steady-state
             // no-op costs O(1), not O(graph).
-            return Ok(since);
+            return Ok(());
         }
         // Committed forward references: a consumer below the dirty
         // watermark can read a recomputed row through a forward
@@ -694,11 +674,11 @@ impl<'a> Mapper<'a> {
             since = since.min(mf);
         }
         // The per-row cutoff needs the previous call's version
-        // snapshot for *this* database (`map_with` and errors clear
-        // it; a different `CutDb` instance never matches). Forward
-        // references do not disqualify it: the worklist pops in
-        // topo-position order, so leaf rows settle before their
-        // readers' even when a leaf carries a higher id (see
+        // snapshot for *this* database (`map_with`, a mapper change
+        // and errors clear it; a different `CutDb` instance never
+        // matches). Forward references do not disqualify it: the
+        // sweep runs in dependency order, so leaf rows settle before
+        // their readers' even when a leaf carries a higher id (see
         // `dp_rows_cutoff`).
         let cutoff = !ctx.cutoff_disabled
             && prev_n > 0
@@ -709,34 +689,16 @@ impl<'a> Mapper<'a> {
         ctx.chosen.resize(n, None);
         ctx.arrival.resize(n, 0.0);
         ctx.flow.resize(n, 0.0);
-        // The changed-row record accumulates across `dp_update` calls
-        // until a `sync_design` consumes it — an interleaved
-        // `map_incremental` must not make its changes invisible to
-        // the next design patch.
-        ctx.changed_since = ctx.changed_since.min(since);
-        if !cutoff {
-            ctx.changed_rows_exact = false;
-            ctx.changed_rows.clear();
-        }
+        // The changed-row record accumulates across calls until a
+        // `sync_design` consumes it — an interleaved `map_incremental`
+        // must not make its changes invisible to the next design
+        // patch.
         ctx.last_recomputed_rows = if cutoff {
-            let recomputed = self.dp_rows_cutoff(ctx, aig, cuts, since);
-            // The worklist pops in topo-position order, so
-            // `changed_rows` accumulated in pop order; downstream
-            // consumers (`apply_rows`' re-emission scan, design
-            // patching) expect ascending ids, exactly like the
-            // watermark path's record.
-            ctx.changed_rows.sort_unstable();
-            ctx.changed_rows.dedup();
-            recomputed
+            self.dp_rows_cutoff(ctx, aig, cuts, since)
         } else {
-            self.dp_rows_watermark(ctx, aig, cuts, since)
+            self.dp_sweep(ctx, aig, cuts, since)
         };
-        if ctx.changed_rows.len() > n {
-            // Pathological accumulation (many unconsumed incremental
-            // maps): the watermark scan is cheaper than the list.
-            ctx.changed_rows_exact = false;
-            ctx.changed_rows.clear();
-        }
+        ctx.settle_changed_rows(n);
         if !ctx.cutoff_disabled {
             // Snapshot the versions the refreshed rows were computed
             // against. On the cutoff path, versions below the
@@ -757,46 +719,15 @@ impl<'a> Mapper<'a> {
         if !ctx.cutoff_disabled {
             ctx.seen_db = Some(cuts.instance_id());
         }
-        Ok(since)
-    }
-
-    /// The watermark fallback of [`Mapper::dp_update`]: the
-    /// [`Mapper::dp_sweep`] from `since` on, after (cutoff enabled)
-    /// rebuilding the consumer adjacency the next call's worklist
-    /// propagates along. Returns the number of rows recomputed.
-    fn dp_rows_watermark(
-        &self,
-        ctx: &mut MapContext,
-        aig: &Aig,
-        cuts: &CutDb,
-        since: NodeId,
-    ) -> usize {
-        if !ctx.cutoff_disabled {
-            // Fresh adjacency baseline for the next cutoff call
-            // (same lineage as the version snapshot).
-            let n = aig.num_nodes();
-            ctx.consumers.truncate(n);
-            for c in ctx.consumers.iter_mut() {
-                c.clear();
-            }
-            ctx.consumers.resize_with(n, Vec::new);
-            ctx.prev_fanins.clear();
-            ctx.prev_fanins.resize(n, [Lit::FALSE; 2]);
-            for id in aig.and_ids() {
-                let [f0, f1] = aig.fanins(id);
-                ctx.consumers[f0.var() as usize].push(id);
-                ctx.consumers[f1.var() as usize].push(id);
-                ctx.prev_fanins[id as usize] = [f0, f1];
-            }
-        }
-        self.dp_sweep(ctx, aig, cuts, since)
+        Ok(())
     }
 
     /// The DP sweep shared by [`Mapper::map_with`] (`since = 0`, the
     /// context's freshly built table) and the watermark path of
     /// [`Mapper::dp_update`] (the caller's maintained table): recounts
     /// fanout, recomputes every row at or above `since` from the lists
-    /// of `cuts`, and rebuilds the ascending unmatchable-row set.
+    /// of `cuts`, records the rows whose emission-visible choice
+    /// changed, and rebuilds the ascending unmatchable-row set.
     /// Returns the number of rows recomputed.
     fn dp_sweep(&self, ctx: &mut MapContext, aig: &Aig, cuts: &CutDb, since: NodeId) -> usize {
         aig::analysis::fanout_counts_into(aig, &mut ctx.fanout);
@@ -807,6 +738,7 @@ impl<'a> Mapper<'a> {
             flow,
             shortlists,
             none_rows,
+            changed_rows,
             ..
         } = ctx;
         none_rows.clear();
@@ -833,9 +765,11 @@ impl<'a> Mapper<'a> {
                 return;
             }
             recomputed += 1;
-            let Some(best) =
-                self.choose_for_node(id, cuts.cuts(id), fanout, arrival, flow, shortlists)
-            else {
+            let best = self.choose_for_node(id, cuts.cuts(id), fanout, arrival, flow, shortlists);
+            if !emit_eq(&chosen[id as usize], &best) {
+                changed_rows.push(id);
+            }
+            let Some(best) = best else {
                 chosen[id as usize] = None;
                 arrival[id as usize] = 0.0;
                 flow[id as usize] = 0.0;
@@ -856,22 +790,21 @@ impl<'a> Mapper<'a> {
     }
 
     /// The per-row cutoff pass of [`Mapper::dp_update`] (see its docs
-    /// for the validity conditions): a consumer-adjacency worklist,
-    /// seeded by rows whose [`CutDb::version`] moved and by the
-    /// consumers of leaves whose fanout count moved, popped in
-    /// dependency (topo-position) order — plain ascending ids on
-    /// topological graphs. A popped row is recomputed
-    /// only if its version moved or one of its candidate cuts' leaves
-    /// carries a changed (arrival, flow, fanout) bit-state; the
-    /// change — or a still-dirty candidate leaf, which a consumer may
-    /// have inherited through cut merging even where this row's own
-    /// outputs settled — propagates to the row's consumers.
-    /// Rows outside the worklist are never visited at all, so the
-    /// heavy DP cost tracks the edit footprint; the only
-    /// watermark-to-top work left is three sequential scans (version
-    /// diff, suffix fanout refresh, fanin diff) of a few bytes per
-    /// node. Maintains `none_rows` incrementally and records the
-    /// exact emission-visible changed rows in `changed_rows`. Returns
+    /// for the validity conditions): one sweep over the AND rows at or
+    /// above `since` in dependency order that recomputes a row only
+    /// when its [`CutDb::version`] moved, or when a structural fanin
+    /// passed a wake-up on (`WAKE`) and one of the row's candidate
+    /// cuts' leaves carries a changed (arrival, flow, fanout)
+    /// bit-state (`CHANGED`). A node passes a wake-up on when its
+    /// fanout count moved, or when it was recomputed and either its
+    /// arrival/flow bits changed or it still carries a dirty candidate
+    /// leaf: merged cuts inherit leaves, so a reader may read that
+    /// leaf directly even though this row's outputs settled. A row
+    /// nothing woke costs a version compare and two bit reads, so the
+    /// heavy DP cost tracks the edit footprint; the watermark-to-top
+    /// work is this sweep plus the suffix fanout refresh, a few bytes
+    /// per node each. Maintains `none_rows` incrementally and records
+    /// the emission-visible changed rows in `changed_rows`. Returns
     /// the number of rows recomputed.
     fn dp_rows_cutoff(
         &self,
@@ -882,8 +815,8 @@ impl<'a> Mapper<'a> {
     ) -> usize {
         let n = aig.num_nodes();
         let s = since as usize;
-        ctx.row_changed.clear();
-        ctx.row_changed.resize(n, false);
+        ctx.row_bits.clear();
+        ctx.row_bits.resize(n, 0);
         // Suffix fanout refresh: fanout below the watermark is
         // unchanged by the caller contract, and every consumer of a
         // node at or above it also sits at or above it — `dp_update`
@@ -892,8 +825,7 @@ impl<'a> Mapper<'a> {
         // forward node below the first one, a contradiction. The
         // suffix counts therefore close over themselves.
         // Leaves whose count moved feed the area-flow term of every
-        // row using them — mark them changed and collect them as
-        // worklist seeds.
+        // row using them, and wake their readers.
         ctx.fanout_scratch.clear();
         ctx.fanout_scratch.resize(n - s, 0);
         for id in since..n as NodeId {
@@ -913,90 +845,12 @@ impl<'a> Mapper<'a> {
             }
         }
         ctx.fanout.resize(n, 0);
-        ctx.fanout_changed.clear();
         for (i, &fo) in ctx.fanout_scratch.iter().enumerate() {
             if ctx.fanout[s + i] != fo {
                 ctx.fanout[s + i] = fo;
-                ctx.row_changed[s + i] = true;
-                ctx.fanout_changed.push((s + i) as NodeId);
+                ctx.row_bits[s + i] = CHANGED | WAKE;
             }
         }
-        // Fanin diff: bring the consumer adjacency (valid for the
-        // previous call's graph) to the current one. Fanins below the
-        // watermark are unchanged by the caller contract; appended
-        // nodes enter with a blank baseline, so both their edges
-        // register as additions. Removals are batched per old target
-        // list: a substitution rewires *all* readers of one node, and
-        // a per-reader scan of that same list would cost O(R^2) on
-        // high-fanout nodes.
-        ctx.consumers.resize_with(n, Vec::new);
-        ctx.prev_fanins.resize(n, [Lit::FALSE; 2]);
-        ctx.queued.resize(n, false);
-        ctx.remove_cnt.resize(n, 0);
-        ctx.removals.clear();
-        for id in since..n as NodeId {
-            if !aig.is_and(id) {
-                continue;
-            }
-            let vi = id as usize;
-            let now = aig.fanins(id);
-            let prev = ctx.prev_fanins[vi];
-            if now == prev {
-                continue;
-            }
-            for old in prev {
-                ctx.removals.push((old.var(), id));
-            }
-            for new in now {
-                ctx.consumers[new.var() as usize].push(id);
-            }
-            ctx.prev_fanins[vi] = now;
-        }
-        ctx.removals.sort_unstable();
-        let mut i = 0;
-        while i < ctx.removals.len() {
-            let var = ctx.removals[i].0;
-            let mut j = i;
-            while j < ctx.removals.len() && ctx.removals[j].0 == var {
-                ctx.remove_cnt[ctx.removals[j].1 as usize] += 1;
-                j += 1;
-            }
-            let remove_cnt = &mut ctx.remove_cnt;
-            ctx.consumers[var as usize].retain(|&c| {
-                let cnt = &mut remove_cnt[c as usize];
-                if *cnt > 0 {
-                    *cnt -= 1;
-                    false
-                } else {
-                    true
-                }
-            });
-            // Appended readers carry a sentinel baseline whose edges
-            // never existed; clear any counts the retain left behind
-            // so later groups (and calls) start clean.
-            for &(_, id) in &ctx.removals[i..j] {
-                ctx.remove_cnt[id as usize] = 0;
-            }
-            i = j;
-        }
-        // Worklist ordering: on topological graphs the id itself is a
-        // dependency-order key (no index derivation); under committed
-        // forward references the cached topo-position index supplies
-        // one. Either way a cut leaf lies in the transitive fanin of
-        // its root, so its key is strictly smaller — popping in
-        // ascending key order makes every leaf row final before any
-        // reader consults it.
-        let topo = if aig.is_topological() {
-            None
-        } else {
-            Some(aig.topo_and_order())
-        };
-        let key = |id: NodeId| -> u32 {
-            match &topo {
-                None => id,
-                Some(t) => t.positions()[id as usize],
-            }
-        };
         let MapContext {
             fanout,
             chosen,
@@ -1006,48 +860,28 @@ impl<'a> Mapper<'a> {
             none_rows,
             seen_versions,
             changed_rows,
-            row_changed,
-            fanout_changed,
-            consumers,
-            heap,
-            queued,
+            row_bits,
             ..
         } = ctx;
-        let enqueue =
-            |heap: &mut BinaryHeap<Reverse<(u32, NodeId)>>, queued: &mut Vec<bool>, id: NodeId| {
-                if !queued[id as usize] {
-                    queued[id as usize] = true;
-                    heap.push(Reverse((key(id), id)));
-                }
-            };
-        // Seeds: rows whose own cut list may have changed (version
-        // moved; appended rows have no snapshot entry and always
-        // mismatch), and the consumers of fanout-moved leaves.
-        for id in since..n as NodeId {
-            let vi = id as usize;
-            if aig.is_and(id) && seen_versions.get(vi).copied() != Some(cuts.version(id)) {
-                enqueue(heap, queued, id);
-            }
-        }
-        for &v in fanout_changed.iter() {
-            for &c in &consumers[v as usize] {
-                enqueue(heap, queued, c);
-            }
-        }
         let mut recomputed = 0usize;
-        while let Some(Reverse((_, id))) = heap.pop() {
-            queued[id as usize] = false;
+        let mut visit = |id: NodeId| {
             let vi = id as usize;
-            let cut_list = cuts.cuts(id);
-            // Cut leaves precede the root in dependency order, so
-            // their `row_changed` bits are final by the time this
-            // ascending-key pop reads them.
+            // Appended rows have no snapshot entry and always count
+            // as moved.
             let version_moved = seen_versions.get(vi).copied() != Some(cuts.version(id));
-            let leaf_dirty = cut_list
-                .iter()
-                .any(|c| c.leaves().iter().any(|&l| row_changed[l as usize]));
+            let [f0, f1] = aig.fanins(id);
+            let woken = (row_bits[f0.var() as usize] | row_bits[f1.var() as usize]) & WAKE != 0;
+            if !version_moved && !woken {
+                return; // no wake-up reached this row
+            }
+            let cut_list = cuts.cuts(id);
+            let leaf_dirty = cut_list.iter().any(|c| {
+                c.leaves()
+                    .iter()
+                    .any(|&l| row_bits[l as usize] & CHANGED != 0)
+            });
             if !version_moved && !leaf_dirty {
-                continue; // equality cutoff: the row's inputs settled
+                return; // equality cutoff: the row's inputs settled
             }
             recomputed += 1;
             let old_arrival = arrival[vi];
@@ -1068,22 +902,17 @@ impl<'a> Mapper<'a> {
                     chosen[vi] = None;
                 }
             }
-            // Bit-equality cutoff: consumers read a leaf's arrival,
+            // Bit-equality cutoff: readers read a leaf's arrival,
             // flow and fanout — chosen-match changes alone do not
             // propagate (they only matter for emission, recorded in
-            // `changed_rows` above). A consumer is also woken when
-            // this row still carries a dirty candidate leaf: merged
-            // cuts inherit leaves, so the consumer may read that leaf
-            // directly even though this row's outputs settled.
+            // `changed_rows` above).
             if arrival[vi].to_bits() != old_arrival.to_bits()
                 || flow[vi].to_bits() != old_flow.to_bits()
             {
-                row_changed[vi] = true;
+                row_bits[vi] |= CHANGED;
             }
-            if row_changed[vi] || leaf_dirty {
-                for &c in &consumers[vi] {
-                    enqueue(heap, queued, c);
-                }
+            if row_bits[vi] & CHANGED != 0 || leaf_dirty {
+                row_bits[vi] |= WAKE;
             }
             let is_none = chosen[vi].is_none();
             if is_none {
@@ -1092,6 +921,28 @@ impl<'a> Mapper<'a> {
                 }
             } else if let Ok(pos) = none_rows.binary_search(&id) {
                 none_rows.remove(pos);
+            }
+        };
+        if aig.is_topological() {
+            for id in since..n as NodeId {
+                if aig.is_and(id) {
+                    visit(id);
+                }
+            }
+        } else {
+            // The cached dependency order may interleave rows below
+            // the watermark with rows above it (its prefix is
+            // ascending only up to the forward id it was derived at):
+            // start at the first position a row above it holds.
+            let topo = aig.topo_and_order();
+            let first = topo.positions()[s..]
+                .iter()
+                .min()
+                .map_or(usize::MAX, |&p| p as usize);
+            for &id in topo.order().iter().skip(first) {
+                if id >= since {
+                    visit(id);
+                }
             }
         }
         recomputed
@@ -1305,8 +1156,8 @@ impl<'a> Mapper<'a> {
 /// Whether two DP row choices would emit identical gates: same cell,
 /// pin assignment, polarities and leaves. Timing scores are excluded
 /// on purpose — they never reach the netlist, so rows differing only
-/// in scores need no re-emission (consumers track score changes
-/// through the DP cutoff's `row_changed` bits instead).
+/// in scores need no re-emission (readers track score changes
+/// through the DP cutoff's `CHANGED` bits instead).
 fn emit_eq(a: &Option<Chosen>, b: &Option<Chosen>) -> bool {
     match (a, b) {
         (None, None) => true,
