@@ -758,12 +758,10 @@ impl Mapper<'_> {
     /// to the new rows, recording the footprint in
     /// [`MappedDesign::changed_gates`] /
     /// [`MappedDesign::touched_nets`]. Cover maintenance is seeded by
-    /// the context's one changed-row record: the rows whose
+    /// the context's one changed-row record — the rows whose
     /// emission-visible choice changed since the design last synced,
-    /// recorded by whichever DP pass refreshed them (the per-row
-    /// cutoff or the watermark sweep) — so the downstream sizing/STA
-    /// worklists see only the edit's footprint, never everything
-    /// above the watermark.
+    /// written by whichever DP pass refreshed them (the per-row cutoff
+    /// or the watermark sweep) — so the patch visits only those rows.
     ///
     /// Returns `true` when the design had to be (re)built from
     /// scratch — uninitialized, invalidated, or incompatibly
