@@ -471,12 +471,13 @@ struct NodeScratch {
     list: Vec<Cut>,
 }
 
-/// One open [`CutDb`] edit session: `(node, old span, old version)`
-/// records plus the arena, span-table and live sizes at
-/// [`CutDb::begin_edit`].
+/// One open [`CutDb`] edit session: `(node, old span)` records plus
+/// the arena, span-table and live sizes at [`CutDb::begin_edit`].
+/// Versions are not journaled: a rollback stamps the lists it
+/// restores afresh.
 #[derive(Clone, Debug)]
 struct EditJournal {
-    old_spans: Vec<(NodeId, (u32, u32), u64)>,
+    old_spans: Vec<(NodeId, (u32, u32))>,
     arena_len: usize,
     span_len: usize,
     live: usize,
@@ -517,45 +518,42 @@ struct EditJournal {
 ///
 /// # Version counters
 ///
-/// Every node carries a **cut-list version** ([`CutDb::version`]):
-/// an opaque `u64` that changes *exactly* when the node's stored cut
-/// list changes, drawn from a monotone counter whose values are never
-/// reused. The contract downstream caches (the mapper's per-row DP
-/// cutoff) key on:
+/// The database keeps a monotone **clock** ([`CutDb::clock`]) that
+/// ticks whenever a list changes, and every node carries a **cut-list
+/// version** ([`CutDb::version`]): the clock stamp of the last write
+/// to its list. Stamps are never reused:
 ///
-/// * [`CutDb::build`] assigns every node a fresh value (the whole
-///   table was rewritten);
-/// * [`CutDb::sync_appends`] assigns fresh values to the appended
-///   nodes only;
-/// * [`CutDb::invalidate`] bumps a node's version iff the recomputed
-///   list differs from the stored one (the equality cutoff that stops
+/// * [`CutDb::build`] stamps every node with one fresh tick (the
+///   whole table was rewritten);
+/// * [`CutDb::sync_appends`] stamps the appended nodes only;
+/// * [`CutDb::invalidate`] stamps a node iff the recomputed list
+///   differs from the stored one (the equality cutoff that stops
 ///   propagation also leaves the version untouched);
-/// * [`CutDb::rollback_edit`] restores the versions recorded since
-///   [`CutDb::begin_edit`] **exactly** — and because bumped values
-///   are never reused, a consumer that snapshotted a mid-edit version
-///   still observes `snapshot != version` after the rollback, while a
-///   consumer that never saw the speculative edit observes equality
-///   (the list really is bit-identical to what it cached).
+/// * [`CutDb::rollback_edit`] stamps every list it restores with one
+///   fresh tick, later than any clock read during the edit.
 ///
-/// Version equality therefore *proves* the list is unchanged since
-/// the compared snapshot; inequality means "maybe changed" (a
-/// rollback restores the list and the version together, so no false
-/// equalities exist in either direction). Snapshots must be keyed to
-/// a database instance ([`CutDb::instance_id`]): clones evolve
-/// independently and get a fresh identity.
+/// So `version(id) <= c`, for a clock value `c` read at some earlier
+/// moment, *proves* that `id`'s list is unchanged since that moment;
+/// a later stamp means "maybe changed" (a rolled-back list may equal
+/// the one a consumer cached before the edit). Downstream caches (the
+/// mapper's per-row DP cutoff) keep one clock read instead of a
+/// per-node copy of the versions. A clock read is only meaningful
+/// against the instance it came from ([`CutDb::instance_id`]): clones
+/// evolve independently and get a fresh identity.
 #[derive(Debug)]
 pub struct CutDb {
     k: usize,
     max_cuts: usize,
-    /// Process-unique identity for version snapshots (fresh per clone,
-    /// never reused — see the module docs on version counters).
+    /// Process-unique identity that clock reads are keyed to (fresh
+    /// per clone, never reused — see the type docs on version
+    /// counters).
     instance_id: u64,
     arena: Vec<Cut>,
     span: Vec<(u32, u32)>,
-    /// Per-node cut-list versions (see the type docs).
+    /// Per-node cut-list versions: clock stamps (see the type docs).
     versions: Vec<u64>,
-    /// Monotone version source; never decremented, not rolled back.
-    vgen: u64,
+    /// Monotone clock; never decremented, not rolled back.
+    clock: u64,
     /// Total cuts across live spans (arena occupancy heuristic).
     live: usize,
     /// Open edit session, `None` outside one.
@@ -575,7 +573,7 @@ fn next_cutdb_id() -> u64 {
 impl Clone for CutDb {
     /// Clones the full table but under a **fresh**
     /// [`CutDb::instance_id`]: the clone evolves independently, so
-    /// version snapshots taken against the original must not match it.
+    /// clock reads taken against the original must not vouch for it.
     fn clone(&self) -> Self {
         CutDb {
             instance_id: next_cutdb_id(),
@@ -584,7 +582,7 @@ impl Clone for CutDb {
             arena: self.arena.clone(),
             span: self.span.clone(),
             versions: self.versions.clone(),
-            vgen: self.vgen,
+            clock: self.clock,
             live: self.live,
             journal: self.journal.clone(),
             scratch: self.scratch.clone(),
@@ -613,7 +611,7 @@ impl CutDb {
             arena: Vec::new(),
             span: Vec::new(),
             versions: Vec::new(),
-            vgen: 0,
+            clock: 0,
             live: 0,
             journal: None,
             scratch: NodeScratch::default(),
@@ -623,24 +621,32 @@ impl CutDb {
     }
 
     /// Process-unique identity of this database (fresh per
-    /// [`CutDb::new`] and per clone). Version snapshots are only
-    /// meaningful against the instance they were taken from.
+    /// [`CutDb::new`] and per clone). Clock reads are only meaningful
+    /// against the instance they were taken from.
     pub fn instance_id(&self) -> u64 {
         self.instance_id
     }
 
-    /// The cut-list version of node `id` (see the type docs): equal
-    /// to a previously snapshotted value iff the node's cut list is
-    /// bit-identical to the snapshotted one.
+    /// The current clock: at least every node's
+    /// [version](CutDb::version), and `0` only before the first list
+    /// is written.
+    pub fn clock(&self) -> u64 {
+        self.clock
+    }
+
+    /// The cut-list version of node `id` (see the type docs): the
+    /// clock stamp of the last write to its list, so a version at or
+    /// below an earlier [`CutDb::clock`] read proves the list is
+    /// unchanged since that read.
     #[inline]
     pub fn version(&self, id: NodeId) -> u64 {
         self.versions[id as usize]
     }
 
-    /// Draws a fresh, never-reused version value.
+    /// Advances the clock and returns the fresh stamp.
     fn bump(&mut self) -> u64 {
-        self.vgen += 1;
-        self.vgen
+        self.clock += 1;
+        self.clock
     }
 
     /// The cut-size bound `k`.
@@ -682,8 +688,8 @@ impl CutDb {
             .reserve(n.saturating_mul(self.max_cuts.min(8) + 1));
         self.span.clear();
         self.span.resize(n, (0, 0));
-        // The whole table is rewritten: every node gets a fresh
-        // version, so any snapshot taken before the rebuild mismatches.
+        // The whole table is rewritten: every node gets a stamp later
+        // than any clock read before the rebuild.
         let v = self.bump();
         self.versions.clear();
         self.versions.resize(n, v);
@@ -748,8 +754,8 @@ impl CutDb {
     /// `inc`, which must be live for the same graph) are enqueued —
     /// if it is identical, propagation stops there (and the node's
     /// [version](CutDb::version) stays put; changed lists get a fresh
-    /// version). After the call the table equals a fresh enumeration
-    /// of the current graph.
+    /// stamp). After the call the table equals a fresh enumeration of
+    /// the current graph.
     ///
     /// [`IncrementalAnalysis::substitute`]:
     /// crate::incremental::IncrementalAnalysis::substitute
@@ -785,9 +791,8 @@ impl CutDb {
                 continue; // equality cutoff: consumers see no change
             }
             let old = self.span[id as usize];
-            let old_version = self.versions[id as usize];
             if let Some(journal) = &mut self.journal {
-                journal.old_spans.push((id, old, old_version));
+                journal.old_spans.push((id, old));
             }
             self.live = self.live + list.len() - (old.1 - old.0) as usize;
             self.versions[id as usize] = self.bump();
@@ -829,10 +834,11 @@ impl CutDb {
     }
 
     /// Closes the edit session reverting every update since
-    /// [`CutDb::begin_edit`]: spans, appended suffix, **and the
-    /// version counters** are restored exactly (the monotone version
-    /// source itself is not rewound, so rolled-back values are never
-    /// handed out again — see the type docs).
+    /// [`CutDb::begin_edit`]: spans and the appended suffix are
+    /// restored exactly, and every restored list gets one fresh
+    /// [version](CutDb::version) stamp, later than any clock read
+    /// during the session (the clock itself is not rewound — see the
+    /// type docs).
     ///
     /// # Panics
     ///
@@ -842,10 +848,11 @@ impl CutDb {
         self.span.truncate(journal.span_len);
         self.versions.truncate(journal.span_len);
         self.queued.truncate(journal.span_len);
-        for &(id, old, old_version) in journal.old_spans.iter().rev() {
+        let stamp = self.bump();
+        for &(id, old) in journal.old_spans.iter().rev() {
             if (id as usize) < journal.span_len {
                 self.span[id as usize] = old;
-                self.versions[id as usize] = old_version;
+                self.versions[id as usize] = stamp;
             }
             // Entries for nodes appended within this session (an
             // invalidate can change a mid-session append's list) were
@@ -1499,10 +1506,11 @@ mod tests {
         db.invalidate(&g, &inc, &crate::incremental::DirtyRegion::default());
     }
 
-    /// Version-counter contract: versions change exactly when a
-    /// node's list changes, build/sync_appends hand out fresh values,
-    /// rollback restores values exactly, and a mid-edit bump is never
-    /// equal to the restored value (monotone source).
+    /// Version-counter contract: versions are clock stamps that move
+    /// exactly when a node's list changes, build/sync_appends hand out
+    /// fresh stamps, and a rollback stamps the lists it restores past
+    /// every clock read during the edit while the untouched lists keep
+    /// their versions.
     #[test]
     fn cutdb_version_counters_track_list_changes() {
         use crate::incremental::{IncrementalAnalysis, Transaction};
@@ -1513,11 +1521,13 @@ mod tests {
         let baseline: Vec<u64> = g.node_ids().map(|id| db.version(id)).collect();
 
         // Rebuild for the same graph: lists identical, but versions
-        // must still move (the whole table was rewritten; equality
-        // may only certify "unchanged since the snapshot *I* took").
+        // must still move past the earlier clock (the whole table was
+        // rewritten).
+        let clock = db.clock();
         db.build(&g);
         for id in g.node_ids() {
             assert_ne!(db.version(id), baseline[id as usize], "node {id}");
+            assert!(db.version(id) > clock, "node {id}");
         }
         let before: Vec<u64> = g.node_ids().map(|id| db.version(id)).collect();
 
@@ -1547,8 +1557,9 @@ mod tests {
         }
         assert!(changed > 0, "the substitution must have changed lists");
 
-        // A rolled-back edit restores versions exactly, and the
-        // mid-edit values never reappear.
+        // A rolled-back edit restores every list, stamping the
+        // restored ones past the clock a consumer read mid-edit; the
+        // lists the edit never touched keep their versions.
         let pre: Vec<u64> = g.node_ids().map(|id| db.version(id)).collect();
         let node = g
             .and_ids()
@@ -1560,18 +1571,25 @@ mod tests {
         txn.substitute(node, !with);
         db.invalidate(txn.aig(), txn.analysis(), txn.analysis().last_dirty());
         let mid: Vec<u64> = txn.aig().node_ids().map(|id| db.version(id)).collect();
+        let mid_clock = db.clock();
         txn.rollback();
         db.rollback_edit();
         db.assert_matches_fresh(&g);
+        let mut restored = 0;
         for id in g.node_ids() {
             let vi = id as usize;
-            assert_eq!(db.version(id), pre[vi], "rollback must restore versions");
-            if mid[vi] != pre[vi] {
-                // A consumer that snapshotted the speculative value
-                // must still see a mismatch after the rollback.
-                assert_ne!(db.version(id), mid[vi], "mid-edit value reused");
+            if mid[vi] == pre[vi] {
+                assert_eq!(db.version(id), pre[vi], "untouched list keeps its version");
+            } else {
+                assert!(
+                    db.version(id) > mid_clock,
+                    "restored list {id} reads as unchanged"
+                );
+                restored += 1;
             }
+            assert!(db.version(id) <= db.clock());
         }
+        assert!(restored > 0, "the rolled-back edit must have changed lists");
 
         // Clones get a fresh identity.
         let clone = db.clone();

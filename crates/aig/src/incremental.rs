@@ -165,16 +165,21 @@ impl DirtyRegion {
     /// The smallest id in any of the three sets, or `None` when the
     /// edit touched nothing. Every per-node quantity of every node
     /// below this id is untouched by the edit — the watermark the
-    /// incremental mapper uses to reuse DP rows. Note this bounds
-    /// *writes* by id, not by cone: once a graph carries forward
-    /// references (see the module docs), a node below the watermark
-    /// may still *read* a node above it, so suffix-recompute
-    /// consumers additionally clamp to the smallest forward reader.
+    /// incremental mapper uses to reuse DP rows — except the
+    /// constant node's fanout: node 0 is left out, because the
+    /// constant has no DP row, no changing cut list and no feature
+    /// row, so a reader rewired to or from a constant must not drag
+    /// the watermark to 0 (the rewired reader itself is counted).
+    /// Note this bounds *writes* by id, not by cone: once a graph
+    /// carries forward references (see the module docs), a node below
+    /// the watermark may still *read* a node above it, so
+    /// suffix-recompute consumers additionally clamp to the smallest
+    /// forward reader.
     pub fn min_touched(&self) -> Option<NodeId> {
         [
             self.nodes.first(),
             self.edited.first(),
-            self.fanout_touched.first(),
+            self.fanout_touched.iter().find(|&&id| id != 0),
         ]
         .into_iter()
         .flatten()
@@ -776,7 +781,11 @@ impl<'a> Transaction<'a> {
     /// (levels, fanout, fanins, consumer lists), or [`NodeId::MAX`]
     /// when nothing was edited. Everything strictly below is
     /// guaranteed untouched — the watermark incremental consumers
-    /// (the mapper's DP-row reuse) key on.
+    /// (the mapper's DP-row reuse) key on — except the constant
+    /// node's fanout, left out as in [`DirtyRegion::min_touched`]:
+    /// the constant has no DP row, cut list or feature row to
+    /// refresh, and a design's port diff still sees an output moved
+    /// to or from a constant.
     pub fn min_touched(&self) -> NodeId {
         self.min_touched
     }
@@ -834,7 +843,10 @@ impl<'a> Transaction<'a> {
         self.inc.out_snapshot[idx] = lit;
         self.inc.refresh_max_level();
         self.journal.ops.push(UndoOp::Retarget { idx, old });
-        self.touch(old.var().min(lit.var()));
+        // The constant stays out of the watermark (see `min_touched`).
+        if let Some(v) = [old.var(), lit.var()].into_iter().filter(|&v| v != 0).min() {
+            self.touch(v);
+        }
         merge_sorted(&mut self.touched.fanout_touched, &[old.var(), lit.var()]);
     }
 
@@ -1273,7 +1285,9 @@ mod tests {
 
     /// The transaction's min-touched watermark never exceeds any
     /// touched id: everything below it must be bit-identical across
-    /// the edit.
+    /// the edit, except the constant node's fanout, which a
+    /// substitution by a constant moves without lowering the
+    /// watermark to 0.
     #[test]
     fn min_touched_is_a_true_watermark() {
         for seed in 0..6u64 {
@@ -1299,12 +1313,26 @@ mod tests {
                 let with = Lit::new(rng.gen_range(0..node), rng.gen());
                 txn.substitute(node, with);
             }
+            // A read node substituted by a constant moves the
+            // constant's fanout.
+            let read: Vec<NodeId> = txn
+                .aig()
+                .and_ids()
+                .filter(|&id| !txn.analysis().consumers(id).is_empty())
+                .collect();
+            txn.substitute(read[rng.gen_range(0..read.len())], Lit::new(0, rng.gen()));
             let wm = txn.min_touched();
             txn.commit();
+            assert!(
+                wm > 0,
+                "seed {seed}: the constant dragged the watermark to 0"
+            );
 
             for id in 0..wm {
                 assert_eq!(inc.level[id as usize], before_levels[id as usize]);
-                assert_eq!(inc.fanout[id as usize], before_fanout[id as usize]);
+                if id != 0 {
+                    assert_eq!(inc.fanout[id as usize], before_fanout[id as usize]);
+                }
             }
             for (k, &id) in and_ids.iter().enumerate() {
                 if id < wm {

@@ -760,8 +760,9 @@ impl Mapper<'_> {
     /// [`MappedDesign::touched_nets`]. Cover maintenance is seeded by
     /// the context's one changed-row record — the rows whose
     /// emission-visible choice changed since the design last synced,
-    /// written by whichever DP pass refreshed them (the per-row cutoff
-    /// or the watermark sweep) — so the patch visits only those rows.
+    /// written by whichever DP pass refreshed them (the incremental
+    /// row sweep or `map_with`'s full sweep) — so the patch visits
+    /// only those rows.
     ///
     /// Returns `true` when the design had to be (re)built from
     /// scratch — uninitialized, invalidated, or incompatibly

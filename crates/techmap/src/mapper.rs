@@ -230,14 +230,12 @@ pub struct MapContext {
     /// Per-row DP cutoff switch, stored inverted so the default
     /// (`false`) means *enabled*; see [`MapContext::set_row_cutoff`].
     cutoff_disabled: bool,
-    /// [`CutDb::instance_id`] the `seen_versions` snapshot was taken
-    /// from, `None` when no valid snapshot exists (after `map_with`,
-    /// an error, or a mapper change).
-    seen_db: Option<u64>,
-    /// Per-node [`CutDb::version`] values at the last successful
-    /// [`Mapper::dp_update`]; equality proves the node's cut list is
-    /// unchanged since the rows were computed.
-    seen_versions: Vec<u64>,
+    /// The [`CutDb::instance_id`] and [`CutDb::clock`] the rows were
+    /// last computed against: a row whose [`CutDb::version`] is at
+    /// most that clock has an unchanged cut list. `None`, read as
+    /// clock 0 ("reuse nothing"), after `map_with`, an error or a
+    /// mapper change.
+    seen: Option<(u64, u64)>,
     /// Ascending ids of the rows whose emission-visible choice
     /// (cell/pins/leaves/polarities) changed, **accumulated** across
     /// every DP pass since a design last consumed the record
@@ -287,10 +285,11 @@ impl MapContext {
 
     /// Enables or disables the incremental per-row DP cutoff
     /// (default **on**). With the cutoff off,
-    /// [`Mapper::map_incremental`] / [`Mapper::sync_design`] recompute
-    /// every DP row at or above the dirty watermark — the
-    /// pre-cutoff behavior kept as the benchmark baseline and as the
-    /// oracle side of the cutoff parity tests. Results are
+    /// [`Mapper::map_incremental`] / [`Mapper::sync_design`] run the
+    /// same sweep under clock 0, as if every cut list had changed, so
+    /// it recomputes every DP row at or above the dirty watermark —
+    /// the no-reuse run kept as the benchmark baseline and as the
+    /// second side of the cutoff parity tests. Results are
     /// bit-identical either way.
     pub fn set_row_cutoff(&mut self, on: bool) {
         self.cutoff_disabled = !on;
@@ -465,11 +464,11 @@ impl<'a> Mapper<'a> {
         }
         ctx.rows_for = None;
         // The rows come from the context's own table, not a caller's
-        // database, so the version snapshot no longer matches any
-        // database: the next incremental call falls back to the
-        // watermark sweep. The sweep recomputes every row of a
-        // cleared table and so records every matched row afresh.
-        ctx.seen_db = None;
+        // database, so no caller's clock vouches for them: the next
+        // incremental call recomputes every row at or above its
+        // watermark. The sweep recomputes every row of a cleared
+        // table and so records every matched row afresh.
+        ctx.seen = None;
         ctx.changed_rows.clear();
         let (k, max_cuts) = (self.opts.cut_size, self.opts.max_cuts);
         let mut cuts = match ctx.cuts.take() {
@@ -486,7 +485,7 @@ impl<'a> Mapper<'a> {
         ctx.arrival.resize(n, 0.0);
         ctx.flow.clear();
         ctx.flow.resize(n, 0.0);
-        ctx.last_recomputed_rows = self.dp_sweep(ctx, aig, &cuts, 0);
+        ctx.last_recomputed_rows = self.dp_sweep(ctx, aig, &cuts);
         ctx.settle_changed_rows(n);
         ctx.cuts = Some(cuts);
         ctx.check_unmatched(aig)?;
@@ -503,9 +502,9 @@ impl<'a> Mapper<'a> {
     }
 
     /// Incremental remap after an in-place edit: DP rows below
-    /// `dirty_since` are reused, everything at or above it is
-    /// recomputed, and cut lists come from the caller-maintained
-    /// [`CutDb`] instead of a fresh enumeration.
+    /// `dirty_since` are reused, those at or above it are checked and
+    /// recomputed where their inputs changed, and cut lists come from
+    /// the caller-maintained [`CutDb`] instead of a fresh enumeration.
     ///
     /// `dirty_since` is the edit's watermark — typically
     /// [`Transaction::min_touched`] or
@@ -515,12 +514,13 @@ impl<'a> Mapper<'a> {
     /// and (b) the context's previous map call (any of the three
     /// entry points) was for the same graph modulo edits at ids
     /// `>= dirty_since` — node ids below the watermark then have
-    /// bit-identical cut lists (and [`CutDb::version`] counters),
-    /// fanout counts and leaf arrivals, so their reused rows equal
-    /// what a full DP would recompute. Above the watermark,
-    /// consecutive calls against the same database reuse rows through
-    /// a per-row cutoff: a row is recomputed only if its
-    /// [`CutDb::version`] moved or a candidate cut leaf's
+    /// bit-identical cut lists, fanout counts and leaf arrivals, so
+    /// their reused rows equal what a full DP would recompute. Above
+    /// the watermark, consecutive calls against the same database
+    /// reuse rows through a per-row cutoff, also when the graph shrank
+    /// back after a rejected append: a row is recomputed only if its
+    /// [`CutDb::version`] is later than the [`CutDb::clock`] the
+    /// previous call read, or a candidate cut leaf's
     /// arrival/flow/fanout changed (bit-equality, settled in
     /// dependency order). Either way the produced netlist is
     /// **identical** to [`Mapper::map`]'s (asserted by the parity
@@ -562,25 +562,25 @@ impl<'a> Mapper<'a> {
 
     /// The shared DP core of [`Mapper::map_incremental`] and
     /// [`Mapper::sync_design`]: refreshes the context's DP rows at or
-    /// above the effective watermark (validating options, cut-database
-    /// parameters, and the row-reuse handshake) and records the rows
-    /// whose emission-visible choice changed in `changed_rows`. Every
-    /// row below the effective watermark is untouched.
+    /// above the effective watermark through one dependency-ordered
+    /// row sweep (`dp_rows_cutoff`; validating options, cut-database
+    /// parameters, and the row-reuse handshake first) and records the
+    /// rows whose emission-visible choice changed in `changed_rows`.
+    /// Every row below the effective watermark is untouched.
     ///
-    /// Above the watermark the rows are refreshed through a **per-row
-    /// equality cutoff** whenever the context's previous call left a
-    /// live [`CutDb::version`] snapshot for the same database: a row
-    /// is recomputed only if its cut-list version moved or the
-    /// leaf-visible state (arrival, flow, fanout) of one of its
-    /// candidate cuts' leaves changed, compared by bit-equality.
-    /// Skipped rows are provably bit-identical to what a recompute
-    /// would produce (deterministic DP over unchanged inputs), so the
-    /// result — and the produced netlist — never depends on the
-    /// cutoff. Without a valid snapshot (first incremental call after
-    /// `map_with` or after another mapper used the context, a foreign
-    /// database, or [`MapContext::set_row_cutoff`]`(false)`) every row
-    /// at or above the watermark is recomputed and a fresh snapshot
-    /// is taken.
+    /// The sweep recomputes a row only if its [`CutDb::version`] is
+    /// later than the [`CutDb::clock`] the context's previous call
+    /// read from the same database, or the leaf-visible state
+    /// (arrival, flow, fanout) of one of its candidate cuts' leaves
+    /// changed, compared by bit-equality. Skipped rows are provably
+    /// bit-identical to what a recompute would produce (deterministic
+    /// DP over unchanged inputs), so the result — and the produced
+    /// netlist — never depends on the cutoff. Clock 0 reuses nothing:
+    /// after `map_with`, a mapper change, an error, against another
+    /// database, or with [`MapContext::set_row_cutoff`]`(false)`, the
+    /// sweep recomputes every row at or above the watermark. A graph
+    /// that shrank back after a rejected append (the rollback stamped
+    /// every restored list past the clock) runs the same sweep.
     ///
     /// **Cutoff invariant (leaf settles before root).** The cutoff
     /// sweep visits rows in dependency order: ascending ids on
@@ -602,6 +602,9 @@ impl<'a> Mapper<'a> {
         cuts: &CutDb,
         dirty_since: NodeId,
     ) -> Result<(), MapError> {
+        // A per-call count: a call that returns early recomputed
+        // nothing.
+        ctx.last_recomputed_rows = 0;
         self.check_ready()?;
         if cuts.k() != self.opts.cut_size || cuts.max_cuts() != self.opts.max_cuts {
             return Err(MapError::BadOptions(format!(
@@ -628,34 +631,20 @@ impl<'a> Mapper<'a> {
         if ctx.fingerprint != Some(self.instance_id) {
             ctx.shortlists.clear();
             ctx.fingerprint = Some(self.instance_id);
-            // The version snapshot dates the other mapper's rows: it
-            // must not send this call down the cutoff path.
-            ctx.seen_db = None;
+            // The clock dates the other mapper's rows: it must not
+            // vouch for them to this one.
+            ctx.seen = None;
             since = 0;
         }
-        let prev_n = match ctx.rows_for {
-            Some(prev_n) if prev_n <= n => {
-                since = since.min(prev_n as NodeId);
-                prev_n
-            }
-            Some(_) => {
-                // The graph shrank back below the context's rows (a
-                // rejected fresh-cone append rolled back). Rows below
-                // the caller's watermark were restored bit-exactly,
-                // so the watermark survives and the fallback
-                // recomputes only `[since, n)`; the per-row cutoff
-                // sits out this one call (its version snapshot is
-                // sized for the larger graph) and resumes on the
-                // next. Clamped below `n` so the no-op fast path
-                // cannot skip the row/snapshot resize to the smaller
-                // graph.
-                since = since.min(n.saturating_sub(1) as NodeId);
-                0
-            }
-            None => {
-                since = 0;
-                0
-            }
+        since = match ctx.rows_for {
+            Some(prev_n) if prev_n <= n => since.min(prev_n as NodeId),
+            // The graph shrank back below the context's rows (a
+            // rejected fresh-cone append rolled back). Rows below the
+            // caller's watermark were restored bit-exactly, so the
+            // watermark survives. Clamped below `n` so the no-op fast
+            // path cannot skip dropping the larger graph's rows.
+            Some(_) => since.min((n - 1) as NodeId),
+            None => 0,
         };
         if since as usize >= n {
             // The edit touched nothing (an SA window with no
@@ -673,63 +662,41 @@ impl<'a> Mapper<'a> {
         if let Some(mf) = aig.forward_ids().next() {
             since = since.min(mf);
         }
-        // The per-row cutoff needs the previous call's version
-        // snapshot for *this* database (`map_with`, a mapper change
-        // and errors clear it; a different `CutDb` instance never
-        // matches). Forward references do not disqualify it: the
-        // sweep runs in dependency order, so leaf rows settle before
-        // their readers' even when a leaf carries a higher id (see
-        // `dp_rows_cutoff`).
-        let cutoff = !ctx.cutoff_disabled
-            && prev_n > 0
-            && ctx.seen_db == Some(cuts.instance_id())
-            && ctx.seen_versions.len() == prev_n;
+        // A different `CutDb` instance never matches; forward
+        // references do not disqualify the clock, since the sweep runs
+        // in dependency order (see `dp_rows_cutoff`).
+        let clock = match ctx.seen {
+            Some((db, clock)) if db == cuts.instance_id() && !ctx.cutoff_disabled => clock,
+            _ => 0,
+        };
         ctx.rows_for = None;
-        ctx.seen_db = None;
+        ctx.seen = None;
         ctx.chosen.resize(n, None);
         ctx.arrival.resize(n, 0.0);
         ctx.flow.resize(n, 0.0);
+        // A shrink drops the larger graph's unmatchable rows too.
+        let kept = ctx.none_rows.partition_point(|&id| (id as usize) < n);
+        ctx.none_rows.truncate(kept);
         // The changed-row record accumulates across calls until a
         // `sync_design` consumes it — an interleaved `map_incremental`
         // must not make its changes invisible to the next design
         // patch.
-        ctx.last_recomputed_rows = if cutoff {
-            self.dp_rows_cutoff(ctx, aig, cuts, since)
-        } else {
-            self.dp_sweep(ctx, aig, cuts, since)
-        };
+        ctx.last_recomputed_rows = self.dp_rows_cutoff(ctx, aig, cuts, since, clock);
         ctx.settle_changed_rows(n);
-        if !ctx.cutoff_disabled {
-            // Snapshot the versions the refreshed rows were computed
-            // against. On the cutoff path, versions below the
-            // watermark are unchanged by the caller contract, so the
-            // prefix snapshot stays valid; the fallback must cover
-            // the whole range — its prefix entries may still carry a
-            // *different* database's values (the very mismatch that
-            // forced the fallback), which must not be re-attributed
-            // to this one.
-            ctx.seen_versions.resize(n, 0);
-            let lo = if cutoff { since } else { 0 };
-            for id in lo..n as NodeId {
-                ctx.seen_versions[id as usize] = cuts.version(id);
-            }
-        }
         ctx.check_unmatched(aig)?;
         ctx.rows_for = Some(n);
-        if !ctx.cutoff_disabled {
-            ctx.seen_db = Some(cuts.instance_id());
-        }
+        ctx.seen = Some((cuts.instance_id(), cuts.clock()));
         Ok(())
     }
 
-    /// The DP sweep shared by [`Mapper::map_with`] (`since = 0`, the
-    /// context's freshly built table) and the watermark path of
-    /// [`Mapper::dp_update`] (the caller's maintained table): recounts
-    /// fanout, recomputes every row at or above `since` from the lists
-    /// of `cuts`, records the rows whose emission-visible choice
-    /// changed, and rebuilds the ascending unmatchable-row set.
-    /// Returns the number of rows recomputed.
-    fn dp_sweep(&self, ctx: &mut MapContext, aig: &Aig, cuts: &CutDb, since: NodeId) -> usize {
+    /// The DP sweep of [`Mapper::map_with`] over the context's freshly
+    /// built table and cleared rows: recounts fanout, computes every
+    /// AND row in dependency order, records the matched rows as
+    /// changed, and rebuilds the ascending unmatchable-row set. It
+    /// reuses nothing, so it stays the reference the parity suites
+    /// hold every incremental result to. Returns the number of rows
+    /// computed.
+    fn dp_sweep(&self, ctx: &mut MapContext, aig: &Aig, cuts: &CutDb) -> usize {
         aig::analysis::fanout_counts_into(aig, &mut ctx.fanout);
         let MapContext {
             fanout,
@@ -742,18 +709,6 @@ impl<'a> Mapper<'a> {
             ..
         } = ctx;
         none_rows.clear();
-        // Rows below the watermark are provably unchanged by the edit
-        // — but *liveness* is a global property: an unmatchable node
-        // (row `None`) that an edit above the watermark pulled back
-        // into the cover must error exactly like `Mapper::map` would.
-        for id in aig.and_ids() {
-            if id >= since {
-                break;
-            }
-            if chosen[id as usize].is_none() {
-                none_rows.push(id);
-            }
-        }
         // Recomputed rows must settle in dependency order: ascending
         // ids, except under committed forward references, where an
         // appended leaf's row must settle before its spliced reader's
@@ -761,24 +716,16 @@ impl<'a> Mapper<'a> {
         // that case, with no per-call allocation either way.
         let mut recomputed = 0usize;
         aig.for_each_and_topo(|id| {
-            if id < since {
-                return;
-            }
             recomputed += 1;
-            let best = self.choose_for_node(id, cuts.cuts(id), fanout, arrival, flow, shortlists);
-            if !emit_eq(&chosen[id as usize], &best) {
-                changed_rows.push(id);
+            match self.choose_for_node(id, cuts.cuts(id), fanout, arrival, flow, shortlists) {
+                Some(best) => {
+                    arrival[id as usize] = best.arrival_ps;
+                    flow[id as usize] = best.area_flow;
+                    chosen[id as usize] = Some(best);
+                    changed_rows.push(id);
+                }
+                None => none_rows.push(id),
             }
-            let Some(best) = best else {
-                chosen[id as usize] = None;
-                arrival[id as usize] = 0.0;
-                flow[id as usize] = 0.0;
-                none_rows.push(id);
-                return;
-            };
-            arrival[id as usize] = best.arrival_ps;
-            flow[id as usize] = best.area_flow;
-            chosen[id as usize] = Some(best);
         });
         if !aig.is_topological() {
             // Dependency-ordered pushes above; `none_rows` must stay
@@ -789,29 +736,30 @@ impl<'a> Mapper<'a> {
         recomputed
     }
 
-    /// The per-row cutoff pass of [`Mapper::dp_update`] (see its docs
-    /// for the validity conditions): one sweep over the AND rows at or
-    /// above `since` in dependency order that recomputes a row only
-    /// when its [`CutDb::version`] moved, or when a structural fanin
-    /// passed a wake-up on (`WAKE`) and one of the row's candidate
-    /// cuts' leaves carries a changed (arrival, flow, fanout)
-    /// bit-state (`CHANGED`). A node passes a wake-up on when its
-    /// fanout count moved, or when it was recomputed and either its
-    /// arrival/flow bits changed or it still carries a dirty candidate
-    /// leaf: merged cuts inherit leaves, so a reader may read that
-    /// leaf directly even though this row's outputs settled. A row
-    /// nothing woke costs a version compare and two bit reads, so the
-    /// heavy DP cost tracks the edit footprint; the watermark-to-top
-    /// work is this sweep plus the suffix fanout refresh, a few bytes
-    /// per node each. Maintains `none_rows` incrementally and records
-    /// the emission-visible changed rows in `changed_rows`. Returns
-    /// the number of rows recomputed.
+    /// The row sweep of [`Mapper::dp_update`] (see its docs for the
+    /// clock): one sweep over the AND rows at or above `since` in
+    /// dependency order that recomputes a row only when its
+    /// [`CutDb::version`] is later than `clock` (every row, under
+    /// clock 0), or when a structural fanin passed a wake-up on
+    /// (`WAKE`) and one of the row's candidate cuts' leaves carries a
+    /// changed (arrival, flow, fanout) bit-state (`CHANGED`). A node
+    /// passes a wake-up on when its fanout count moved, or when it was
+    /// recomputed and either its arrival/flow bits changed or it still
+    /// carries a dirty candidate leaf: merged cuts inherit leaves, so
+    /// a reader may read that leaf directly even though this row's
+    /// outputs settled. A row nothing woke costs a version compare and
+    /// two bit reads, so the heavy DP cost tracks the edit footprint;
+    /// the watermark-to-top work is this sweep plus the suffix fanout
+    /// refresh, a few bytes per node each. Maintains `none_rows`
+    /// incrementally and records the emission-visible changed rows in
+    /// `changed_rows`. Returns the number of rows recomputed.
     fn dp_rows_cutoff(
         &self,
         ctx: &mut MapContext,
         aig: &Aig,
         cuts: &CutDb,
         since: NodeId,
+        clock: u64,
     ) -> usize {
         let n = aig.num_nodes();
         let s = since as usize;
@@ -858,7 +806,6 @@ impl<'a> Mapper<'a> {
             flow,
             shortlists,
             none_rows,
-            seen_versions,
             changed_rows,
             row_bits,
             ..
@@ -866,9 +813,7 @@ impl<'a> Mapper<'a> {
         let mut recomputed = 0usize;
         let mut visit = |id: NodeId| {
             let vi = id as usize;
-            // Appended rows have no snapshot entry and always count
-            // as moved.
-            let version_moved = seen_versions.get(vi).copied() != Some(cuts.version(id));
+            let version_moved = cuts.version(id) > clock;
             let [f0, f1] = aig.fanins(id);
             let woken = (row_bits[f0.var() as usize] | row_bits[f1.var() as usize]) & WAKE != 0;
             if !version_moved && !woken {

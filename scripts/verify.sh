@@ -144,9 +144,10 @@ gates = [
     (comp, "components/map_dp_watermark_ex28", "components/map_dp_cutoff_ex28", 2.0),
     (comp, "components/feat_full_ex28", "components/feat_incr_edit_ex28", 5.0),
     (comp, "components/gbt_scalar_predict", "components/gbt_batch_predict", 2.0),
-    # Work-bound: across the incremental feature replay, most per-sync
-    # PO evaluations must be served from the cache, not recomputed
-    # (measured ~7x; deterministic counters, immune to machine noise).
+    # Work-bound: across the fixed 64-step incremental feature replay,
+    # most per-sync PO evaluations must be served from the cache, not
+    # recomputed (measured 6.8x; deterministic counters, immune to
+    # machine noise).
     (comp, "components/feat_incr_pos_total", "components/feat_incr_pos_recomputed", 1.5),
     # Work-bound: on the paper-recipe ground-truth chain the recipe
     # memo must serve a share of the primitive applications the

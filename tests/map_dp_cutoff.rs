@@ -1,11 +1,12 @@
 //! Differential suite for the footprint-bounded incremental mapper:
 //! [`Mapper::map_incremental`] / [`Mapper::sync_design`] with the
-//! per-row DP cutoff (CutDb version counters + leaf bit-equality)
-//! must produce netlists **bit-identical** to `Mapper::map` across
-//! random in-place edit walks with rollbacks — on random graphs and
-//! on every benchgen design — while recomputing only rows inside the
-//! edit's footprint. The cutoff-off context (the old watermark
-//! recompute) runs alongside as a second oracle.
+//! per-row DP cutoff (CutDb version stamps against the clock the
+//! previous call read, plus leaf bit-equality) must produce netlists
+//! **bit-identical** to `Mapper::map` across random in-place edit
+//! walks with rollbacks — on random graphs and on every benchgen
+//! design — while recomputing only rows inside the edit's footprint.
+//! The cutoff-off context (the same sweep reusing nothing above the
+//! watermark) runs alongside as a second oracle.
 
 use aig::cut::CutDb;
 use aig::incremental::{IncrementalAnalysis, Transaction};
@@ -41,10 +42,10 @@ fn assert_same_outcome(
 
 /// Random in-place edit walks with rollbacks, mapping mid-edit and
 /// after commit/rollback, with three mappers racing: fresh `map`
-/// (oracle), cutoff-on incremental, cutoff-off incremental (the old
-/// watermark recompute). All three must agree bit for bit at every
-/// step — including on `NoMatch` errors from edits that leave a live
-/// constant node behind.
+/// (oracle), cutoff-on incremental, cutoff-off incremental (every row
+/// at or above the watermark recomputed). All three must agree bit
+/// for bit at every step — including on `NoMatch` errors from edits
+/// that leave a live constant node behind.
 fn drive_walk(g0: &Aig, seed: u64, steps: usize) {
     let lib = sky130ish();
     let mapper = Mapper::new(&lib, MapOptions::default());
@@ -57,15 +58,12 @@ fn drive_walk(g0: &Aig, seed: u64, steps: usize) {
     let mut ctx_off = MapContext::new();
     ctx_off.set_row_cutoff(false);
     assert!(ctx_on.row_cutoff() && !ctx_off.row_cutoff());
-    // Seed both contexts' rows (and the cutoff context's version
-    // snapshot) with the unedited graph.
+    // Seed both contexts' rows (and the clock the cutoff context
+    // reads) with the unedited graph.
     let first_on = mapper.map_incremental(&mut ctx_on, &g, &db, 0);
     let first_off = mapper.map_incremental(&mut ctx_off, &g, &db, 0);
     assert_same_outcome(first_on, mapper.map(&g), "seed");
     assert_same_outcome(first_off, mapper.map(&g), "seed (cutoff off)");
-    // A second pass readies the cutoff context's snapshot (the first
-    // incremental call after a fresh context is the fallback sweep).
-    let _ = mapper.map_incremental(&mut ctx_on, &g, &db, NodeId::MAX);
 
     for step in 0..steps {
         db.begin_edit();
@@ -81,9 +79,9 @@ fn drive_walk(g0: &Aig, seed: u64, steps: usize) {
             db.invalidate(txn.aig(), txn.analysis(), txn.analysis().last_dirty());
         }
         let since = txn.min_touched();
-        // Mid-edit mapping: the cutoff context snapshots speculative
-        // versions here — a following rollback must still be
-        // detected (bumped values are never reused).
+        // Mid-edit mapping: the cutoff context reads the clock here —
+        // a following rollback must still be detected (it stamps the
+        // restored lists past that clock).
         let fresh_mid = mapper.map(txn.aig());
         let incr_mid = mapper.map_incremental(&mut ctx_on, txn.aig(), &db, since);
         let off_mid = mapper.map_incremental(&mut ctx_off, txn.aig(), &db, since);
@@ -170,6 +168,12 @@ fn recompute_count_is_footprint_bounded_on_windowed_edits() {
                     ctx.recomputed_rows()
                 );
                 exercised += 1;
+                // A call with nothing to do reports its own count,
+                // not the previous call's.
+                mapper
+                    .map_incremental(&mut ctx, txn.aig(), &db, NodeId::MAX)
+                    .expect("mappable");
+                assert_eq!(ctx.recomputed_rows(), 0, "round {round}: untouched call");
                 // A no-op resync over the unchanged graph recomputes
                 // nothing at all.
                 mapper
@@ -259,19 +263,21 @@ impl DesignRider {
 /// two persistent designs ride along, one through a cutoff-on and one
 /// through a cutoff-off context. Each design syncs on every mid-edit
 /// graph (grown shape) and again after the move's outcome: after a
-/// commit, or after a rollback (shrunk shape, nonzero watermark) —
-/// SA rolls back every move it could not price and a share of those
-/// it could. After the warm-up sync only a zero-watermark shrink may
-/// rebuild, and every sync prices bit-identically to the fresh full
-/// pipeline.
-fn drive_append_walk(g0: &Aig, seed: u64, steps: usize) -> bool {
+/// commit, or after a rollback (shrunk shape) — SA rolls back every
+/// move it could not price and a share of those it could. After the
+/// warm-up sync no sync rebuilds, and every sync prices
+/// bit-identically to the fresh full pipeline. Returns whether the
+/// walk committed a forward reference, the DP rows the cutoff-on
+/// design recomputed on shrunk graphs, and the rows at or above
+/// those syncs' (forward-clamped) watermarks.
+fn drive_append_walk(g0: &Aig, seed: u64, steps: usize) -> (bool, usize, usize) {
     let lib = sky130ish();
     let mapper = Mapper::new(&lib, MapOptions::default());
     if mapper.map(g0).is_err() {
         // Random seeds can leave a live constant node (unmappable by
         // construction); the design pipeline under test requires a
         // mappable start.
-        return false;
+        return (false, 0, 0);
     }
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut g = g0.clone();
@@ -287,10 +293,6 @@ fn drive_append_walk(g0: &Aig, seed: u64, steps: usize) -> bool {
     mapper
         .map_incremental(&mut ctx_off, &g, &db, 0)
         .expect("mappable");
-    // Ready the cutoff context's version snapshot.
-    mapper
-        .map_incremental(&mut ctx_on, &g, &db, NodeId::MAX)
-        .expect("mappable");
     let mut riders = [DesignRider::new(&lib, true), DesignRider::new(&lib, false)];
     for r in &mut riders {
         r.sync(&mapper, &g, &db, 0, "warm-up");
@@ -298,6 +300,7 @@ fn drive_append_walk(g0: &Aig, seed: u64, steps: usize) -> bool {
 
     let cache = transform::ResynthCache::new();
     let mut saw_forward = false;
+    let (mut shrunk_rows, mut shrunk_above) = (0usize, 0usize);
     for step in 0..steps {
         let n = g.num_nodes() as u32;
         let start = rng.gen_range(0..n);
@@ -351,28 +354,76 @@ fn drive_append_walk(g0: &Aig, seed: u64, steps: usize) -> bool {
         assert_same_outcome(incr, mapper.map(&g), &format!("append step {step}"));
         assert_same_outcome(off, fresh, &format!("append step {step} (cutoff off)"));
         db.assert_matches_fresh(&g);
-        // A rollback that shrinks a mid-edit-synced design under a
-        // zero watermark (the edit touched the constant node's
-        // fanout) reads as a compaction sweep and rebuilds; every
-        // other outcome patches in place.
-        let compaction = priceable && since == 0 && g.num_nodes() < mid_n;
         for r in &mut riders {
             let what = format!("append step {step} post");
-            assert_eq!(r.sync(&mapper, &g, &db, since, &what), compaction, "{what}");
+            assert!(!r.sync(&mapper, &g, &db, since, &what), "{what}: rebuilt");
+        }
+        if priceable && g.num_nodes() < mid_n {
+            let eff = since.min(g.forward_ids().next().unwrap_or(NodeId::MAX));
+            shrunk_rows += riders[0].ctx.recomputed_rows();
+            shrunk_above += g.and_ids().filter(|&id| id >= eff).count();
         }
     }
-    saw_forward
+    (saw_forward, shrunk_rows, shrunk_above)
+}
+
+/// The per-row cutoff also runs on graphs that shrank back after a
+/// rejected append: summed over a test's walks, those syncs recompute
+/// strictly fewer rows than lie at or above their watermarks (a walk
+/// whose only shrink sits low in a small graph can recompute every
+/// one of them).
+fn assert_shrunk_syncs_cut_off(rows: usize, above: usize) {
+    assert!(above > 0, "no walk synced a shrunk graph");
+    assert!(
+        rows < above,
+        "shrunk-graph syncs recomputed {rows} rows, {above} at or above their watermarks"
+    );
+}
+
+/// An output retargeted to or from a constant leaves the constant
+/// node out of the watermark: the designs' port diff must still see
+/// the move, patch in place, and price bit-identically to a fresh
+/// map.
+#[test]
+fn designs_follow_outputs_retargeted_to_and_from_constants() {
+    let lib = sky130ish();
+    let mapper = Mapper::new(&lib, MapOptions::default());
+    let mut g = random_aig_with(0xC0, 8, 120, 3);
+    let mut inc = IncrementalAnalysis::new(&g);
+    let mut db = CutDb::new(4, 8);
+    db.build(&g);
+    let mut riders = [DesignRider::new(&lib, true), DesignRider::new(&lib, false)];
+    for r in &mut riders {
+        r.sync(&mapper, &g, &db, 0, "warm-up");
+    }
+    let driver = g.outputs()[0].lit;
+    assert!(g.is_and(driver.var()), "output 0 is driven by an AND");
+    for (step, lit) in [Lit::FALSE, Lit::TRUE, driver].into_iter().enumerate() {
+        let mut txn = Transaction::begin(&mut g, &mut inc);
+        txn.retarget_output(0, lit);
+        let since = txn.min_touched();
+        txn.commit();
+        assert!(
+            since > 0,
+            "step {step}: the constant dragged the watermark to 0"
+        );
+        for r in &mut riders {
+            let what = format!("retarget step {step}");
+            assert!(!r.sync(&mapper, &g, &db, since, &what), "{what}: rebuilt");
+        }
+    }
 }
 
 #[test]
 fn append_walks_bit_identical_on_random_graphs() {
-    let mut forward_walks = 0usize;
+    let (mut forward_walks, mut rows, mut above) = (0usize, 0usize, 0usize);
     for seed in 0..6u64 {
         let g = random_aig_with(0xA9 ^ seed, 7, 110, 3);
-        if drive_append_walk(&g, 0xBEEF ^ seed, 9) {
-            forward_walks += 1;
-        }
+        let (forward, r, a) = drive_append_walk(&g, 0xBEEF ^ seed, 9);
+        forward_walks += usize::from(forward);
+        (rows, above) = (rows + r, above + a);
     }
+    assert_shrunk_syncs_cut_off(rows, above);
     assert!(
         forward_walks >= 2,
         "too few walks committed forward references ({forward_walks})"
@@ -381,12 +432,13 @@ fn append_walks_bit_identical_on_random_graphs() {
 
 #[test]
 fn append_walks_bit_identical_on_benchgen_designs() {
-    let mut forward_walks = 0usize;
+    let (mut forward_walks, mut rows, mut above) = (0usize, 0usize, 0usize);
     for design in benchgen::iwls_like_suite().into_iter().take(4) {
-        if drive_append_walk(&design.aig, 0xFEED, 4) {
-            forward_walks += 1;
-        }
+        let (forward, r, a) = drive_append_walk(&design.aig, 0xFEED, 4);
+        forward_walks += usize::from(forward);
+        (rows, above) = (rows + r, above + a);
     }
+    assert_shrunk_syncs_cut_off(rows, above);
     assert!(
         forward_walks >= 1,
         "no benchgen walk committed a forward reference"
@@ -617,15 +669,13 @@ fn sync_design_sees_interleaved_map_incremental_changes() {
 }
 
 /// Switching a context between two independent `CutDb` instances must
-/// not let version values of the old database masquerade as the new
-/// one's: the fallback sweep re-snapshots the *whole* range (not just
-/// `[since, n)`), so a later cutoff call can never compare a row
-/// against another database's numerically colliding version value.
-/// This drives the exact switch sequence — the colliding values are
-/// engineered below (each database assigns `x` its second counter
-/// value) — and asserts bit-identity; the direct wrong-skip
-/// additionally requires the colliding row to carry no other dirty
-/// signal, so the full-range snapshot is the guarantee under test.
+/// not let the old database's clock vouch for the new one's lists:
+/// the context keys its clock read to the database instance, so the
+/// switch call reuses nothing at or above its watermark, and the
+/// next call compares the new database's versions only against the
+/// new database's clock. This drives the exact switch sequence with
+/// numerically colliding values engineered below (each database
+/// stamps `x` with its second clock tick) and asserts bit-identity.
 #[test]
 fn snapshot_is_not_reattributed_across_databases() {
     let lib = sky130ish();
@@ -667,16 +717,15 @@ fn snapshot_is_not_reattributed_across_databases() {
         .map_incremental(&mut ctx, &g, &db_a, since_a)
         .expect("mappable");
     // Switch to an independently built database with a high
-    // watermark: the fallback sweep must claim no knowledge of B's
-    // versions below it.
+    // watermark: A's clock must not vouch for B's lists.
     let mut db_b = CutDb::new(4, 8);
     db_b.build(&g);
     mapper
         .map_incremental(&mut ctx, &g, &db_b, high)
         .expect("mappable");
-    // Edit through B so x's version becomes B's second value — the
-    // same numeric value A assigned it, which the stale snapshot
-    // would mistake for "unchanged".
+    // Edit through B so x's version becomes B's second tick — the
+    // same numeric value A stamped it with, which A's clock would
+    // read as "unchanged".
     let mut txn = Transaction::begin(&mut g, &mut inc);
     txn.substitute(v.var(), c);
     db_b.invalidate(txn.aig(), txn.analysis(), txn.analysis().last_dirty());
