@@ -7,7 +7,7 @@
 //! the real speedup on this machine (tracked to stay ≥ 2×). Results
 //! are written to `BENCH_components.json` at the workspace root.
 
-use aig::incremental::IncrementalAnalysis;
+use aig::incremental::{DirtyRegion, IncrementalAnalysis, Transaction};
 use aig::{Lit, NodeId};
 use bench::{bench_json_path, design_pair, library};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -28,10 +28,10 @@ fn feat_replay(
     g: &mut aig::Aig,
     inc: &mut IncrementalAnalysis,
     feats: &mut features::IncrementalFeatures,
-    region: &mut aig::incremental::DirtyRegion,
+    region: &mut DirtyRegion,
     (node, with): (NodeId, Lit),
 ) -> features::FeatureVector {
-    let mut txn = aig::incremental::Transaction::begin(g, inc);
+    let mut txn = Transaction::begin(g, inc);
     txn.substitute(node, with);
     region.clear();
     region.merge(txn.touched_region());
@@ -155,7 +155,7 @@ fn bench_components(c: &mut Criterion) {
         let mut inc = IncrementalAnalysis::new(&edited);
         let mut feats = features::IncrementalFeatures::default();
         feats.rebuild(&edited);
-        let mut region = aig::incremental::DirtyRegion::default();
+        let mut region = DirtyRegion::default();
         let (recomputed0, total0) = (feats.pos_recomputed(), feats.pos_evaluated());
         for i in 0..COUNTER_STEPS {
             let edit = plan[i % plan.len()];
@@ -350,7 +350,6 @@ fn bench_components(c: &mut Criterion) {
     // the base graph exactly, so the replay is rebuild-free steady
     // state.
     {
-        use aig::incremental::Transaction;
         let base = large.aig.clone();
         let ands: Vec<NodeId> = base.and_ids().collect();
         let cones = fanout_cone_sizes(&base);

@@ -81,8 +81,8 @@ fn benchgen_designs_match_fresh() {
 /// through `map_with` and through `map_incremental`. The incremental
 /// context is handed over too, each mapper reading the `CutDb` of its
 /// own cut parameters: the delay and area mappers share one, so the
-/// version snapshot a mapper leaves behind must not let the next one
-/// skip rows it never computed.
+/// clock read a mapper leaves behind must not let the next one skip
+/// rows it never computed.
 #[test]
 fn context_handoff_between_mappers_matches_fresh() {
     let lib = sky130ish();
