@@ -178,10 +178,9 @@ impl Cut {
         self.subset_scan(other)
     }
 
-    /// Exact subset test by merge scan (no signature prefilter);
-    /// exposed for the property tests that validate the prefilter.
-    #[doc(hidden)]
-    pub fn subset_scan(&self, other: &Cut) -> bool {
+    /// Exact subset test by merge scan (no signature prefilter); the
+    /// property tests validate the prefilter against it.
+    fn subset_scan(&self, other: &Cut) -> bool {
         let a = self.leaves();
         let b = other.leaves();
         let mut j = 0;
@@ -360,42 +359,6 @@ pub fn shrink_support(tt: u64, leaves: &[NodeId]) -> Option<(u64, [NodeId; MAX_C
         }
     }
     Some((t, kept, nv))
-}
-
-/// The per-minterm support compaction [`shrink_support`] replaced,
-/// retained as its oracle for the property tests (as
-/// `expand_tt_minterm` is for [`expand_tt`]).
-#[doc(hidden)]
-pub fn shrink_support_minterm(
-    tt: u64,
-    leaves: &[NodeId],
-) -> Option<(u64, [NodeId; MAX_CUT_SIZE], usize)> {
-    let nv = leaves.len();
-    let mask = width_mask(nv);
-    let mut kept = [0; MAX_CUT_SIZE];
-    let mut orig = [0usize; MAX_CUT_SIZE];
-    let mut knv = 0;
-    for (i, &leaf) in leaves.iter().enumerate() {
-        let lo = tt & VAR_LO[i] & mask;
-        let hi = (tt >> (1usize << i)) & VAR_LO[i] & mask;
-        if lo != hi {
-            kept[knv] = leaf;
-            orig[knv] = i;
-            knv += 1;
-        }
-    }
-    if knv == 0 {
-        return None;
-    }
-    let mut out = 0u64;
-    for m in 0..(1usize << knv) {
-        let mut src = 0usize;
-        for (jj, &o) in orig[..knv].iter().enumerate() {
-            src |= ((m >> jj) & 1) << o;
-        }
-        out |= ((tt >> src) & 1) << m;
-    }
-    Some((out, kept, knv))
 }
 
 /// Enumerates up to `max_cuts` k-feasible cuts per node, `k <= 6`,
@@ -744,9 +707,9 @@ impl CutDb {
 
     /// Recomputes the cut lists invalidated by an in-place edit.
     ///
-    /// `dirty` is the report of the edit
-    /// ([`IncrementalAnalysis::substitute`] or accumulated across a
-    /// transaction step); its
+    /// `dirty` is the report of the edit (the region a
+    /// [`Transaction::substitute`] returned, or one accumulated across
+    /// a transaction step); its
     /// [`edited`](crate::incremental::DirtyRegion::edited) nodes
     /// seed an ascending worklist. Each popped node's list is
     /// recomputed from its (current) fanin lists; if the result
@@ -757,8 +720,8 @@ impl CutDb {
     /// stamp). After the call the table equals a fresh enumeration of
     /// the current graph.
     ///
-    /// [`IncrementalAnalysis::substitute`]:
-    /// crate::incremental::IncrementalAnalysis::substitute
+    /// [`Transaction::substitute`]:
+    /// crate::incremental::Transaction::substitute
     ///
     /// # Panics
     ///
@@ -1151,6 +1114,41 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
+    /// The per-minterm support compaction [`shrink_support`] replaced,
+    /// retained as its oracle (as `expand_tt_minterm` is for
+    /// [`expand_tt`]).
+    fn shrink_support_minterm(
+        tt: u64,
+        leaves: &[NodeId],
+    ) -> Option<(u64, [NodeId; MAX_CUT_SIZE], usize)> {
+        let nv = leaves.len();
+        let mask = width_mask(nv);
+        let mut kept = [0; MAX_CUT_SIZE];
+        let mut orig = [0usize; MAX_CUT_SIZE];
+        let mut knv = 0;
+        for (i, &leaf) in leaves.iter().enumerate() {
+            let lo = tt & VAR_LO[i] & mask;
+            let hi = (tt >> (1usize << i)) & VAR_LO[i] & mask;
+            if lo != hi {
+                kept[knv] = leaf;
+                orig[knv] = i;
+                knv += 1;
+            }
+        }
+        if knv == 0 {
+            return None;
+        }
+        let mut out = 0u64;
+        for m in 0..(1usize << knv) {
+            let mut src = 0usize;
+            for (jj, &o) in orig[..knv].iter().enumerate() {
+                src |= ((m >> jj) & 1) << o;
+            }
+            out |= ((tt >> src) & 1) << m;
+        }
+        Some((out, kept, knv))
+    }
+
     #[test]
     fn expand_identity() {
         let leaves = [3u32, 7, 9];
@@ -1412,31 +1410,31 @@ mod tests {
     /// many edits) preserves the table.
     #[test]
     fn cutdb_sync_appends_and_compaction() {
-        use crate::incremental::IncrementalAnalysis;
+        use crate::incremental::{IncrementalAnalysis, Transaction};
         let mut rng = SmallRng::seed_from_u64(99);
         let mut g = crate::test_support::random_aig(3, 6, 50, 2);
         let mut inc = IncrementalAnalysis::new(&g);
         let mut db = CutDb::new(4, 8);
         db.build(&g);
-        for round in 0..30 {
+        for _ in 0..30 {
             // Grow a little...
             let n = g.num_nodes() as NodeId;
             let a = Lit::new(rng.gen_range(0..n), rng.gen());
             let b = Lit::new(rng.gen_range(0..n), rng.gen());
-            g.and(a, b);
-            inc.sync(&g);
-            db.sync_appends(&g);
+            db.begin_edit();
+            let mut txn = Transaction::begin(&mut g, &mut inc);
+            txn.and(a, b);
+            db.sync_appends(txn.aig());
             // ...then churn one substitution, committing every time so
             // stale spans accumulate and compaction eventually fires.
-            let ands: Vec<NodeId> = g.and_ids().collect();
+            let ands: Vec<NodeId> = txn.aig().and_ids().collect();
             let node = ands[rng.gen_range(0..ands.len())];
             let with = Lit::new(rng.gen_range(0..node), rng.gen());
-            db.begin_edit();
-            inc.substitute(&mut g, node, with);
-            db.invalidate(&g, &inc, inc.last_dirty());
+            txn.substitute(node, with);
+            db.invalidate(txn.aig(), txn.analysis(), txn.analysis().last_dirty());
+            txn.commit();
             db.commit_edit();
             db.assert_matches_fresh(&g);
-            let _ = round;
         }
         assert!(
             db.arena.len() <= db.live.saturating_mul(4),

@@ -525,13 +525,13 @@ impl Aig {
     /// equivalent node already owns it.
     ///
     /// This is the raw edit primitive behind
-    /// [`crate::incremental::IncrementalAnalysis::substitute`]; it does
-    /// not re-run the trivial-AND simplifications, so the node stays an
-    /// AND gate even if its fanins become equal or complementary.
+    /// [`crate::incremental::Transaction::substitute`]; it does not
+    /// re-run the trivial-AND simplifications, so the node stays an AND
+    /// gate even if its fanins become equal or complementary.
     ///
     /// Returns the [`FaninEdit`] undo record consumed by
-    /// [`Aig::undo_fanin_edit`] (the transaction rollback path);
-    /// non-transactional callers simply drop it.
+    /// [`Aig::undo_fanin_edit`] (the transaction rollback path); the
+    /// unit tests that edit a bare graph drop it.
     pub(crate) fn replace_fanins(&mut self, id: NodeId, a: Lit, b: Lit) -> FaninEdit {
         let old = [self.fanin0[id as usize], self.fanin1[id as usize]];
         debug_assert!(old[0] != Lit::INVALID, "node {id} is not an AND gate");

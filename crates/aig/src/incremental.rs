@@ -5,23 +5,25 @@
 //! graphs, and most of the per-candidate analysis cost is levels and
 //! fanout counts. [`IncrementalAnalysis`] keeps both quantities live
 //! across graph edits so that the cost of an update scales with the
-//! size of the *edit*, not the size of the graph:
+//! size of the *edit*, not the size of the graph. A [`Transaction`]
+//! is its only edit path:
 //!
-//! * appended nodes and retargeted outputs are absorbed by
-//!   [`IncrementalAnalysis::sync`] in time proportional to the number
-//!   of appended nodes plus the number of outputs;
-//! * in-place node substitution ([`IncrementalAnalysis::substitute`])
-//!   rewires every consumer of a node to an equivalent earlier
-//!   literal and re-levels only the *transitive fanout* of the
-//!   substituted node, stopping as soon as levels stop changing. The
-//!   touched sets are reported as a [`DirtyRegion`];
+//! * an appended node ([`Transaction::and`]) is absorbed in constant
+//!   time, and a retargeted output
+//!   ([`Transaction::retarget_output`]) in time proportional to the
+//!   number of outputs (the max level reads the graph's outputs);
+//! * in-place node substitution ([`Transaction::substitute`]) rewires
+//!   every consumer of a node to an equivalent literal and re-levels
+//!   only the *transitive fanout* of the substituted node, stopping as
+//!   soon as levels stop changing. The touched sets are reported as a
+//!   [`DirtyRegion`];
 //! * wholesale graph replacement (a recipe step produced a fresh
 //!   graph) is handled by [`IncrementalAnalysis::rebuild`], which
 //!   recomputes everything but reuses every buffer.
 //!
 //! [`crate::analysis::levels`] and [`crate::analysis::fanout_counts`]
 //! are kept untouched as the full-recompute oracle; the differential
-//! test suite drives random recipe walks and edit scripts asserting
+//! test suites drive random recipe walks and transactions asserting
 //! the incremental state stays bit-identical to the oracle after
 //! every step.
 //!
@@ -46,16 +48,17 @@
 //!    the moved fanout units, moved consumer entries, rewritten
 //!    output literals and every changed level, and appends capture
 //!    the created node id. Analysis state (levels, fanout, consumer
-//!    adjacency, output snapshot, `max_level`) is maintained exactly
-//!    after every edit, so evaluation can read it mid-transaction.
+//!    adjacency, `max_level`) is maintained exactly after every edit,
+//!    so evaluation can read it mid-transaction.
 //! 3. **commit** — drops the journal; the edits stay. Dropping the
 //!    transaction without calling either method is equivalent to
 //!    commit.
 //! 4. **rollback** — replays the journal in reverse: node vector,
 //!    input registration, output literals, *and the structural-hash
 //!    table* are restored exactly (not merely equivalently), and the
-//!    analysis is returned to its pre-transaction state. The cost is
-//!    proportional to the journal, i.e. to the edit, not the graph.
+//!    analysis is returned to its pre-transaction state (`max_level`
+//!    from the value recorded at begin). The cost is proportional to
+//!    the journal, i.e. to the edit, not the graph.
 //!
 //! The rollback-exactness contract is what makes the SA transaction
 //! path byte-identical to the clone-based path: after a rejected
@@ -259,11 +262,13 @@ struct SubstUndo {
 /// [`crate::analysis::fanout_counts`] exactly (including the
 /// primary-output contribution to fanout), plus a consumer adjacency
 /// used to propagate substitutions through the transitive fanout.
+/// It changes only through [`IncrementalAnalysis::rebuild`] and a
+/// [`Transaction`], the edit path the SA engine runs.
 ///
 /// # Examples
 ///
 /// ```
-/// use aig::{incremental::IncrementalAnalysis, Aig};
+/// use aig::{incremental::IncrementalAnalysis, incremental::Transaction, Aig};
 ///
 /// let mut g = Aig::new();
 /// let a = g.add_input();
@@ -273,14 +278,15 @@ struct SubstUndo {
 /// let mut inc = IncrementalAnalysis::new(&g);
 /// assert_eq!(inc.max_level(), 1);
 ///
-/// // Append a node and retarget the output: sync() absorbs both.
-/// let c = g.add_input();
-/// let abc = g.and(ab, c);
-/// g.set_output(0, abc);
-/// inc.sync(&g);
+/// // Append a node and retarget the output through a transaction.
+/// let mut txn = Transaction::begin(&mut g, &mut inc);
+/// let abn = txn.and(ab, !a);
+/// txn.retarget_output(0, abn);
+/// txn.commit();
 /// assert_eq!(inc.max_level(), 2);
-/// assert_eq!(inc.levels(), &aig::analysis::levels(&g).level[..]);
-/// assert_eq!(inc.fanout_counts(), &aig::analysis::fanout_counts(&g)[..]);
+/// assert_eq!(inc.level(abn.var()), 2);
+/// assert_eq!(inc.fanout(ab.var()), 1);
+/// inc.assert_matches_oracle(&g);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct IncrementalAnalysis {
@@ -289,8 +295,6 @@ pub struct IncrementalAnalysis {
     /// `consumers[v]` lists the AND nodes reading `v`, one entry per
     /// fanin edge (a node whose both fanins read `v` appears twice).
     consumers: Vec<Vec<NodeId>>,
-    /// Output literals at the last sync, for diffing output edits.
-    out_snapshot: Vec<Lit>,
     max_level: u32,
     dirty: DirtyRegion,
     // Propagation scratch.
@@ -306,11 +310,6 @@ impl IncrementalAnalysis {
         s
     }
 
-    /// Per-node levels (identical to [`crate::analysis::levels`]).
-    pub fn levels(&self) -> &[u32] {
-        &self.level
-    }
-
     /// Level of node `id`.
     pub fn level(&self, id: NodeId) -> u32 {
         self.level[id as usize]
@@ -321,14 +320,8 @@ impl IncrementalAnalysis {
         self.max_level
     }
 
-    /// Per-node fanout counts (identical to
-    /// [`crate::analysis::fanout_counts`]: AND fanins plus
-    /// primary-output drivers).
-    pub fn fanout_counts(&self) -> &[u32] {
-        &self.fanout
-    }
-
-    /// Fanout count of node `id`.
+    /// Fanout count of node `id`: AND fanins plus primary-output
+    /// drivers, as [`crate::analysis::fanout_counts`] counts them.
     pub fn fanout(&self, id: NodeId) -> u32 {
         self.fanout[id as usize]
     }
@@ -343,10 +336,11 @@ impl IncrementalAnalysis {
         &self.consumers[id as usize]
     }
 
-    /// The touched sets of the most recent edit — a
-    /// [`IncrementalAnalysis::substitute`] or a
-    /// [`IncrementalAnalysis::sync`] (appended consumers move their
-    /// fanins' fanout; retargeted outputs move their drivers').
+    /// The touched sets of the most recent
+    /// [`Transaction::substitute`] (the region it returned), which a
+    /// caller seeds [`crate::cut::CutDb::invalidate`] with. Appends and
+    /// output retargets leave it as it was; a transaction's whole
+    /// footprint is [`Transaction::touched_region`].
     /// [`IncrementalAnalysis::rebuild`] clears it.
     pub fn last_dirty(&self) -> &DirtyRegion {
         &self.dirty
@@ -359,8 +353,8 @@ impl IncrementalAnalysis {
 
     /// Full recompute into the existing buffers (no oracle
     /// allocations). Use after a transform replaced the graph
-    /// wholesale; [`IncrementalAnalysis::sync`] covers append-only
-    /// growth of the *same* graph.
+    /// wholesale; in-place edits of the same graph go through a
+    /// [`Transaction`].
     pub fn rebuild(&mut self, aig: &Aig) {
         let n = aig.num_nodes();
         self.level.clear();
@@ -377,118 +371,26 @@ impl IncrementalAnalysis {
         let (f0s, f1s) = aig.fanin_arrays();
         aig.for_each_and_topo(|id| self.absorb_and([f0s[id as usize], f1s[id as usize]], id));
         self.dirty.clear();
-        self.out_snapshot.clear();
         for o in aig.outputs() {
             self.fanout[o.lit.var() as usize] += 1;
-            self.out_snapshot.push(o.lit);
         }
-        self.refresh_max_level();
+        self.refresh_max_level(aig);
     }
 
-    /// Absorbs appended nodes and output edits of the same graph.
-    ///
-    /// Cost is `O(appended nodes + outputs)` — independent of the
-    /// graph size, which is what makes single-step SA edits cheap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph shrank (node removal never happens in
-    /// place; use [`IncrementalAnalysis::rebuild`] after a sweep).
-    pub fn sync(&mut self, aig: &Aig) {
-        let old_n = self.level.len();
-        let n = aig.num_nodes();
-        assert!(
-            n >= old_n,
-            "sync() only supports append-only growth ({old_n} -> {n} nodes); use rebuild()"
-        );
-        self.level.resize(n, 0);
-        self.fanout.resize(n, 0);
-        self.consumers.resize_with(n, Vec::new);
-        self.queued.resize(n, false);
-        self.dirty.clear();
-        for id in old_n as NodeId..n as NodeId {
-            if aig.is_and(id) {
-                let [f0, f1] = aig.fanins(id);
-                self.absorb_and([f0, f1], id);
-                self.dirty.nodes.push(id);
-                self.dirty.fanout_touched.push(f0.var());
-                self.dirty.fanout_touched.push(f1.var());
-            }
-        }
-        // Diff the outputs: changed drivers move one fanout unit.
-        let outs = aig.outputs();
-        for (i, o) in outs.iter().enumerate() {
-            match self.out_snapshot.get(i) {
-                Some(&old) if old == o.lit => {}
-                Some(&old) => {
-                    self.fanout[old.var() as usize] -= 1;
-                    self.fanout[o.lit.var() as usize] += 1;
-                    self.dirty.fanout_touched.push(old.var());
-                    self.dirty.fanout_touched.push(o.lit.var());
-                    self.out_snapshot[i] = o.lit;
-                }
-                None => {
-                    self.fanout[o.lit.var() as usize] += 1;
-                    self.dirty.fanout_touched.push(o.lit.var());
-                    self.out_snapshot.push(o.lit);
-                }
-            }
-        }
-        self.dirty.fanout_touched.sort_unstable();
-        self.dirty.fanout_touched.dedup();
-        assert!(
-            self.out_snapshot.len() == outs.len(),
-            "outputs are append-only"
-        );
-        self.refresh_max_level();
-    }
-
-    /// Substitutes `node` by the (functionally equivalent) literal
-    /// `with`: every fanin edge and primary output reading `node` is
-    /// rewired to `with`, fanout counts move with the edges, and
-    /// levels are re-propagated through the transitive fanout of
-    /// `node` only, stopping early where levels settle.
-    ///
-    /// Returns the [`DirtyRegion`] naming the re-leveled, rewired and
-    /// fanout-touched nodes. `node` itself keeps its level and (now
-    /// zero AND-edge) fanout; a later [`Aig::sweep`] drops it if it
-    /// became dangling.
-    ///
-    /// Functional equivalence of `node` and `with` is the *caller's*
-    /// contract (the analysis stays exact either way, but the graph's
-    /// function only survives if the two agree). Structural hashing
-    /// stays consistent: rewired nodes are re-keyed, and a rewired
-    /// node is **not** re-simplified even if its fanins became equal
-    /// or complementary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is the constant node, if `with.var() == node`
-    /// (a self-substitution closes a cycle), or if the analysis is out
-    /// of sync with `aig`. `with.var()` may *succeed* `node` (a
-    /// forward splice onto an appended cone — see the module docs); in
-    /// debug builds a target whose transitive fanin contains a current
-    /// reader of `node` is rejected as a combinational cycle.
-    pub fn substitute(&mut self, aig: &mut Aig, node: NodeId, with: Lit) -> &DirtyRegion {
-        self.substitute_inner(aig, node, with, None)
-    }
-
-    fn substitute_inner(
+    /// The substitution core of [`Transaction::substitute`] (see its
+    /// contract), recording its inverse into `undo`.
+    fn substitute_journaled(
         &mut self,
         aig: &mut Aig,
         node: NodeId,
         with: Lit,
-        mut undo: Option<&mut SubstUndo>,
-    ) -> &DirtyRegion {
+        undo: &mut SubstUndo,
+    ) {
         assert!(node != 0, "cannot substitute the constant node");
         assert!(
             with.var() != node,
             "substitute target {} must differ from node {node} (self-substitution is a cycle)",
             with.var()
-        );
-        assert!(
-            self.level.len() == aig.num_nodes(),
-            "analysis out of sync: call sync() or rebuild() first"
         );
         #[cfg(debug_assertions)]
         if !self.consumers[node as usize].is_empty() {
@@ -523,11 +425,8 @@ impl IncrementalAnalysis {
             } else {
                 f1
             };
-            let edit = aig.replace_fanins(c, nf0, nf1);
+            undo.fanin_edits.push(aig.replace_fanins(c, nf0, nf1));
             self.dirty.edited.push(c);
-            if let Some(u) = &mut undo {
-                u.fanin_edits.push(edit);
-            }
         }
         self.dirty.edited.sort_unstable();
         self.dirty.edited.dedup();
@@ -543,15 +442,11 @@ impl IncrementalAnalysis {
         for i in 0..aig.num_outputs() {
             let lit = aig.outputs()[i].lit;
             if lit.var() == node {
-                let nl = with.complement_if(lit.is_complement());
-                aig.set_output(i, nl);
-                self.out_snapshot[i] = nl;
+                aig.set_output(i, with.complement_if(lit.is_complement()));
                 self.fanout[node as usize] -= 1;
                 self.fanout[wvar as usize] += 1;
                 moved_outputs += 1;
-                if let Some(u) = &mut undo {
-                    u.output_edits.push((i, lit));
-                }
+                undo.output_edits.push((i, lit));
             }
         }
         if moved_edges + moved_outputs > 0 {
@@ -564,12 +459,10 @@ impl IncrementalAnalysis {
             self.dirty.fanout_touched.push(lo);
             self.dirty.fanout_touched.push(hi);
         }
-        if let Some(u) = &mut undo {
-            u.node = node;
-            u.wvar = wvar;
-            u.moved_edges = moved_edges;
-            u.moved_outputs = moved_outputs;
-        }
+        undo.node = node;
+        undo.wvar = wvar;
+        undo.moved_edges = moved_edges;
+        undo.moved_outputs = moved_outputs;
         // Re-level the transitive fanout, smallest id first. On a
         // topological graph every node finalizes in one visit (fanins
         // precede it); a forward reader may be re-enqueued after one
@@ -586,9 +479,7 @@ impl IncrementalAnalysis {
             let nl = 1 + self.level[f0.var() as usize].max(self.level[f1.var() as usize]);
             self.dirty.nodes.push(id);
             if nl != self.level[id as usize] {
-                if let Some(u) = &mut undo {
-                    u.level_changes.push((id, self.level[id as usize]));
-                }
+                undo.level_changes.push((id, self.level[id as usize]));
                 self.level[id as usize] = nl;
                 let cs = std::mem::take(&mut self.consumers[id as usize]);
                 for &cc in &cs {
@@ -602,8 +493,7 @@ impl IncrementalAnalysis {
         // forward edges, where pops are ascending and unique).
         self.dirty.nodes.sort_unstable();
         self.dirty.nodes.dedup();
-        self.refresh_max_level();
-        &self.dirty
+        self.refresh_max_level(aig);
     }
 
     /// Exactly reverts one substitution (reverse-journal order).
@@ -622,15 +512,13 @@ impl IncrementalAnalysis {
         self.fanout[u.wvar as usize] -= total;
         for &(idx, old) in u.output_edits.iter().rev() {
             aig.set_output(idx, old);
-            self.out_snapshot[idx] = old;
         }
         for &(id, old) in u.level_changes.iter().rev() {
             self.level[id as usize] = old;
         }
     }
 
-    /// Absorbs the single AND node `id` just appended to `aig`
-    /// (transaction append path; `sync` covers the bulk case).
+    /// Absorbs the single AND node `id` just appended to `aig`.
     fn absorb_appended(&mut self, aig: &Aig, id: NodeId) {
         debug_assert_eq!(id as usize, self.level.len());
         self.level.push(0);
@@ -672,11 +560,11 @@ impl IncrementalAnalysis {
         self.consumers[f1.var() as usize].push(id);
     }
 
-    fn refresh_max_level(&mut self) {
-        self.max_level = self
-            .out_snapshot
+    fn refresh_max_level(&mut self, aig: &Aig) {
+        self.max_level = aig
+            .outputs()
             .iter()
-            .map(|l| self.level[l.var() as usize])
+            .map(|o| self.level[o.lit.var() as usize])
             .max()
             .unwrap_or(0);
     }
@@ -733,6 +621,7 @@ pub struct Transaction<'a> {
     journal: Journal,
     base_nodes: usize,
     base_outputs: usize,
+    base_max_level: u32,
     min_touched: NodeId,
     touched: DirtyRegion,
 }
@@ -746,16 +635,18 @@ impl<'a> Transaction<'a> {
     pub fn begin(aig: &'a mut Aig, inc: &'a mut IncrementalAnalysis) -> Self {
         assert!(
             inc.num_nodes() == aig.num_nodes(),
-            "analysis out of sync: call sync() or rebuild() first"
+            "analysis out of sync: call rebuild() first"
         );
         let base_nodes = aig.num_nodes();
         let base_outputs = aig.num_outputs();
+        let base_max_level = inc.max_level;
         Transaction {
             aig,
             inc,
             journal: Journal::default(),
             base_nodes,
             base_outputs,
+            base_max_level,
             min_touched: NodeId::MAX,
             touched: DirtyRegion::default(),
         }
@@ -770,11 +661,6 @@ impl<'a> Transaction<'a> {
     /// The live analysis of the graph under edit.
     pub fn analysis(&self) -> &IncrementalAnalysis {
         self.inc
-    }
-
-    /// Number of journaled edits so far.
-    pub fn edit_count(&self) -> usize {
-        self.journal.ops.len()
     }
 
     /// The smallest node id any journaled edit may have touched
@@ -840,8 +726,7 @@ impl<'a> Transaction<'a> {
         self.aig.set_output(idx, lit);
         self.inc.fanout[old.var() as usize] -= 1;
         self.inc.fanout[lit.var() as usize] += 1;
-        self.inc.out_snapshot[idx] = lit;
-        self.inc.refresh_max_level();
+        self.inc.refresh_max_level(self.aig);
         self.journal.ops.push(UndoOp::Retarget { idx, old });
         // The constant stays out of the watermark (see `min_touched`).
         if let Some(v) = [old.var(), lit.var()].into_iter().filter(|&v| v != 0).min() {
@@ -850,18 +735,38 @@ impl<'a> Transaction<'a> {
         merge_sorted(&mut self.touched.fanout_touched, &[old.var(), lit.var()]);
     }
 
-    /// [`IncrementalAnalysis::substitute`] through the journal:
-    /// rewires every reader of `node` to the equivalent literal
-    /// `with` and re-levels the transitive fanout. Returns the
-    /// [`DirtyRegion`] of the step.
+    /// Substitutes `node` by the (functionally equivalent) literal
+    /// `with`, journaled: every fanin edge and primary output reading
+    /// `node` is rewired to `with`, fanout counts move with the edges,
+    /// and levels are re-propagated through the transitive fanout of
+    /// `node` only, stopping early where levels settle.
+    ///
+    /// Returns the [`DirtyRegion`] naming the re-leveled, rewired and
+    /// fanout-touched nodes of this step (also readable as
+    /// [`IncrementalAnalysis::last_dirty`]); it is merged into
+    /// [`Transaction::touched_region`]. `node` itself keeps its level
+    /// and (now zero AND-edge) fanout; a later [`Aig::sweep`] drops it
+    /// if it became dangling.
+    ///
+    /// Functional equivalence of `node` and `with` is the *caller's*
+    /// contract (the analysis stays exact either way, but the graph's
+    /// function only survives if the two agree). Structural hashing
+    /// stays consistent: rewired nodes are re-keyed, and a rewired
+    /// node is **not** re-simplified even if its fanins became equal
+    /// or complementary.
     ///
     /// # Panics
     ///
-    /// Exactly [`IncrementalAnalysis::substitute`]'s panics.
+    /// Panics if `node` is the constant node or if `with.var() ==
+    /// node` (a self-substitution closes a cycle). `with.var()` may
+    /// *succeed* `node` (a forward splice onto an appended cone — see
+    /// the module docs); in debug builds a target whose transitive
+    /// fanin contains a current reader of `node` is rejected as a
+    /// combinational cycle.
     pub fn substitute(&mut self, node: NodeId, with: Lit) -> &DirtyRegion {
         let mut undo = SubstUndo::default();
         self.inc
-            .substitute_inner(self.aig, node, with, Some(&mut undo));
+            .substitute_journaled(self.aig, node, with, &mut undo);
         self.journal.ops.push(UndoOp::Substitute(Box::new(undo)));
         if let Some(m) = self.inc.dirty.min_touched() {
             self.touch(m);
@@ -878,6 +783,7 @@ impl<'a> Transaction<'a> {
     pub fn savepoint(&self) -> Savepoint {
         Savepoint {
             ops: self.journal.ops.len(),
+            max_level: self.inc.max_level,
             min_touched: self.min_touched,
             touched: self.touched.clone(),
         }
@@ -898,11 +804,7 @@ impl<'a> Transaction<'a> {
             sp.ops <= self.journal.ops.len(),
             "savepoint beyond the current journal"
         );
-        while self.journal.ops.len() > sp.ops {
-            let op = self.journal.ops.pop().expect("length checked");
-            self.undo_op(op);
-        }
-        self.inc.refresh_max_level();
+        self.undo_to(sp.ops, sp.max_level);
         self.min_touched = sp.min_touched;
         self.touched = sp.touched.clone();
     }
@@ -917,26 +819,28 @@ impl<'a> Transaction<'a> {
     /// graph (nodes, outputs, structural-hash table) and the analysis
     /// exactly to their state at [`Transaction::begin`].
     pub fn rollback(mut self) {
-        while let Some(op) = self.journal.ops.pop() {
-            self.undo_op(op);
-        }
-        self.inc.refresh_max_level();
+        self.undo_to(0, self.base_max_level);
         debug_assert_eq!(self.aig.num_nodes(), self.base_nodes);
         debug_assert_eq!(self.aig.num_outputs(), self.base_outputs);
     }
 
-    fn undo_op(&mut self, op: UndoOp) {
-        match op {
-            UndoOp::Substitute(u) => self.inc.undo_substitute(self.aig, &u),
-            UndoOp::Append { id } => self.inc.undo_append(self.aig, id),
-            UndoOp::Retarget { idx, old } => {
-                let cur = self.aig.outputs()[idx].lit;
-                self.aig.set_output(idx, old);
-                self.inc.out_snapshot[idx] = old;
-                self.inc.fanout[cur.var() as usize] -= 1;
-                self.inc.fanout[old.var() as usize] += 1;
+    /// Pops and reverts journal entries until `len` remain. Levels and
+    /// outputs are then as they were when the journal had `len`
+    /// entries, so the max level is the `max_level` recorded then.
+    fn undo_to(&mut self, len: usize, max_level: u32) {
+        while self.journal.ops.len() > len {
+            match self.journal.ops.pop().expect("length checked") {
+                UndoOp::Substitute(u) => self.inc.undo_substitute(self.aig, &u),
+                UndoOp::Append { id } => self.inc.undo_append(self.aig, id),
+                UndoOp::Retarget { idx, old } => {
+                    let cur = self.aig.outputs()[idx].lit;
+                    self.aig.set_output(idx, old);
+                    self.inc.fanout[cur.var() as usize] -= 1;
+                    self.inc.fanout[old.var() as usize] += 1;
+                }
             }
         }
+        self.inc.max_level = max_level;
     }
 
     fn touch(&mut self, id: NodeId) {
@@ -949,6 +853,7 @@ impl<'a> Transaction<'a> {
 #[derive(Clone, Debug)]
 pub struct Savepoint {
     ops: usize,
+    max_level: u32,
     min_touched: NodeId,
     touched: DirtyRegion,
 }
@@ -972,37 +877,35 @@ mod tests {
         let mut inc = IncrementalAnalysis::new(&g);
         inc.assert_matches_oracle(&g);
 
-        for step in 0..60 {
+        for _ in 0..60 {
+            let mut txn = Transaction::begin(&mut g, &mut inc);
             match rng.gen_range(0..3) {
                 0 => {
                     // Append a handful of nodes.
                     for _ in 0..rng.gen_range(1..4) {
                         let a = lits[rng.gen_range(0..lits.len())].complement_if(rng.gen());
                         let b = lits[rng.gen_range(0..lits.len())].complement_if(rng.gen());
-                        lits.push(g.and(a, b));
+                        lits.push(txn.and(a, b));
                     }
-                    inc.sync(&g);
                 }
                 1 => {
                     // Retarget a random output.
-                    let idx = rng.gen_range(0..g.num_outputs());
+                    let idx = rng.gen_range(0..txn.aig().num_outputs());
                     let l = lits[rng.gen_range(0..lits.len())].complement_if(rng.gen());
-                    g.set_output(idx, l);
-                    inc.sync(&g);
+                    txn.retarget_output(idx, l);
                 }
                 _ => {
                     // Substitute a random AND by a random earlier lit.
-                    let ands: Vec<NodeId> = g.and_ids().collect();
-                    if ands.is_empty() {
-                        continue;
+                    let ands: Vec<NodeId> = txn.aig().and_ids().collect();
+                    if !ands.is_empty() {
+                        let node = ands[rng.gen_range(0..ands.len())];
+                        let with = Lit::new(rng.gen_range(0..node), rng.gen());
+                        txn.substitute(node, with);
                     }
-                    let node = ands[rng.gen_range(0..ands.len())];
-                    let with = Lit::new(rng.gen_range(0..node), rng.gen());
-                    inc.substitute(&mut g, node, with);
                 }
             }
+            txn.commit();
             inc.assert_matches_oracle(&g);
-            let _ = step;
         }
     }
 
@@ -1032,11 +935,13 @@ mod tests {
         let mut inc = IncrementalAnalysis::new(&g);
         // Substitute the first AND of the left chain by an input.
         let first_and = g.and_ids().next().unwrap();
-        let dirty = inc.substitute(&mut g, first_and, ins[0]);
+        let mut txn = Transaction::begin(&mut g, &mut inc);
+        let dirty = txn.substitute(first_and, ins[0]);
         let releveled: Vec<NodeId> = dirty.nodes().to_vec();
         let edited: Vec<NodeId> = dirty.edited().to_vec();
         let fanout_touched: Vec<NodeId> = dirty.fanout_touched().to_vec();
         let min = dirty.min_touched();
+        txn.commit();
         inc.assert_matches_oracle(&g);
         // Only the left chain's remaining AND is re-leveled; the
         // right chain stays untouched.
@@ -1060,25 +965,13 @@ mod tests {
         g.add_output(top, None::<&str>);
         let before = g.clone();
         let mut inc = IncrementalAnalysis::new(&g);
-        inc.substitute(&mut g, f.var(), a.complement_if(f.is_complement()));
+        let mut txn = Transaction::begin(&mut g, &mut inc);
+        txn.substitute(f.var(), a.complement_if(f.is_complement()));
+        txn.commit();
         inc.assert_matches_oracle(&g);
         assert!(crate::sim::equiv_exhaustive(&before, &g).expect("tiny"));
         // The substituted cone got shallower.
         assert!(inc.max_level() < crate::analysis::levels(&before).max_level);
-    }
-
-    #[test]
-    #[should_panic(expected = "append-only")]
-    fn sync_rejects_shrunk_graph() {
-        let mut g = Aig::new();
-        let a = g.add_input();
-        let b = g.add_input();
-        let f = g.and(a, b);
-        g.add_output(f, None::<&str>);
-        let inc = IncrementalAnalysis::new(&g);
-        let smaller = Aig::new();
-        let mut inc = inc;
-        inc.sync(&smaller);
     }
 
     #[test]
@@ -1090,7 +983,7 @@ mod tests {
         let f = g.and(a, b);
         g.add_output(f, None::<&str>);
         let mut inc = IncrementalAnalysis::new(&g);
-        inc.substitute(&mut g, f.var(), Lit::new(f.var(), false));
+        Transaction::begin(&mut g, &mut inc).substitute(f.var(), Lit::new(f.var(), false));
     }
 
     #[test]
@@ -1105,7 +998,7 @@ mod tests {
         let h = g.and(f, b);
         g.add_output(h, None::<&str>);
         let mut inc = IncrementalAnalysis::new(&g);
-        inc.substitute(&mut g, f.var(), Lit::new(h.var(), false));
+        Transaction::begin(&mut g, &mut inc).substitute(f.var(), Lit::new(h.var(), false));
     }
 
     /// The forward-splice shape: append a replacement cone inside a
@@ -1182,7 +1075,7 @@ mod tests {
         txn.rollback_to(&sp);
         assert_eq!(crate::aiger::to_ascii(txn.aig()), mid_ascii);
         assert_eq!(txn.min_touched(), wm);
-        assert_eq!(txn.edit_count(), 2);
+        assert_eq!(txn.journal.ops.len(), 2);
         txn.analysis().assert_matches_oracle(txn.aig());
         txn.commit();
         inc.assert_matches_oracle(&g);
@@ -1225,12 +1118,7 @@ mod tests {
             for _ in 0..12 {
                 let before_ascii = crate::aiger::to_ascii(&g);
                 let before_probe = strash_probe(&g);
-                let before_inc = (
-                    inc.level.clone(),
-                    inc.fanout.clone(),
-                    inc.out_snapshot.clone(),
-                    inc.max_level,
-                );
+                let before_inc = (inc.level.clone(), inc.fanout.clone(), inc.max_level);
                 let commit = rng.gen::<bool>();
                 let mut txn = Transaction::begin(&mut g, &mut inc);
                 for _ in 0..rng.gen_range(1..6) {
@@ -1275,8 +1163,7 @@ mod tests {
                     );
                     assert_eq!(inc.level, before_inc.0, "seed {seed}: levels");
                     assert_eq!(inc.fanout, before_inc.1, "seed {seed}: fanout");
-                    assert_eq!(inc.out_snapshot, before_inc.2, "seed {seed}: outputs");
-                    assert_eq!(inc.max_level, before_inc.3, "seed {seed}: max_level");
+                    assert_eq!(inc.max_level, before_inc.2, "seed {seed}: max_level");
                     inc.assert_matches_oracle(&g);
                 }
             }
@@ -1355,7 +1242,11 @@ mod tests {
 
         let mut txn = Transaction::begin(&mut g, &mut inc);
         assert_eq!(txn.and(a, b), ab, "existing node is strashed");
-        assert_eq!(txn.edit_count(), 0, "no journal entry for a strash hit");
+        assert_eq!(
+            txn.journal.ops.len(),
+            0,
+            "no journal entry for a strash hit"
+        );
         let fresh = txn.and(ab, !a);
         assert_eq!(txn.analysis().level(fresh.var()), 2);
         txn.rollback();
@@ -1384,9 +1275,11 @@ mod tests {
         let mut inc = IncrementalAnalysis::new(&g);
 
         let first_left = g.and_ids().next().unwrap();
-        let left_dirty = inc.substitute(&mut g, first_left, ins[0]).clone();
         let first_right = g.and_ids().find(|&id| id > left.var()).unwrap();
-        let right_dirty = inc.substitute(&mut g, first_right, ins[3]).clone();
+        let mut txn = Transaction::begin(&mut g, &mut inc);
+        let left_dirty = txn.substitute(first_left, ins[0]).clone();
+        let right_dirty = txn.substitute(first_right, ins[3]).clone();
+        txn.commit();
 
         let footprint = |r: &DirtyRegion| -> std::collections::BTreeSet<NodeId> {
             r.nodes()

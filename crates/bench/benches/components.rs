@@ -142,8 +142,11 @@ fn bench_components(c: &mut Criterion) {
             let with = Lit::new(lows[(i as usize).wrapping_mul(13) % lows.len()], i % 4 == 0);
             let mut trial = base.clone();
             let mut tinc = IncrementalAnalysis::new(&trial);
-            tinc.substitute(&mut trial, node, with);
-            if !tinc.last_dirty().edited().is_empty() {
+            if !Transaction::begin(&mut trial, &mut tinc)
+                .substitute(node, with)
+                .edited()
+                .is_empty()
+            {
                 plan.push((node, with));
             }
             if plan.len() >= 32 {
@@ -250,7 +253,7 @@ fn bench_components(c: &mut Criterion) {
         })
     });
     // Single-step output retarget: toggle one PO between two drivers
-    // and absorb the edit (O(|PO|), no graph growth).
+    // in a committed transaction (O(|PO|), no graph growth).
     {
         let mut edited = large.aig.clone();
         let drv = edited.outputs()[0].lit;
@@ -261,18 +264,20 @@ fn bench_components(c: &mut Criterion) {
         g.bench_function("analysis_incr_output_edit_ex28", |b| {
             b.iter(|| {
                 flip = !flip;
-                edited.set_output(0, if flip { alt } else { drv });
-                inc.sync(&edited);
-                black_box(inc.max_level())
+                let mut txn = Transaction::begin(&mut edited, &mut inc);
+                txn.retarget_output(0, if flip { alt } else { drv });
+                let max_level = txn.analysis().max_level();
+                txn.commit();
+                black_box(max_level)
             })
         });
     }
     // Single-step substitution: rewire one mid-graph node to an input
-    // and re-level only its transitive fanout. Substitutions are
-    // irreversible, so a fixed plan is replayed and the state is
-    // rebuilt once per plan cycle (the rebuild + clone cost is
-    // included, amortized over the plan — still a fraction of one
-    // full recompute per edit).
+    // in a committed transaction and re-level only its transitive
+    // fanout. Committed substitutions accumulate, so a fixed plan is
+    // replayed and the state is rebuilt once per plan cycle (the
+    // rebuild + clone cost is included, amortized over the plan —
+    // still a fraction of one full recompute per edit).
     {
         let base = large.aig.clone();
         let ands: Vec<NodeId> = base.and_ids().collect();
@@ -291,7 +296,9 @@ fn bench_components(c: &mut Criterion) {
                     edited = base.clone();
                     inc.rebuild(&edited);
                 }
-                let dirty = inc.substitute(&mut edited, plan[step], with).len();
+                let mut txn = Transaction::begin(&mut edited, &mut inc);
+                let dirty = txn.substitute(plan[step], with).len();
+                txn.commit();
                 step += 1;
                 black_box(dirty)
             })
@@ -326,8 +333,10 @@ fn bench_components(c: &mut Criterion) {
                     inc.rebuild(&edited);
                     db.build(&edited);
                 }
-                inc.substitute(&mut edited, plan[step], with);
-                db.invalidate(&edited, &inc, inc.last_dirty());
+                let mut txn = Transaction::begin(&mut edited, &mut inc);
+                txn.substitute(plan[step], with);
+                db.invalidate(txn.aig(), txn.analysis(), txn.analysis().last_dirty());
+                txn.commit();
                 step += 1;
                 black_box(db.num_nodes())
             })
@@ -381,8 +390,11 @@ fn bench_components(c: &mut Criterion) {
             };
             let mut trial = base.clone();
             let mut tinc = IncrementalAnalysis::new(&trial);
-            tinc.substitute(&mut trial, node, with);
-            if !tinc.last_dirty().edited().is_empty() && mapper.map(&trial).is_ok() {
+            let edits = !Transaction::begin(&mut trial, &mut tinc)
+                .substitute(node, with)
+                .edited()
+                .is_empty();
+            if edits && mapper.map(&trial).is_ok() {
                 plan.push((node, with));
             }
             if plan.len() >= 32 {

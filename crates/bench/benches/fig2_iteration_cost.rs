@@ -15,7 +15,7 @@ use saopt::{CostEvaluator, EditScope, EvalContext, GroundTruthCost, ProxyCost};
 use sta::IncrementalSta;
 use std::hint::black_box;
 use techmap::{GateId, MapContext, MapOptions, MappedDesign, Mapper, SizingTable};
-use transform::{InplaceMode, ResynthCache, Transform};
+use transform::{InplaceMode, InplacePlan, ResynthCache, Transform};
 
 /// Length of the deterministic accepted-append walk whose DP row
 /// counters (`map_dp_append_recomputed_rows`,
@@ -197,15 +197,7 @@ fn bench_fig2(c: &mut Criterion) {
                 start = (start.wrapping_mul(2654435761)) % n.max(2); // rotate the window like SA's RNG draw
                 db.begin_edit();
                 let mut txn = Transaction::begin(&mut current, &mut inc);
-                transform::resynth_inplace_window(
-                    &mut txn,
-                    &mut db,
-                    &cache,
-                    InplaceMode::ZeroCost,
-                    false,
-                    start,
-                    64,
-                );
+                InplacePlan::Rewrite(InplaceMode::ZeroCost).run(&mut txn, &mut db, &cache, start);
                 let m = e.evaluate(black_box(txn.aig()));
                 txn.rollback();
                 db.rollback_edit();
@@ -223,6 +215,8 @@ fn bench_fig2(c: &mut Criterion) {
     // steady-state reject path). Both ratios are tracked >= 5x.
     {
         let cand = candidate_of(&large);
+        // Balance and resub plans read no resynthesis cache.
+        let cache = ResynthCache::new();
         g.bench_function("sa_step_rebuild_balance_ex28", |b| {
             let mut e = ProxyCost;
             b.iter(|| {
@@ -243,7 +237,7 @@ fn bench_fig2(c: &mut Criterion) {
                 let start = state % n.max(2);
                 db.begin_edit();
                 let mut txn = Transaction::begin(&mut current, &mut inc);
-                transform::balance_inplace_window(&mut txn, &mut db, start, 64);
+                InplacePlan::Balance.run(&mut txn, &mut db, &cache, start);
                 let m = e.evaluate(black_box(txn.aig()));
                 txn.rollback();
                 db.rollback_edit();
@@ -270,7 +264,7 @@ fn bench_fig2(c: &mut Criterion) {
                 let start = state % n.max(2);
                 db.begin_edit();
                 let mut txn = Transaction::begin(&mut current, &mut inc);
-                transform::resub_inplace_window(&mut txn, &mut db, start, 64);
+                InplacePlan::Resub.run(&mut txn, &mut db, &cache, start);
                 let m = e.evaluate(black_box(txn.aig()));
                 txn.rollback();
                 db.rollback_edit();
@@ -311,15 +305,7 @@ fn bench_fig2(c: &mut Criterion) {
                 let start = state % n.max(2);
                 db.begin_edit();
                 let mut txn = Transaction::begin(&mut current, &mut inc);
-                transform::resynth_inplace_window(
-                    &mut txn,
-                    &mut db,
-                    &cache,
-                    InplaceMode::Standard,
-                    true,
-                    start,
-                    128,
-                );
+                InplacePlan::Refactor(InplaceMode::Standard).run(&mut txn, &mut db, &cache, start);
                 let m = e.evaluate(black_box(txn.aig()));
                 txn.rollback();
                 db.rollback_edit();
@@ -364,15 +350,7 @@ fn bench_fig2(c: &mut Criterion) {
                 let start = state % n.max(2);
                 db.begin_edit();
                 let mut txn = Transaction::begin(&mut current, &mut inc);
-                transform::resynth_inplace_window(
-                    &mut txn,
-                    &mut db,
-                    &cache,
-                    InplaceMode::ZeroCost,
-                    false,
-                    start,
-                    64,
-                );
+                InplacePlan::Rewrite(InplaceMode::ZeroCost).run(&mut txn, &mut db, &cache, start);
                 let since = txn.min_touched();
                 let m = e.evaluate_edit(txn.aig(), &EditScope::new(&db, since), &mut ctx);
                 txn.rollback();

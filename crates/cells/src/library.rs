@@ -385,9 +385,8 @@ pub fn sky130ish() -> Library {
 /// capacitances, 12x smaller areas, and cheaper XOR/MUX cells
 /// (complex cells are relatively cheaper in FinFET nodes).
 ///
-/// Used by the cross-technology generalization experiment: Table II
-/// features are technology-independent, so a timing model trained on
-/// one library should *rank* structures correctly under another.
+/// `aigtool --lib asap7ish` selects it, to map and time a design
+/// under a second technology.
 ///
 /// # Examples
 ///

@@ -11,8 +11,6 @@
 //!   table4        three-flow iteration runtime (Table IV)
 //!   fig5          Pareto fronts of the three flows (Fig. 5)
 //!   gnn-ablation  GNN vs boosted trees (§III-B)
-//!   feature-ablation  per-feature-group accuracy (extension)
-//!   cross-tech    sky130ish-trained model vs asap7ish truth (extension)
 //!   all           everything above
 //!
 //! options:
@@ -29,15 +27,13 @@
 
 #![forbid(unsafe_code)]
 
-use experiments::{
-    crosstech, feature_ablation, fig1, fig2, fig5, gnn_ablation, table1, table3, table4, Config,
-};
+use experiments::{fig1, fig2, fig5, gnn_ablation, table1, table3, table4, Config};
 use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
-        eprintln!("usage: repro <fig1|table1|fig2|table3|table4|fig5|gnn-ablation|feature-ablation|all> [options]");
+        eprintln!("usage: repro <fig1|table1|fig2|table3|table4|fig5|gnn-ablation|all> [options]");
         eprintln!("run with --help for options");
         std::process::exit(2);
     };
@@ -91,11 +87,6 @@ fn main() {
         "table4" => println!("{}", table4::summarize(&table4::run(&cfg))),
         "fig5" => println!("{}", fig5::summarize(&fig5::run_on_design(&cfg, &design))),
         "gnn-ablation" => println!("{}", gnn_ablation::summarize(&gnn_ablation::run(&cfg))),
-        "feature-ablation" => println!(
-            "{}",
-            feature_ablation::summarize(&feature_ablation::run(&cfg))
-        ),
-        "cross-tech" => println!("{}", crosstech::summarize(&crosstech::run(&cfg))),
         "all" => {
             println!("{}\n", fig1::summarize(&fig1::run(&cfg)));
             println!("{}\n", table1::summarize(&table1::run(&cfg)));
@@ -112,11 +103,6 @@ fn main() {
             );
             println!("{}\n", fig5::summarize(&fig5::run_on_design(&cfg, &design)));
             println!("{}\n", gnn_ablation::summarize(&gnn_ablation::run(&cfg)));
-            println!(
-                "{}\n",
-                feature_ablation::summarize(&feature_ablation::run_on(&cfg, &t3.corpus))
-            );
-            println!("{}\n", crosstech::summarize(&crosstech::run(&cfg)));
         }
         other => {
             eprintln!("unknown experiment `{other}`");

@@ -12,8 +12,6 @@
 //! | [`table4`] | Table IV — per-iteration runtime of the three flows |
 //! | [`fig5`] | Fig. 5 — Pareto fronts of the three flows |
 //! | [`gnn_ablation`] | §III-B — GNN vs decision-tree accuracy claim |
-//! | [`feature_ablation`] | per-group value of the Table II features (extension) |
-//! | [`crosstech`] | cross-technology model transfer (extension) |
 //!
 //! The `repro` binary exposes each as a subcommand; all experiments
 //! also run (scaled down) inside the integration test suite.
@@ -22,9 +20,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod crosstech;
 pub mod datagen;
-pub mod feature_ablation;
 pub mod fig1;
 pub mod fig2;
 pub mod fig5;

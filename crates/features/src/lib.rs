@@ -131,51 +131,6 @@ pub fn feature_names() -> [&'static str; NUM_FEATURES] {
     ]
 }
 
-/// Feature groups, used by the ablation benches.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum FeatureGroup {
-    /// Node count and AIG level (the conventional proxies).
-    Proxy,
-    /// Plain top-3 PO depths.
-    Depth,
-    /// Fanout-weighted depths.
-    WeightedDepth,
-    /// Binary (merge-probability) weighted depths.
-    BinaryDepth,
-    /// Whole-graph fanout statistics.
-    Fanout,
-    /// Fanout statistics restricted to longest-path nodes.
-    LongPathFanout,
-    /// PO path counts.
-    Paths,
-}
-
-impl FeatureGroup {
-    /// All groups in index order.
-    pub const ALL: [FeatureGroup; 7] = [
-        FeatureGroup::Proxy,
-        FeatureGroup::Depth,
-        FeatureGroup::WeightedDepth,
-        FeatureGroup::BinaryDepth,
-        FeatureGroup::Fanout,
-        FeatureGroup::LongPathFanout,
-        FeatureGroup::Paths,
-    ];
-
-    /// The feature indices belonging to this group.
-    pub fn indices(self) -> std::ops::Range<usize> {
-        match self {
-            FeatureGroup::Proxy => 0..2,
-            FeatureGroup::Depth => LONG_PATH_DEPTH..WEIGHTED_PATH_DEPTH,
-            FeatureGroup::WeightedDepth => WEIGHTED_PATH_DEPTH..BINARY_WEIGHTED_PATH_DEPTH,
-            FeatureGroup::BinaryDepth => BINARY_WEIGHTED_PATH_DEPTH..FANOUT_STATS,
-            FeatureGroup::Fanout => FANOUT_STATS..LONG_PATH_FANOUT_STATS,
-            FeatureGroup::LongPathFanout => LONG_PATH_FANOUT_STATS..NUM_PATHS,
-            FeatureGroup::Paths => NUM_PATHS..NUM_FEATURES,
-        }
-    }
-}
-
 /// A fixed-size feature vector extracted from one AIG.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FeatureVector(pub [f64; NUM_FEATURES]);
@@ -322,14 +277,6 @@ mod tests {
     #[test]
     fn names_and_groups_cover_everything() {
         assert_eq!(feature_names().len(), NUM_FEATURES);
-        let mut covered = [false; NUM_FEATURES];
-        for g in FeatureGroup::ALL {
-            for i in g.indices() {
-                assert!(!covered[i], "feature {i} in two groups");
-                covered[i] = true;
-            }
-        }
-        assert!(covered.iter().all(|&c| c), "every feature grouped");
     }
 
     #[test]

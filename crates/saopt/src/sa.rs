@@ -10,7 +10,7 @@
 //! a pure function of the recipe draw, never of the move's metrics.
 //! In-place moves run through the edit transaction engine or, with
 //! the engine off, through a clone of the current graph; both paths
-//! execute the same [`run_inplace_plan`], so results are
+//! execute the same [`transform::InplacePlan::run`], so results are
 //! byte-identical either way, for any context state and any
 //! `AIG_THREADS` (the determinism suites assert this). Parallelism
 //! lives across chains ([`optimize_seeds`], [`crate::sweep`]), never
@@ -63,10 +63,7 @@ use aig::incremental::{DirtyRegion, IncrementalAnalysis, Transaction};
 use aig::{Aig, NodeId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use transform::{
-    balance_inplace_window, resub_inplace_window, resynth_inplace_window, InplacePlan,
-    InplaceStats, Recipe, ResynthCache, MEMO_BASE,
-};
+use transform::{Recipe, MEMO_BASE};
 
 /// Cut parameters of the in-place engine: identical to `rewrite`'s
 /// 4-input cuts *and* to the default `techmap::MapOptions`, so one
@@ -74,44 +71,6 @@ use transform::{
 /// ground-truth evaluator.
 const INPLACE_CUT_SIZE: usize = 4;
 const INPLACE_MAX_CUTS: usize = 8;
-/// Live AND nodes examined by one in-place move
-/// ([`transform::resynth_inplace_window`]); the window start is drawn
-/// from the chain's RNG as part of the move, so edits stay local and
-/// the per-iteration cost is independent of the graph size.
-const INPLACE_WINDOW: usize = 64;
-
-/// Window width of an in-place move: refactor-flavor moves scan twice
-/// the baseline window (their whole-graph counterpart works on larger
-/// cones; the in-place flavor compensates with coverage).
-fn plan_window(plan: InplacePlan) -> usize {
-    match plan {
-        InplacePlan::Refactor(_) => 2 * INPLACE_WINDOW,
-        _ => INPLACE_WINDOW,
-    }
-}
-
-/// Executes one in-place SA move according to its plan. The single
-/// definition is shared by the engine path and the clone-oracle path,
-/// so the two are bitwise interchangeable by construction.
-fn run_inplace_plan(
-    plan: InplacePlan,
-    txn: &mut Transaction<'_>,
-    db: &mut CutDb,
-    cache: &ResynthCache,
-    start: NodeId,
-) -> InplaceStats {
-    let window = plan_window(plan);
-    match plan {
-        InplacePlan::Rewrite(mode) => {
-            resynth_inplace_window(txn, db, cache, mode, false, start, window)
-        }
-        InplacePlan::Refactor(mode) => {
-            resynth_inplace_window(txn, db, cache, mode, true, start, window)
-        }
-        InplacePlan::Balance => balance_inplace_window(txn, db, start, window),
-        InplacePlan::Resub => resub_inplace_window(txn, db, start, window),
-    }
-}
 
 /// Deterministic dead-logic compaction checkpoint (both paths apply
 /// it identically, so it is part of the byte-identity contract):
@@ -264,8 +223,8 @@ pub fn optimize(
 /// ([`Recipe::as_inplace`]: single-step `rw`/`rwz`/`rf`/`rfz`/`b`/
 /// `rsb`) do **not** rebuild the graph. The loop keeps an
 /// [`IncrementalAnalysis`] and a [`CutDb`] live for the current graph
-/// and executes the move through a windowed in-place pass
-/// (`run_inplace_plan`) inside an edit [`Transaction`]: accept
+/// and executes the move ([`transform::InplacePlan::run`], a windowed
+/// in-place pass) inside an edit [`Transaction`]: accept
 /// commits the edits (ids stable, analyses and cut lists already
 /// updated), reject rolls graph, analysis and cut database back
 /// exactly — including any fresh replacement cones the refactor- and
@@ -371,7 +330,7 @@ pub fn optimize_with(
                 }
                 db.begin_edit();
                 let mut txn = Transaction::begin(&mut current, inc);
-                run_inplace_plan(plan, &mut txn, db, ctx.resynth(), start);
+                plan.run(&mut txn, db, ctx.resynth(), start);
                 let dirty_since = if rows_synced { txn.min_touched() } else { 0 };
                 let scope = EditScope::new(db, dirty_since)
                     .with_delta(txn.touched_region(), txn.analysis());
@@ -410,7 +369,7 @@ pub fn optimize_with(
                         let mut db = CutDb::new(INPLACE_CUT_SIZE, INPLACE_MAX_CUTS);
                         db.build(&cand);
                         let mut txn = Transaction::begin(&mut cand, &mut inc);
-                        run_inplace_plan(plan, &mut txn, &mut db, ctx.resynth(), start);
+                        plan.run(&mut txn, &mut db, ctx.resynth(), start);
                         txn.commit();
                         (None, Some(cand))
                     }
@@ -808,8 +767,8 @@ mod tests {
         let before = gt.evaluate_edit(&edited, &EditScope::new(&db, 0), &mut ctx);
         assert!(before.area > 0.0);
         let mut txn = Transaction::begin(&mut edited, &mut inc);
-        let plan = InplacePlan::Rewrite(transform::InplaceMode::Standard);
-        run_inplace_plan(plan, &mut txn, &mut db, ctx.resynth(), cone);
+        let plan = transform::InplacePlan::Rewrite(transform::InplaceMode::Standard);
+        plan.run(&mut txn, &mut db, ctx.resynth(), cone);
         for o in &txn.aig().outputs()[1..] {
             assert_eq!(o.lit, aig::Lit::FALSE, "each reader folds to 0");
         }

@@ -114,9 +114,9 @@ const MAX_SUPERGATE_LEAVES: usize = 16;
 /// bound the instantiated ones (strashing only simplifies), so the
 /// strict acceptance test never admits a depth regression.
 ///
-/// The cut database is kept in step (append sync before each splice,
-/// dirty-region invalidation after), and readers a substitution
-/// leaves degenerate are simplified in the same move.
+/// The cut database is kept in step (each splice syncs its appended
+/// cone first and invalidates its dirty region after), and readers a
+/// substitution leaves degenerate are simplified in the same move.
 ///
 /// # Panics
 ///
@@ -241,9 +241,6 @@ pub fn balance_inplace_window(
             txn.rollback_to(&sp);
             stats.skipped_nontopo += 1;
         } else {
-            if fresh > 0 {
-                cuts.sync_appends(txn.aig());
-            }
             stats.substitutions += substitute_simplifying(txn, cuts, id, root);
             stats.appended_nodes += fresh;
         }

@@ -10,11 +10,13 @@
 //! which [`crate::RecipeMemo`] relies on: one stored result serves
 //! every walk that reaches the same input graph.
 
-use crate::balance::{balance, balance_dup, reshape};
+use crate::balance::{balance, balance_dup, balance_inplace_window, reshape};
 use crate::cache::ResynthCache;
-use crate::resub::resub;
-use crate::rewrite::{resynthesize_with, ResynthOptions};
-use aig::Aig;
+use crate::resub::{resub, resub_inplace_window};
+use crate::rewrite::{resynth_inplace_window, resynthesize_with, InplaceStats, ResynthOptions};
+use aig::cut::CutDb;
+use aig::incremental::Transaction;
+use aig::{Aig, NodeId};
 use std::fmt;
 
 /// A primitive AIG transformation.
@@ -110,15 +112,16 @@ impl fmt::Display for Transform {
 }
 
 /// How the SA loop's transaction engine executes a single-step
-/// recipe in place (see [`Recipe::as_inplace`]).
+/// recipe in place (see [`Recipe::as_inplace`]); [`InplacePlan::run`]
+/// is the one definition of the move.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum InplacePlan {
-    /// 4-cut resynthesis, zero new nodes (`rw` / `rwz`) —
-    /// [`crate::resynth_inplace_window`] with appends off.
+    /// Resynthesis over the database's cuts, zero new nodes (`rw` /
+    /// `rwz`) — [`crate::resynth_inplace_window`] with appends off.
     Rewrite(crate::InplaceMode),
-    /// 6-cut resynthesis that may splice in fresh replacement cones
-    /// (`rf` / `rfz`) — [`crate::resynth_inplace_window`] with
-    /// appends on and a doubled window.
+    /// Resynthesis that may splice in fresh replacement cones (`rf` /
+    /// `rfz`) — [`crate::resynth_inplace_window`] with appends on and
+    /// a doubled window.
     Refactor(crate::InplaceMode),
     /// Supergate collapse and minimum-depth rebuild (`b`) —
     /// [`crate::balance_inplace_window`].
@@ -126,6 +129,46 @@ pub enum InplacePlan {
     /// Cone-internal equivalence splice (`rsb`) —
     /// [`crate::resub_inplace_window`].
     Resub,
+}
+
+impl InplacePlan {
+    /// Live AND nodes one in-place move examines. The move's window
+    /// start is drawn from the SA chain's RNG, so edits stay local and
+    /// a move's cost does not grow with the graph. `Refactor` plans
+    /// scan twice this many: their whole-graph counterpart works on
+    /// larger cones, and the in-place flavor compensates with
+    /// coverage.
+    pub const WINDOW: usize = 64;
+
+    /// Runs one in-place move of this plan inside `txn`, the window
+    /// beginning at the first AND node with id `>= start`.
+    ///
+    /// This is the SA move: the engine runs it on the current graph,
+    /// and with the engine off the SA loop runs it on a clone, so the
+    /// two paths are bitwise interchangeable by construction. `cuts`
+    /// must be in sync with the transaction's graph; pair the call
+    /// with [`aig::cut::CutDb::begin_edit`] /
+    /// [`aig::cut::CutDb::rollback_edit`] to revert the move exactly.
+    /// The result is a pure function of the graph, the plan and
+    /// `start`: warm or fresh caches and databases never change it.
+    pub fn run(
+        self,
+        txn: &mut Transaction<'_>,
+        cuts: &mut CutDb,
+        cache: &ResynthCache,
+        start: NodeId,
+    ) -> InplaceStats {
+        match self {
+            InplacePlan::Rewrite(mode) => {
+                resynth_inplace_window(txn, cuts, cache, mode, false, start, Self::WINDOW)
+            }
+            InplacePlan::Refactor(mode) => {
+                resynth_inplace_window(txn, cuts, cache, mode, true, start, 2 * Self::WINDOW)
+            }
+            InplacePlan::Balance => balance_inplace_window(txn, cuts, start, Self::WINDOW),
+            InplacePlan::Resub => resub_inplace_window(txn, cuts, start, Self::WINDOW),
+        }
+    }
 }
 
 /// Applies a single primitive, returning the transformed AIG.

@@ -91,6 +91,10 @@ pub(crate) fn substitution_is_acyclic(g: &Aig, node: NodeId, with: Lit) -> bool 
 /// Substitutes `node` by `with` inside `txn`, keeps `cuts` in step,
 /// and then simplifies every reader the rewire left degenerate.
 ///
+/// `with` may be the root of a cone the caller just appended through
+/// `txn`: `cuts` absorbs the appended nodes before the splice, so
+/// callers never sync them themselves.
+///
 /// [`Transaction::substitute`] rewires readers verbatim, so a
 /// substitution by a constant, or by a literal the reader already
 /// reads, can leave `AND(0, x)` or `AND(x, !x)` (constant 0), or
@@ -117,6 +121,9 @@ pub(crate) fn substitute_simplifying(
                 .iter()
                 .filter(|&&r| simplified(g.fanins(r)).is_some()),
         );
+    }
+    if cuts.num_nodes() < txn.aig().num_nodes() {
+        cuts.sync_appends(txn.aig());
     }
     txn.substitute(node, with);
     cuts.invalidate(txn.aig(), txn.analysis(), txn.analysis().last_dirty());
@@ -193,9 +200,9 @@ type ConeCandidate = (u32, usize, Arc<SmallStructure>, [Lit; 6], usize);
 ///   transaction savepoint. Fresh-node spend is capped at
 ///   `MAX_WINDOW_APPENDS` per pass.
 ///
-/// The cut database is kept in step throughout: appended cones are
-/// synced immediately before the substitution that splices them in,
-/// and every substitution's dirty region is invalidated. Readers a
+/// The cut database is kept in step throughout: the substitution that
+/// splices an appended cone in syncs it first, and every
+/// substitution's dirty region is invalidated. Readers a
 /// substitution leaves degenerate (`AND(0, x)`, `AND(x, x)`, ...) are
 /// simplified in the same move.
 ///
@@ -353,9 +360,6 @@ pub fn resynth_inplace_window(
                 txn.rollback_to(&sp);
                 stats.skipped_nontopo += 1;
             } else {
-                if fresh > 0 {
-                    cuts.sync_appends(txn.aig());
-                }
                 stats.substitutions += substitute_simplifying(txn, cuts, id, root);
                 stats.appended_nodes += fresh;
             }

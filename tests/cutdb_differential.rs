@@ -172,11 +172,10 @@ fn invalidation_is_local_on_large_designs() {
     db.build(&g);
     let node = ands[ands.len() * 3 / 4];
     let with = Lit::new(g.inputs()[0], false);
-    let dirty_len = {
-        let dirty = inc.substitute(&mut g, node, with);
-        dirty.edited().len()
-    };
+    let mut txn = Transaction::begin(&mut g, &mut inc);
+    let dirty_len = txn.substitute(node, with).edited().len();
     assert!(dirty_len > 0, "the node has consumers");
-    db.invalidate(&g, &inc, inc.last_dirty());
+    db.invalidate(txn.aig(), txn.analysis(), txn.analysis().last_dirty());
+    txn.commit();
     db.assert_matches_fresh(&g);
 }

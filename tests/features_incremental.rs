@@ -21,12 +21,18 @@ use transform::{recipes, Recipe, Transform};
 mod common;
 use common::random_aig_with;
 
+/// Syncs the features over `txn`'s footprint, then commits it (the
+/// graph the features see is the committed one).
+fn commit_synced(txn: Transaction<'_>, feats: &mut IncrementalFeatures) {
+    feats.sync(txn.aig(), txn.touched_region(), txn.analysis());
+    txn.commit();
+}
+
 /// One random in-place edit with the feature state maintained in
-/// lock-step: plain appends/retargets/substitutions absorbed through
-/// [`IncrementalAnalysis::last_dirty`], and journaled transactions
-/// (half rolled back, mirroring the SA loops' reject protocol: sync
-/// to the edited graph, then re-sync over the same footprint after
-/// the rollback).
+/// lock-step: committed transactions of plain appends, retargets and
+/// substitutions, and fresh-cone splices (half rolled back, mirroring
+/// the SA loops' reject protocol: sync to the edited graph, then
+/// re-sync over the same footprint after the rollback).
 fn random_edit(
     g: &mut Aig,
     inc: &mut IncrementalAnalysis,
@@ -36,20 +42,20 @@ fn random_edit(
     match rng.gen_range(0..4) {
         0 => {
             let n = g.num_nodes() as NodeId;
+            let mut txn = Transaction::begin(g, inc);
             for _ in 0..rng.gen_range(1..5) {
                 let a = Lit::new(rng.gen_range(0..n), rng.gen());
                 let b = Lit::new(rng.gen_range(0..n), rng.gen());
-                g.and(a, b);
+                txn.and(a, b);
             }
-            inc.sync(g);
-            feats.sync(g, inc.last_dirty(), inc);
+            commit_synced(txn, feats);
         }
         1 if g.num_outputs() > 0 => {
             let idx = rng.gen_range(0..g.num_outputs());
             let l = Lit::new(rng.gen_range(0..g.num_nodes() as NodeId), rng.gen());
-            g.set_output(idx, l);
-            inc.sync(g);
-            feats.sync(g, inc.last_dirty(), inc);
+            let mut txn = Transaction::begin(g, inc);
+            txn.retarget_output(idx, l);
+            commit_synced(txn, feats);
         }
         2 => {
             let ands: Vec<NodeId> = g.and_ids().collect();
@@ -61,8 +67,9 @@ fn random_edit(
             if g.reaches(with.var(), node) {
                 return;
             }
-            inc.substitute(g, node, with);
-            feats.sync(g, inc.last_dirty(), inc);
+            let mut txn = Transaction::begin(g, inc);
+            txn.substitute(node, with);
+            commit_synced(txn, feats);
         }
         _ => {
             // Fresh replacement cone spliced through a transaction;

@@ -14,12 +14,9 @@
 use aig::aiger::to_binary;
 use aig::cut::CutDb;
 use aig::incremental::{IncrementalAnalysis, Transaction};
-use aig::{Aig, NodeId};
+use aig::Aig;
 use saopt::{optimize_with, CostEvaluator, EvalContext, GroundTruthCost, SaOptions};
-use transform::{
-    apply, balance_inplace_window, recipes, resub_inplace_window, resynth_inplace_window,
-    InplacePlan, Recipe, ResynthCache, Transform,
-};
+use transform::{apply, recipes, Recipe, ResynthCache, Transform};
 
 mod common;
 use common::random_aig_with;
@@ -155,9 +152,9 @@ const INPLACE: [(&str, InplaceOutput); 24] = [
 ];
 
 /// Every in-place plan [`Recipe::as_inplace`] returns, run as the SA
-/// engine runs it: one window through a [`Transaction`] over a (4, 8)
-/// [`CutDb`], 64 nodes wide (128 for the appending `rf` / `rfz`), at
-/// two fixed starts on the degraded `ex11` and on the random graph.
+/// engine runs it: one [`transform::InplacePlan::run`] window through
+/// a [`Transaction`] over a (4, 8) [`CutDb`], at two fixed starts on
+/// the degraded `ex11` and on the random graph.
 #[test]
 fn inplace_passes_on_ex11() {
     let degraded = experiments::datagen::degrade(&ex11(), 1);
@@ -178,7 +175,7 @@ fn inplace_passes_on_ex11() {
                 let mut db = CutDb::new(4, 8);
                 db.build(&g);
                 let mut txn = Transaction::begin(&mut g, &mut inc);
-                let stats = run_plan(plan, &mut txn, &mut db, &cache, start);
+                let stats = plan.run(&mut txn, &mut db, &cache, start);
                 txn.commit();
                 let counters = [
                     stats.substitutions,
@@ -197,26 +194,6 @@ fn inplace_passes_on_ex11() {
                 .any(|(name, (_, [subs, ..]))| name.split(' ').nth(1) == Some(t) && *subs > 0),
             "no `{t}` window fired"
         );
-    }
-}
-
-/// One in-place window of `plan`, with the SA engine's widths.
-fn run_plan(
-    plan: InplacePlan,
-    txn: &mut Transaction<'_>,
-    db: &mut CutDb,
-    cache: &ResynthCache,
-    start: NodeId,
-) -> transform::InplaceStats {
-    match plan {
-        InplacePlan::Rewrite(mode) => {
-            resynth_inplace_window(txn, db, cache, mode, false, start, 64)
-        }
-        InplacePlan::Refactor(mode) => {
-            resynth_inplace_window(txn, db, cache, mode, true, start, 128)
-        }
-        InplacePlan::Balance => balance_inplace_window(txn, db, start, 64),
-        InplacePlan::Resub => resub_inplace_window(txn, db, start, 64),
     }
 }
 

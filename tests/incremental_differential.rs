@@ -14,27 +14,28 @@ use transform::recipes;
 mod common;
 use common::random_aig_with;
 
-/// One random in-place edit: append a few ANDs, retarget an output,
-/// substitute a node by an earlier literal, or splice a freshly
-/// appended replacement cone through a journaled transaction (half of
-/// those roll back exactly). Returns `false` when the graph offered
-/// no substitution target.
+/// One random in-place edit, each through a committed [`Transaction`]:
+/// append a few ANDs, retarget an output, substitute a node by an
+/// earlier literal, or splice a freshly appended replacement cone
+/// (half of those transactions roll back exactly).
 fn random_inplace_edit(g: &mut Aig, inc: &mut IncrementalAnalysis, rng: &mut SmallRng) {
     match rng.gen_range(0..4) {
         0 => {
             let n = g.num_nodes() as NodeId;
+            let mut txn = Transaction::begin(g, inc);
             for _ in 0..rng.gen_range(1..5) {
                 let a = Lit::new(rng.gen_range(0..n), rng.gen());
                 let b = Lit::new(rng.gen_range(0..n), rng.gen());
-                g.and(a, b);
+                txn.and(a, b);
             }
-            inc.sync(g);
+            txn.commit();
         }
         1 if g.num_outputs() > 0 => {
             let idx = rng.gen_range(0..g.num_outputs());
             let l = Lit::new(rng.gen_range(0..g.num_nodes() as NodeId), rng.gen());
-            g.set_output(idx, l);
-            inc.sync(g);
+            let mut txn = Transaction::begin(g, inc);
+            txn.retarget_output(idx, l);
+            txn.commit();
         }
         2 => {
             let ands: Vec<NodeId> = g.and_ids().collect();
@@ -49,7 +50,9 @@ fn random_inplace_edit(g: &mut Aig, inc: &mut IncrementalAnalysis, rng: &mut Sma
             if g.reaches(with.var(), node) {
                 return;
             }
-            inc.substitute(g, node, with);
+            let mut txn = Transaction::begin(g, inc);
+            txn.substitute(node, with);
+            txn.commit();
         }
         _ => {
             // Fresh replacement cone: append strashed nodes above the
@@ -83,9 +86,8 @@ fn random_inplace_edit(g: &mut Aig, inc: &mut IncrementalAnalysis, rng: &mut Sma
 
 /// Random recipe walks interleaved with in-place edits: after every
 /// step — whether the graph was replaced wholesale by a recipe
-/// (absorbed via `rebuild`) or edited in place (absorbed via
-/// `sync`/`substitute`) — the incremental state must equal the
-/// oracle exactly.
+/// (absorbed via `rebuild`) or edited in place through a transaction
+/// — the incremental state must equal the oracle exactly.
 #[test]
 fn recipe_walks_with_edits_match_oracle_on_random_graphs() {
     let actions = recipes();
@@ -151,8 +153,10 @@ fn equivalent_substitution_preserves_function() {
     let before = g.clone();
 
     let mut inc = IncrementalAnalysis::new(&g);
-    let dirty = inc.substitute(&mut g, f.var(), a.complement_if(f.is_complement()));
+    let mut txn = Transaction::begin(&mut g, &mut inc);
+    let dirty = txn.substitute(f.var(), a.complement_if(f.is_complement()));
     assert!(!dirty.is_empty());
+    txn.commit();
     inc.assert_matches_oracle(&g);
     assert!(aig::sim::equiv_exhaustive(&before, &g).expect("tiny"));
 
@@ -174,7 +178,9 @@ fn dirty_region_is_local_on_large_designs() {
     // a fraction of the whole design.
     let node = ands[ands.len() * 3 / 4];
     let with = Lit::new(g.inputs()[0], false);
-    let dirty = inc.substitute(&mut g, node, with).len();
+    let mut txn = Transaction::begin(&mut g, &mut inc);
+    let dirty = txn.substitute(node, with).len();
+    txn.commit();
     inc.assert_matches_oracle(&g);
     assert!(
         dirty * 4 < ands.len(),

@@ -55,18 +55,20 @@ fn random_inplace_edit(g: &mut Aig, inc: &mut IncrementalAnalysis, rng: &mut Sma
     match rng.gen_range(0..4) {
         0 => {
             let n = g.num_nodes() as NodeId;
+            let mut txn = Transaction::begin(g, inc);
             for _ in 0..rng.gen_range(1..5) {
                 let a = Lit::new(rng.gen_range(0..n), rng.gen());
                 let b = Lit::new(rng.gen_range(0..n), rng.gen());
-                g.and(a, b);
+                txn.and(a, b);
             }
-            inc.sync(g);
+            txn.commit();
         }
         1 if g.num_outputs() > 0 => {
             let idx = rng.gen_range(0..g.num_outputs());
             let l = Lit::new(rng.gen_range(0..g.num_nodes() as NodeId), rng.gen());
-            g.set_output(idx, l);
-            inc.sync(g);
+            let mut txn = Transaction::begin(g, inc);
+            txn.retarget_output(idx, l);
+            txn.commit();
         }
         2 => {
             let ands: Vec<NodeId> = g.and_ids().collect();
@@ -75,7 +77,9 @@ fn random_inplace_edit(g: &mut Aig, inc: &mut IncrementalAnalysis, rng: &mut Sma
             if g.reaches(with.var(), node) {
                 return;
             }
-            inc.substitute(g, node, with);
+            let mut txn = Transaction::begin(g, inc);
+            txn.substitute(node, with);
+            txn.commit();
         }
         _ => {
             let mut txn = Transaction::begin(g, inc);

@@ -607,7 +607,9 @@ fn sync_design_sees_interleaved_map_incremental_changes() {
         {
             let mut trial = g.clone();
             let mut tinc = IncrementalAnalysis::new(&trial);
-            tinc.substitute(&mut trial, node, with);
+            let mut txn = Transaction::begin(&mut trial, &mut tinc);
+            txn.substitute(node, with);
+            txn.commit();
             match mapper.map(&trial) {
                 Ok(nl) => {
                     let before = mapper.map(&g).expect("mappable");

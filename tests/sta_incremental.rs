@@ -15,7 +15,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use saopt::{optimize_seeds, CostEvaluator, EditScope, EvalContext, GroundTruthCost, SaOptions};
 use techmap::{GateId, MapOptions, Mapper, NetDriver, NetId};
-use transform::{InplaceMode, Recipe, ResynthCache, Transform};
+use transform::{InplaceMode, InplacePlan, Recipe, ResynthCache, Transform};
 
 mod common;
 use common::random_aig_with;
@@ -51,7 +51,7 @@ fn drive_edit_walk(g0: &Aig, seed: u64, steps: usize) {
             } else {
                 InplaceMode::ZeroCost
             };
-            transform::resynth_inplace_window(&mut txn, &mut db, &cache, mode, false, start, 64);
+            InplacePlan::Rewrite(mode).run(&mut txn, &mut db, &cache, start);
         } else {
             // Harsher cover churn: raw substitutions.
             for _ in 0..rng.gen_range(1..3) {
