@@ -116,12 +116,12 @@ impl fmt::Display for Transform {
 /// is the one definition of the move.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum InplacePlan {
-    /// Resynthesis over the database's cuts, zero new nodes (`rw` /
-    /// `rwz`) — [`crate::resynth_inplace_window`] with appends off.
+    /// 4-cut resynthesis, zero new nodes (`rw` / `rwz`) —
+    /// [`crate::resynth_inplace_window`] with appends off.
     Rewrite(crate::InplaceMode),
-    /// Resynthesis that may splice in fresh replacement cones (`rf` /
-    /// `rfz`) — [`crate::resynth_inplace_window`] with appends on and
-    /// a doubled window.
+    /// 6-cut resynthesis that may splice in fresh replacement cones
+    /// (`rf` / `rfz`) — [`crate::resynth_inplace_window`] with
+    /// appends on and a doubled window.
     Refactor(crate::InplaceMode),
     /// Supergate collapse and minimum-depth rebuild (`b`) —
     /// [`crate::balance_inplace_window`].
