@@ -1,4 +1,4 @@
-//! Golden outputs of the per-cut kernels.
+//! Golden outputs of the per-cut kernels and of the ML set-up.
 //!
 //! Every other byte-identity suite compares two paths of one build
 //! (memo on/off, engine on/off, cache on/off, traced vs production),
@@ -6,8 +6,9 @@
 //! This suite pins the outputs themselves: FNV-1a-64 digests of the
 //! binary AIGER each primitive, each in-place window pass,
 //! `datagen::degrade` and a few recipes produce on `ex11`, the bit
-//! patterns of `GroundTruthCost::evaluate` on two graphs, and the
-//! outcome of a short paper-recipe ground-truth SA chain. A digest
+//! patterns of `GroundTruthCost::evaluate` on two graphs, the
+//! outcome of a short paper-recipe ground-truth SA chain, and the
+//! trained models and Table III rows of a small corpus. A digest
 //! changes only when an output does; an intended output change
 //! updates the constants here and says why.
 
@@ -15,6 +16,8 @@ use aig::aiger::to_binary;
 use aig::cut::CutDb;
 use aig::incremental::{IncrementalAnalysis, Transaction};
 use aig::Aig;
+use experiments::table3::{self, train_models, Corpus};
+use gbt::GbtParams;
 use saopt::{optimize_with, CostEvaluator, EvalContext, GroundTruthCost, SaOptions};
 use transform::{apply, recipes, Recipe, ResynthCache, Transform};
 
@@ -274,4 +277,64 @@ fn paper_recipe_ground_truth_chain() {
         ("best graph".to_owned(), digest(&r.best.sweep())),
     ];
     check(&CHAIN, &actual);
+}
+
+const TRAINED: [(&str, u64); 26] = [
+    ("delay model", 0x4829c4bf43188db0),
+    ("area model", 0xa6ea448192c7be4d),
+    ("ex00 mean", 0x40300d00cb8938d5),
+    ("ex00 max", 0x403e1849cf694c36),
+    ("ex00 std", 0x4025200774abf384),
+    ("ex08 mean", 0x3ffea22d6c14c5cb),
+    ("ex08 max", 0x401f49f3481ceb8a),
+    ("ex08 std", 0x3fffe6663acf768b),
+    ("ex28 mean", 0x3fe4606e646123ec),
+    ("ex28 max", 0x3ffb25e2d3e13968),
+    ("ex28 std", 0x3fe26d4c9ff23899),
+    ("ex68 mean", 0x4018a36e8c4458e7),
+    ("ex68 max", 0x40314b68a4953bea),
+    ("ex68 std", 0x4013f48074e7b6e2),
+    ("ex02 mean", 0x4041f1c785d8c1fd),
+    ("ex02 max", 0x4049701daa90762a),
+    ("ex02 std", 0x4028acb9b8163352),
+    ("ex11 mean", 0x401de36b3e70b307),
+    ("ex11 max", 0x4032b63a4b350ef5),
+    ("ex11 std", 0x40166937420d1a33),
+    ("ex16 mean", 0x40218a2c76cdb039),
+    ("ex16 max", 0x40314e33ea64e10f),
+    ("ex16 std", 0x4014bccb86e26f46),
+    ("ex54 mean", 0x4022f0edbb89d89f),
+    ("ex54 max", 0x403173bf714faaff),
+    ("ex54 std", 0x4015225ba843da22),
+];
+
+/// The ML flow's set-up at a small corpus (12 variants per design,
+/// seed 5): the digests of both models' `GbtModel::to_json` from
+/// `train_models` on `Corpus::generate`, and the bit patterns of
+/// every Table III row's absolute %error mean, max and std.
+#[test]
+fn trained_models() {
+    let cfg = experiments::Config {
+        samples: 12,
+        seed: 5,
+        out_dir: std::env::temp_dir().join("aig_timing_golden_trained_models"),
+        ..experiments::Config::smoke()
+    };
+    let params = GbtParams {
+        seed: cfg.seed,
+        ..GbtParams::default()
+    };
+    let (delay, area) = train_models(&Corpus::generate(&cfg), &params);
+    let mut actual = Vec::new();
+    for (name, model) in [("delay model", delay), ("area model", area)] {
+        actual.push((name.to_owned(), fnv1a64(model.to_json().as_bytes())));
+    }
+    for row in &table3::run(&cfg).rows {
+        let stats = &row.stats;
+        for (name, v) in [("mean", stats.mean), ("max", stats.max), ("std", stats.std)] {
+            actual.push((format!("{} {name}", row.design), v.to_bits()));
+        }
+    }
+    let _ = std::fs::remove_dir_all(&cfg.out_dir);
+    check(&TRAINED, &actual);
 }
