@@ -227,6 +227,30 @@ fn bench_components(c: &mut Criterion) {
             })
         });
     }
+    // One model trained as the ML set-up trains each of its two:
+    // default parameters, 10% of the rows held out for early stopping.
+    // The rows are a fixed labeled set of 240 ex28 variants, the size
+    // of a training corpus of four designs at 60 variants each.
+    {
+        use experiments::datagen::{labeled_set, Target};
+        let full = labeled_set(&large, 240, 28, &lib).to_dataset(Target::Delay);
+        let (train, valid) = full.shuffle_split(0.9, 13);
+        let params = gbt::GbtParams::default();
+        g.bench_function("gbt_train_ex28", |b| {
+            b.iter(|| gbt::train_with_validation(black_box(&train), Some(&valid), &params))
+        });
+    }
+    // The ML set-up's labeling work: the variants `Corpus::generate`
+    // labels at a small fixed configuration (a deterministic count).
+    let corpus_variants: usize = {
+        let cfg = experiments::Config {
+            samples: 12,
+            seed: 5,
+            ..experiments::Config::smoke()
+        };
+        let corpus = experiments::table3::Corpus::generate(&cfg);
+        corpus.sets.iter().map(|set| set.samples.len()).sum()
+    };
     g.bench_function("map_ex00", |b| b.iter(|| mapper.map(black_box(&small.aig))));
     g.bench_function("map_ex28", |b| b.iter(|| mapper.map(black_box(&large.aig))));
     // Context-reusing mapping: same netlists as `map_*`, but the
@@ -599,6 +623,11 @@ fn bench_components(c: &mut Criterion) {
             eprintln!("map_ctx_reuse {ex}: {:.2}x vs fresh map", fresh / reused);
         }
     }
+    c.record_value(
+        "components",
+        "ml_corpus_variants_labeled",
+        corpus_variants as f64,
+    );
     c.record_value(
         "components",
         "feat_incr_pos_recomputed",

@@ -178,6 +178,11 @@ pub fn degrade(aig: &Aig, seed: u64) -> Aig {
 /// worker, via [`aig::par::par_map_with`]; worker count follows
 /// `AIG_THREADS`), so labels are exactly the ground-truth flow's
 /// costs.
+///
+/// Inside the design workers of
+/// [`Corpus::generate`](crate::table3::Corpus::generate) it runs
+/// serially, as every nested `aig::par` call does: there the design
+/// sweep is the parallelism.
 pub fn label_variants(variants: &[Aig], lib: &Library) -> Vec<(f64, f64)> {
     par::par_map_with(
         variants,

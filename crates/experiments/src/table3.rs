@@ -2,35 +2,42 @@
 //! generalization.
 //!
 //! Four designs train the model (ex00, ex08, ex28, ex68); four unseen
-//! designs test it (ex02, ex11, ex16, ex54). Accuracy is reported as
-//! the mean / max / standard deviation of the absolute percentage
-//! error, exactly as in the paper (which reports 4.03% average mean
-//! error and 39.85% worst max error at 40k samples per design).
+//! designs test it (ex02, ex11, ex16, ex54). [`Corpus`] labels only
+//! the training split, which is all the models read, so the ML flow's
+//! set-up ([`Corpus::generate`] plus [`train_models`]) labels no test
+//! design; [`run`] labels the test split itself for its rows.
+//! Accuracy is reported as the mean / max / standard deviation of the
+//! absolute percentage error, exactly as in the paper (which reports
+//! 4.03% average mean error and 39.85% worst max error at 40k samples
+//! per design).
 
 use crate::datagen::{labeled_set, LabeledSet, Target};
 use crate::Config;
-use benchgen::{iwls_like_suite, TRAIN_DESIGNS};
+use benchgen::{iwls_like_suite, Design, TRAIN_DESIGNS};
 use cells::sky130ish;
 use gbt::{pct_error_stats, train_with_validation, Dataset, GbtModel, GbtParams, PctErrorStats};
 
-/// The labeled corpus for all eight designs.
+/// The labeled training corpus: the sets of the four `TRAIN_DESIGNS`,
+/// the only rows the models train on.
 #[derive(Clone, Debug)]
 pub struct Corpus {
-    /// Labeled sets, suite order (train designs first).
+    /// Labeled sets of the training designs, suite order.
     pub sets: Vec<LabeledSet>,
 }
 
 impl Corpus {
-    /// Generates `cfg.samples` labeled variants per design, one
-    /// design per parallel task (variant walks are sequential per
+    /// Generates `cfg.samples` labeled variants per training design,
+    /// one design per parallel task (variant walks are sequential per
     /// design, so the design sweep is the natural outer parallelism).
+    ///
+    /// The design at suite index `i` walks on seed
+    /// `cfg.seed + 100 + i` in either split. So the training rows do
+    /// not depend on which designs are labeled beside them, and they
+    /// are the rows a corpus of all eight designs would hold.
     pub fn generate(cfg: &Config) -> Corpus {
-        let lib = sky130ish();
-        let suite = iwls_like_suite();
-        let sets = aig::par::par_map(&suite, |i, d| {
-            labeled_set(d, cfg.samples, cfg.seed.wrapping_add(100 + i as u64), &lib)
-        });
-        Corpus { sets }
+        Corpus {
+            sets: label_split(cfg, true),
+        }
     }
 
     /// Whether `design` belongs to the training split.
@@ -38,28 +45,43 @@ impl Corpus {
         TRAIN_DESIGNS.contains(&design)
     }
 
-    /// Concatenated dataset over the training designs.
+    /// Concatenated dataset over the corpus's sets.
     pub fn train_dataset(&self, target: Target) -> Dataset {
         let mut d = Dataset::new(features::NUM_FEATURES);
-        for set in self.sets.iter().filter(|s| Self::is_train(&s.design)) {
+        for set in &self.sets {
             d.extend_from(&set.to_dataset(target));
         }
         d
     }
 }
 
-/// Trains the delay and area models on the corpus's training split
-/// (10% of the training rows held out for early stopping).
+/// Labels `cfg.samples` variants of every suite design in the
+/// training (`train`) or test split, one design per parallel task,
+/// the design at suite index `i` on seed `cfg.seed + 100 + i`.
+fn label_split(cfg: &Config, train: bool) -> Vec<LabeledSet> {
+    let lib = sky130ish();
+    let split: Vec<(usize, Design)> = iwls_like_suite()
+        .into_iter()
+        .enumerate()
+        .filter(|(_, d)| Corpus::is_train(&d.name) == train)
+        .collect();
+    aig::par::par_map(&split, |_, (i, d)| {
+        let seed = cfg.seed.wrapping_add(100 + *i as u64);
+        labeled_set(d, cfg.samples, seed, &lib)
+    })
+}
+
+/// Trains the delay and area models on the corpus (10% of its rows
+/// held out for early stopping), both at once through
+/// [`aig::par::par_map`]. Each model is a pure function of its dataset
+/// and `params`, so both are identical at any `AIG_THREADS`.
 pub fn train_models(corpus: &Corpus, params: &GbtParams) -> (GbtModel, GbtModel) {
-    let mut out = Vec::with_capacity(2);
-    for target in [Target::Delay, Target::Area] {
+    let models = aig::par::par_map(&[Target::Delay, Target::Area], |_, &target| {
         let full = corpus.train_dataset(target);
         let (tr, va) = full.shuffle_split(0.9, params.seed.wrapping_add(13));
-        let (model, _) = train_with_validation(&tr, Some(&va), params);
-        out.push(model);
-    }
-    let area = out.pop().expect("two models");
-    let delay = out.pop().expect("two models");
+        train_with_validation(&tr, Some(&va), params).0
+    });
+    let [delay, area]: [GbtModel; 2] = models.try_into().expect("one model per target");
     (delay, area)
 }
 
@@ -79,7 +101,7 @@ pub struct Table3Row {
 /// Output of the Table III experiment.
 #[derive(Clone, Debug)]
 pub struct Table3Result {
-    /// Per-design rows, suite order.
+    /// Per-design rows, suite order (training designs first).
     pub rows: Vec<Table3Row>,
     /// Average of the per-design mean %errors (paper: 4.03%).
     pub avg_mean: f64,
@@ -91,25 +113,25 @@ pub struct Table3Result {
     pub delay_model: GbtModel,
     /// The trained area model.
     pub area_model: GbtModel,
-    /// The corpus used (reusable by downstream experiments).
+    /// The training corpus the models were trained on (reusable by
+    /// downstream experiments). The test designs' sets are labeled
+    /// only for their rows and not kept.
     pub corpus: Corpus,
 }
 
-/// Runs the experiment on a fresh corpus; writes `table3_accuracy.csv`.
+/// Runs the experiment: trains both models on a fresh [`Corpus`],
+/// labels the test split on its suite-index seeds, and scores the
+/// delay model on every design. Writes `table3_accuracy.csv`.
 pub fn run(cfg: &Config) -> Table3Result {
     let corpus = Corpus::generate(cfg);
-    run_on(cfg, corpus)
-}
-
-/// Runs the experiment on a pre-generated corpus.
-pub fn run_on(cfg: &Config, corpus: Corpus) -> Table3Result {
     let params = GbtParams {
         seed: cfg.seed,
         ..GbtParams::default()
     };
     let (delay_model, area_model) = train_models(&corpus, &params);
+    let test_sets = label_split(cfg, false);
     let mut rows = Vec::new();
-    for set in &corpus.sets {
+    for set in corpus.sets.iter().chain(&test_sets) {
         let ds = set.to_dataset(Target::Delay);
         let preds = delay_model.predict_all(&ds);
         let truths: Vec<f64> = ds.labels().iter().map(|&v| f64::from(v)).collect();

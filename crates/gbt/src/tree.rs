@@ -218,7 +218,16 @@ pub struct TreeParams {
 /// `rows` are the in-bag row indices; `cols` are the usable feature
 /// columns (column subsampling); `binned[r * F + f]` is the
 /// precomputed bin of row `r`, feature `f`.
-#[allow(clippy::too_many_arguments)] // mirrors the recursion's context
+///
+/// Every split search of the tree accumulates into one histogram
+/// scratch, which marks each bin it adds to in a 256-bit occupancy
+/// mask. The gain scan then walks only the occupied bins, in
+/// ascending order, and clears each one as it reads it, so the
+/// scratch is zero again for the next feature. Skipping empty bins is
+/// exact: an empty bin adds `+0.0` to both running sums, so its gain
+/// repeats the previous bin's, and the strict `>` of the best-split
+/// test never picks a repeat over the bin before it.
+#[allow(clippy::too_many_arguments)] // the tree's whole training context
 pub fn grow_tree(
     data: &Dataset,
     bins: &Bins,
@@ -229,147 +238,173 @@ pub fn grow_tree(
     hess: &[f64],
     params: &TreeParams,
 ) -> Tree {
-    let mut tree = Tree::default();
-    let mut rows_owned = rows.to_vec();
-    grow_node(
-        data,
+    let mut grower = Grower {
+        nf: data.num_features(),
         bins,
         binned,
-        &mut rows_owned,
         cols,
         grad,
         hess,
         params,
-        &mut tree,
-        0,
-    );
+        hist: Histogram::default(),
+    };
+    let mut tree = Tree::default();
+    grower.grow(&mut rows.to_vec(), &mut tree, 0);
     tree
 }
 
-#[allow(clippy::too_many_arguments)]
-fn grow_node(
-    data: &Dataset,
-    bins: &Bins,
-    binned: &[u16],
-    rows: &mut [u32],
-    cols: &[u32],
-    grad: &[f64],
-    hess: &[f64],
-    params: &TreeParams,
-    tree: &mut Tree,
-    depth: usize,
-) -> u32 {
-    let nf = data.num_features();
-    let g_sum: f64 = rows.iter().map(|&r| grad[r as usize]).sum();
-    let h_sum: f64 = rows.iter().map(|&r| hess[r as usize]).sum();
-    let make_leaf = |tree: &mut Tree| -> u32 {
-        let value = (-g_sum / (h_sum + params.lambda) * params.learning_rate) as f32;
+/// Gradient and hessian sums over one feature's bins, and the mask of
+/// the bins that received a row. A drained histogram is all zero.
+struct Histogram {
+    grad: [f64; 256],
+    hess: [f64; 256],
+    occupied: [u64; 4],
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram {
+            grad: [0.0; 256],
+            hess: [0.0; 256],
+            occupied: [0; 4],
+        }
+    }
+}
+
+impl Histogram {
+    fn add(&mut self, bin: usize, g: f64, h: f64) {
+        self.grad[bin] += g;
+        self.hess[bin] += h;
+        self.occupied[bin / 64] |= 1 << (bin % 64);
+    }
+
+    /// Calls `visit(bin, grad, hess)` on every occupied bin in
+    /// ascending order, clearing each.
+    fn drain(&mut self, mut visit: impl FnMut(usize, f64, f64)) {
+        for (w, word) in self.occupied.iter_mut().enumerate() {
+            let mut mask = std::mem::take(word);
+            while mask != 0 {
+                let bin = w * 64 + mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                visit(
+                    bin,
+                    std::mem::take(&mut self.grad[bin]),
+                    std::mem::take(&mut self.hess[bin]),
+                );
+            }
+        }
+    }
+}
+
+/// What every node of one tree reads, and the histogram scratch its
+/// split searches share.
+struct Grower<'a> {
+    nf: usize,
+    bins: &'a Bins,
+    binned: &'a [u16],
+    cols: &'a [u32],
+    grad: &'a [f64],
+    hess: &'a [f64],
+    params: &'a TreeParams,
+    hist: Histogram,
+}
+
+impl Grower<'_> {
+    fn grow(&mut self, rows: &mut [u32], tree: &mut Tree, depth: usize) -> u32 {
+        let params = self.params;
+        let g_sum: f64 = rows.iter().map(|&r| self.grad[r as usize]).sum();
+        let h_sum: f64 = rows.iter().map(|&r| self.hess[r as usize]).sum();
+        let make_leaf = |tree: &mut Tree| -> u32 {
+            let value = (-g_sum / (h_sum + params.lambda) * params.learning_rate) as f32;
+            tree.nodes.push(TreeNode {
+                feature: 0,
+                threshold: 0.0,
+                left: 0,
+                right: 0,
+                value,
+                is_leaf: true,
+                gain: 0.0,
+            });
+            (tree.nodes.len() - 1) as u32
+        };
+        if depth >= params.max_depth || rows.len() < 2 {
+            return make_leaf(tree);
+        }
+        let Some((gain, f, split_bin)) = self.best_split(rows, g_sum, h_sum) else {
+            return make_leaf(tree);
+        };
+        let threshold = self.bins.edges[f][split_bin as usize];
+        // Partition rows in place.
+        let mut lo = 0usize;
+        let mut hi = rows.len();
+        while lo < hi {
+            if self.binned[rows[lo] as usize * self.nf + f] <= split_bin {
+                lo += 1;
+            } else {
+                hi -= 1;
+                rows.swap(lo, hi);
+            }
+        }
+        if lo == 0 || lo == rows.len() {
+            return make_leaf(tree);
+        }
+        let node_idx = tree.nodes.len() as u32;
         tree.nodes.push(TreeNode {
-            feature: 0,
-            threshold: 0.0,
+            feature: f as u32,
+            threshold,
             left: 0,
             right: 0,
-            value,
-            is_leaf: true,
-            gain: 0.0,
+            value: 0.0,
+            is_leaf: false,
+            gain: gain as f32,
         });
-        (tree.nodes.len() - 1) as u32
-    };
-    if depth >= params.max_depth || rows.len() < 2 {
-        return make_leaf(tree);
+        let (left_rows, right_rows) = rows.split_at_mut(lo);
+        let left = self.grow(left_rows, tree, depth + 1);
+        let right = self.grow(right_rows, tree, depth + 1);
+        tree.nodes[node_idx as usize].left = left;
+        tree.nodes[node_idx as usize].right = right;
+        node_idx
     }
-    // Histogram split search.
-    let parent_score = g_sum * g_sum / (h_sum + params.lambda);
-    let mut best: Option<(f64, usize, u16)> = None; // (gain, feature, bin)
-    let mut hist_g = vec![0.0f64; 256];
-    let mut hist_h = vec![0.0f64; 256];
-    for &fc in cols {
-        let f = fc as usize;
-        let nb = bins.num_bins(f);
-        if nb < 2 {
-            continue;
-        }
-        hist_g[..nb].fill(0.0);
-        hist_h[..nb].fill(0.0);
-        for &r in rows.iter() {
-            let b = binned[r as usize * nf + f] as usize;
-            hist_g[b] += grad[r as usize];
-            hist_h[b] += hess[r as usize];
-        }
-        let mut gl = 0.0f64;
-        let mut hl = 0.0f64;
-        for b in 0..nb - 1 {
-            gl += hist_g[b];
-            hl += hist_h[b];
-            let gr = g_sum - gl;
-            let hr = h_sum - hl;
-            if hl < params.min_child_weight || hr < params.min_child_weight {
+
+    /// The histogram split search: the `(gain, feature, bin)` with the
+    /// highest positive gain, the first in scan order among equals.
+    fn best_split(&mut self, rows: &[u32], g_sum: f64, h_sum: f64) -> Option<(f64, usize, u16)> {
+        let params = self.params;
+        let parent_score = g_sum * g_sum / (h_sum + params.lambda);
+        let mut best: Option<(f64, usize, u16)> = None;
+        for &fc in self.cols {
+            let f = fc as usize;
+            let nb = self.bins.num_bins(f);
+            if nb < 2 {
                 continue;
             }
-            let gain = 0.5
-                * (gl * gl / (hl + params.lambda) + gr * gr / (hr + params.lambda) - parent_score)
-                - params.gamma;
-            if gain > 0.0 && best.is_none_or(|(bg, ..)| gain > bg) {
-                best = Some((gain, f, b as u16));
+            for &r in rows {
+                let r = r as usize;
+                let b = usize::from(self.binned[r * self.nf + f]);
+                self.hist.add(b, self.grad[r], self.hess[r]);
             }
+            let mut gl = 0.0f64;
+            let mut hl = 0.0f64;
+            self.hist.drain(|b, g, h| {
+                gl += g;
+                hl += h;
+                let gr = g_sum - gl;
+                let hr = h_sum - hl;
+                // The last bin leaves no rows on the right.
+                if b + 1 == nb || hl < params.min_child_weight || hr < params.min_child_weight {
+                    return;
+                }
+                let gain = 0.5
+                    * (gl * gl / (hl + params.lambda) + gr * gr / (hr + params.lambda)
+                        - parent_score)
+                    - params.gamma;
+                if gain > 0.0 && best.is_none_or(|(bg, ..)| gain > bg) {
+                    best = Some((gain, f, b as u16));
+                }
+            });
         }
+        best
     }
-    let Some((gain, f, split_bin)) = best else {
-        return make_leaf(tree);
-    };
-    let threshold = bins.edges[f][split_bin as usize];
-    // Partition rows in place.
-    let mut lo = 0usize;
-    let mut hi = rows.len();
-    while lo < hi {
-        if binned[rows[lo] as usize * nf + f] <= split_bin {
-            lo += 1;
-        } else {
-            hi -= 1;
-            rows.swap(lo, hi);
-        }
-    }
-    if lo == 0 || lo == rows.len() {
-        return make_leaf(tree);
-    }
-    let node_idx = tree.nodes.len() as u32;
-    tree.nodes.push(TreeNode {
-        feature: f as u32,
-        threshold,
-        left: 0,
-        right: 0,
-        value: 0.0,
-        is_leaf: false,
-        gain: gain as f32,
-    });
-    let (left_rows, right_rows) = rows.split_at_mut(lo);
-    let left = grow_node(
-        data,
-        bins,
-        binned,
-        left_rows,
-        cols,
-        grad,
-        hess,
-        params,
-        tree,
-        depth + 1,
-    );
-    let right = grow_node(
-        data,
-        bins,
-        binned,
-        right_rows,
-        cols,
-        grad,
-        hess,
-        params,
-        tree,
-        depth + 1,
-    );
-    tree.nodes[node_idx as usize].left = left;
-    tree.nodes[node_idx as usize].right = right;
-    node_idx
 }
 
 #[cfg(test)]

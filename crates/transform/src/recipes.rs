@@ -116,12 +116,17 @@ impl fmt::Display for Transform {
 /// is the one definition of the move.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum InplacePlan {
-    /// 4-cut resynthesis, zero new nodes (`rw` / `rwz`) —
-    /// [`crate::resynth_inplace_window`] with appends off.
+    /// Cut resynthesis, zero new nodes (`rw` / `rwz`) —
+    /// [`crate::resynth_inplace_window`] with appends off. The cut
+    /// size is that of the `CutDb` handed to [`InplacePlan::run`]: 4
+    /// in the SA engine's (4, 8) database.
     Rewrite(crate::InplaceMode),
-    /// 6-cut resynthesis that may splice in fresh replacement cones
+    /// Cut resynthesis that may splice in fresh replacement cones
     /// (`rf` / `rfz`) — [`crate::resynth_inplace_window`] with
-    /// appends on and a doubled window.
+    /// appends on and a doubled window. It differs from `Rewrite`
+    /// only in appends and window width: its cuts come from the same
+    /// `CutDb`, so in the SA engine they have 4 inputs, where the
+    /// whole-graph `rf` enumerates 6-input cuts.
     Refactor(crate::InplaceMode),
     /// Supergate collapse and minimum-depth rebuild (`b`) —
     /// [`crate::balance_inplace_window`].
