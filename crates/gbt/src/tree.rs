@@ -246,7 +246,11 @@ pub fn grow_tree(
         grad,
         hess,
         params,
-        hist: Histogram::default(),
+        hist: Histogram {
+            grad: [0.0; 256],
+            hess: [0.0; 256],
+            occupied: [0; 4],
+        },
     };
     let mut tree = Tree::default();
     grower.grow(&mut rows.to_vec(), &mut tree, 0);
@@ -259,16 +263,6 @@ struct Histogram {
     grad: [f64; 256],
     hess: [f64; 256],
     occupied: [u64; 4],
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            grad: [0.0; 256],
-            hess: [0.0; 256],
-            occupied: [0; 4],
-        }
-    }
 }
 
 impl Histogram {
