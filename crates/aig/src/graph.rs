@@ -874,7 +874,66 @@ impl Aig {
     /// ("sweep"): dangling AND nodes are dropped, inputs are preserved.
     ///
     /// Returns the cleaned copy; `self` is untouched.
+    ///
+    /// A graph already in the form a sweep produces comes back as a
+    /// clone, without a rebuild; every transform primitive sweeps its
+    /// input, and most inputs are the swept output of another
+    /// primitive. That form is checked in one O(n) pass:
+    ///
+    /// * the inputs are nodes `1..=I` in order, and every later node
+    ///   is an AND;
+    /// * every AND is reachable from the outputs;
+    /// * every AND reads two distinct variables, neither of them the
+    ///   constant, both below its own id, the smaller one in
+    ///   `fanin0`: no forward reference, no `AND(x, x)`, `AND(x, !x)`
+    ///   or constant fanin, and fanins in the `(lo, hi)` raw order
+    ///   [`Aig::and`] stores;
+    /// * every AND owns its structural-hash key, so no two ANDs share
+    ///   a fanin pair.
+    ///
+    /// The rebuild of such a graph maps every node to its own id, so
+    /// the clone equals it in content and in its AIGER bytes.
     pub fn sweep(&self) -> Aig {
+        if self.is_swept() {
+            return self.clone();
+        }
+        self.sweep_rebuild()
+    }
+
+    /// Whether [`Aig::sweep`] may return a clone (see its conditions).
+    fn is_swept(&self) -> bool {
+        if !self.forward.is_empty()
+            || self.strash.len() != self.num_ands()
+            || self
+                .inputs
+                .iter()
+                .enumerate()
+                .any(|(k, &pi)| pi as usize != k + 1)
+        {
+            return false;
+        }
+        // Every reader of a node has a larger id, so a descending pass
+        // has marked a node by the time it reaches it, iff it is live.
+        let mut live = vec![false; self.fanin0.len()];
+        for o in &self.outputs {
+            live[o.lit.var() as usize] = true;
+        }
+        for id in (self.inputs.len() + 1..self.fanin0.len()).rev() {
+            let (f0, f1) = (self.fanin0[id].var(), self.fanin1[id].var());
+            let live_and = live[id];
+            let proper = 0 < f0 && f0 < f1 && (f1 as usize) < id;
+            if !(live_and && proper) {
+                return false;
+            }
+            live[f0 as usize] = true;
+            live[f1 as usize] = true;
+        }
+        true
+    }
+
+    /// The rebuild behind [`Aig::sweep`], for any graph; the reference
+    /// its fast path is tested against.
+    pub(crate) fn sweep_rebuild(&self) -> Aig {
         let mut out = Aig::new();
         out.name = self.name.clone();
         let mut map: Vec<Lit> = vec![Lit::INVALID; self.fanin0.len()];
@@ -1151,6 +1210,163 @@ mod tests {
         assert_eq!(swept.num_inputs(), 2);
         assert_eq!(swept.num_outputs(), 1);
         assert_eq!(swept.outputs()[0].name.as_deref(), Some("f"));
+    }
+
+    /// `sweep()` equals the rebuild its fast path skips, in content and
+    /// in binary AIGER bytes.
+    fn assert_sweep_matches_rebuild(g: &Aig, what: &str) {
+        let (fast, rebuilt) = (g.sweep(), g.sweep_rebuild());
+        assert_eq!(fast, rebuilt, "{what}");
+        assert_eq!(
+            crate::aiger::to_binary(&fast),
+            crate::aiger::to_binary(&rebuilt),
+            "{what}"
+        );
+    }
+
+    /// A graph in swept form, with the literals it was built from:
+    /// inputs `a b c d`, then `x = a·b`, `y = x·!c`, `z = !y·d` and
+    /// `w = x·c`, outputs `z` and `!w`.
+    fn swept_base() -> (Aig, [Lit; 8]) {
+        let mut g = Aig::new();
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|n| g.add_named_input(Some(n)));
+        let x = g.and(a, b);
+        let y = g.and(x, !c);
+        let z = g.and(!y, d);
+        let w = g.and(x, c);
+        g.add_output(z, Some("z"));
+        g.add_output(!w, Some("w"));
+        g.set_name("base");
+        (g, [a, b, c, d, x, y, z, w])
+    }
+
+    #[test]
+    fn a_swept_graph_sweeps_to_itself() {
+        let (g, _) = swept_base();
+        assert!(g.is_swept());
+        assert_eq!(g.sweep(), g);
+        assert_sweep_matches_rebuild(&g, "swept base");
+    }
+
+    #[test]
+    fn sweep_matches_the_rebuild_on_unswept_shapes() {
+        use crate::incremental::{IncrementalAnalysis, Transaction};
+        let (base, [a, _, c, d, x, y, z, w]) = swept_base();
+        let edited = |edit: &dyn Fn(&mut Aig)| {
+            let mut g = base.clone();
+            edit(&mut g);
+            g
+        };
+        let forward = edited(&|g| {
+            let mut inc = IncrementalAnalysis::new(g);
+            let mut txn = Transaction::begin(g, &mut inc);
+            let fresh = txn.and(a, !c);
+            txn.substitute(x.var(), fresh);
+            txn.commit();
+            assert!(!g.is_topological());
+        });
+        let shapes = [
+            (
+                "a dead AND appended",
+                edited(&|g| {
+                    let _ = g.and(a, !d);
+                }),
+            ),
+            (
+                "an input added after ANDs",
+                edited(&|g| {
+                    let e = g.add_input();
+                    let f = g.and(e, x);
+                    g.add_output(f, Some("f"));
+                }),
+            ),
+            ("a forward reference", forward),
+            (
+                "AND(x, x)",
+                edited(&|g| {
+                    let _ = g.replace_fanins(z.var(), d, d);
+                }),
+            ),
+            (
+                "AND(x, !x)",
+                edited(&|g| {
+                    let _ = g.replace_fanins(w.var(), x, !x);
+                }),
+            ),
+            (
+                "a constant fanin",
+                edited(&|g| {
+                    let _ = g.replace_fanins(y.var(), Lit::TRUE, x);
+                }),
+            ),
+            (
+                "two ANDs sharing one fanin pair",
+                edited(&|g| {
+                    let _ = g.replace_fanins(w.var(), x, !c);
+                }),
+            ),
+        ];
+        for (what, g) in &shapes {
+            assert!(!g.is_swept(), "{what}");
+            assert_sweep_matches_rebuild(g, what);
+        }
+    }
+
+    /// Random graphs edited by random committed transactions, with a
+    /// sweep now and then: `sweep()` matches the rebuild after every
+    /// step, and a rebuilt graph of plain `Aig::and` nodes takes the
+    /// fast path.
+    #[test]
+    fn sweep_matches_the_rebuild_through_random_committed_walks() {
+        use crate::incremental::{IncrementalAnalysis, Transaction};
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..32u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut g = Aig::new();
+            let mut lits: Vec<Lit> = (0..5).map(|_| g.add_input()).collect();
+            for _ in 0..40 {
+                let a = lits[rng.gen_range(0..lits.len())].complement_if(rng.gen());
+                let b = lits[rng.gen_range(0..lits.len())].complement_if(rng.gen());
+                lits.push(g.and(a, b));
+            }
+            for k in 0..3 {
+                g.add_output(lits[lits.len() - 1 - 7 * k], None::<&str>);
+            }
+            assert_sweep_matches_rebuild(&g, "random graph");
+            let swept = g.sweep();
+            assert!(swept.is_swept(), "seed {seed}");
+            assert_eq!(swept.sweep(), swept, "seed {seed}");
+
+            let mut inc = IncrementalAnalysis::new(&g);
+            for step in 0..16 {
+                let what = format!("seed {seed} step {step}");
+                if rng.gen_bool(0.2) {
+                    g = g.sweep();
+                    inc.rebuild(&g);
+                }
+                let n = g.num_nodes() as NodeId;
+                let mut txn = Transaction::begin(&mut g, &mut inc);
+                let lit = Lit::new(rng.gen_range(0..n), rng.gen());
+                match rng.gen_range(0..3) {
+                    0 => {
+                        let other = Lit::new(rng.gen_range(0..n), rng.gen());
+                        let fresh = txn.and(lit, other);
+                        txn.retarget_output(rng.gen_range(0..3), fresh);
+                    }
+                    1 => txn.retarget_output(rng.gen_range(0..3), lit),
+                    _ => {
+                        let node = rng.gen_range(1..n);
+                        let aig = txn.aig();
+                        if aig.is_and(node) && lit.var() != node && !aig.reaches(lit.var(), node) {
+                            txn.substitute(node, lit);
+                        }
+                    }
+                }
+                txn.commit();
+                assert_sweep_matches_rebuild(&g, &what);
+            }
+        }
     }
 
     #[test]

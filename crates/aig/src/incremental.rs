@@ -50,9 +50,11 @@
 //!    the created node id. Analysis state (levels, fanout, consumer
 //!    adjacency, `max_level`) is maintained exactly after every edit,
 //!    so evaluation can read it mid-transaction.
-//! 3. **commit** — drops the journal; the edits stay. Dropping the
+//! 3. **commit** — empties the journal; the edits stay. Dropping the
 //!    transaction without calling either method is equivalent to
-//!    commit.
+//!    commit. Commit and rollback hand the journal and footprint
+//!    buffers back to the analysis, emptied with their capacity kept,
+//!    so the next transaction on it reuses them.
 //! 4. **rollback** — replays the journal in reverse: node vector,
 //!    input registration, output literals, *and the structural-hash
 //!    table* are restored exactly (not merely equivalently), and the
@@ -231,12 +233,12 @@ fn merge_sorted(dst: &mut Vec<NodeId>, src: &[NodeId]) {
 }
 
 /// Undo journal of one [`Transaction`].
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct Journal {
     ops: Vec<UndoOp>,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 enum UndoOp {
     Substitute(Box<SubstUndo>),
     Append { id: NodeId },
@@ -245,7 +247,7 @@ enum UndoOp {
 
 /// Inverse record of one substitution: everything needed to restore
 /// graph and analysis exactly.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct SubstUndo {
     node: NodeId,
     wvar: NodeId,
@@ -300,6 +302,10 @@ pub struct IncrementalAnalysis {
     // Propagation scratch.
     queued: Vec<bool>,
     heap: BinaryHeap<Reverse<NodeId>>,
+    // The journal and footprint of the last finished transaction,
+    // emptied with their capacity kept, for the next one to reuse.
+    spare_journal: Journal,
+    spare_touched: DirtyRegion,
 }
 
 impl IncrementalAnalysis {
@@ -640,15 +646,17 @@ impl<'a> Transaction<'a> {
         let base_nodes = aig.num_nodes();
         let base_outputs = aig.num_outputs();
         let base_max_level = inc.max_level;
+        let journal = std::mem::take(&mut inc.spare_journal);
+        let touched = std::mem::take(&mut inc.spare_touched);
         Transaction {
             aig,
             inc,
-            journal: Journal::default(),
+            journal,
             base_nodes,
             base_outputs,
             base_max_level,
             min_touched: NodeId::MAX,
-            touched: DirtyRegion::default(),
+            touched,
         }
     }
 
@@ -809,7 +817,7 @@ impl<'a> Transaction<'a> {
         self.touched = sp.touched.clone();
     }
 
-    /// Keeps every edit (drops the journal). Dropping the transaction
+    /// Keeps every edit (empties the journal). Dropping the transaction
     /// without calling [`Transaction::rollback`] is equivalent.
     pub fn commit(self) {
         drop(self);
@@ -845,6 +853,18 @@ impl<'a> Transaction<'a> {
 
     fn touch(&mut self, id: NodeId) {
         self.min_touched = self.min_touched.min(id);
+    }
+}
+
+/// Commit, rollback and a plain drop all end here: the journal and
+/// footprint go back to the analysis, emptied, so the next
+/// transaction on it allocates neither.
+impl Drop for Transaction<'_> {
+    fn drop(&mut self) {
+        self.journal.ops.clear();
+        self.touched.clear();
+        self.inc.spare_journal = std::mem::take(&mut self.journal);
+        self.inc.spare_touched = std::mem::take(&mut self.touched);
     }
 }
 

@@ -504,6 +504,23 @@ fn bench_components(c: &mut Criterion) {
             })
         });
     }
+    // `Aig::sweep` of a graph already in swept form returns a clone;
+    // one dead AND appended sends the same graph through the rebuild.
+    {
+        let swept = large.aig.sweep();
+        let mut dead = swept.clone();
+        let pis: Vec<Lit> = swept.inputs().iter().map(|&i| Lit::new(i, true)).collect();
+        let (x, y) = pis
+            .iter()
+            .flat_map(|&x| pis.iter().map(move |&y| (x, y)))
+            .find(|&(x, y)| x != y && swept.find_and(x, y).is_none())
+            .expect("an input pair with no AND");
+        let _ = dead.and(x, y);
+        g.bench_function("sweep_swept_ex28", |b| b.iter(|| black_box(&swept).sweep()));
+        g.bench_function("sweep_rebuild_ex28", |b| {
+            b.iter(|| black_box(&dead).sweep())
+        });
+    }
     g.bench_function("balance_ex28", |b| {
         b.iter(|| transform::balance(black_box(&large.aig)))
     });
@@ -667,6 +684,15 @@ fn bench_components(c: &mut Criterion) {
             "feat_incr_edit_ex28: {:.1}x faster than full extraction (tracked >= 5x; \
              PO cache: {feat_pos_recomputed}/{feat_pos_total} recomputed)",
             full / incr
+        );
+    }
+    if let (Some(rebuild), Some(swept)) = (
+        c.median_ns("components", "sweep_rebuild_ex28"),
+        c.median_ns("components", "sweep_swept_ex28"),
+    ) {
+        eprintln!(
+            "sweep_swept_ex28: {:.1}x faster than the rebuild (tracked >= 3x)",
+            rebuild / swept
         );
     }
     if let (Some(scalar), Some(batch)) = (

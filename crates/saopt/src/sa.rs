@@ -388,7 +388,7 @@ pub fn optimize_with(
                     }
                 };
                 // A walk served from the memo leaves its graph there;
-                // it is decoded only if this step needs it.
+                // it is copied only if this step needs it.
                 prices_requested += usize::from(node.is_some());
                 let served = node.and_then(|n| match n {
                     MEMO_BASE => current_metrics,

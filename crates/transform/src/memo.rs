@@ -11,7 +11,7 @@
 
 use crate::cache::ResynthCache;
 use crate::recipes::{apply_with, Recipe, Transform};
-use aig::{aiger, Aig};
+use aig::Aig;
 
 /// The node every walk starts from: the base graph itself.
 pub const MEMO_BASE: usize = 0;
@@ -19,18 +19,16 @@ pub const MEMO_BASE: usize = 0;
 /// One distinct graph reached from the base.
 #[derive(Debug)]
 struct Node {
-    /// Binary AIGER of the graph, verified to decode back to it. Empty
-    /// for the base, which is held as a graph and matched by content.
-    bytes: Vec<u8>,
+    graph: Aig,
     /// `(primitive, node)`: the primitive applied to this graph gives
     /// that node's graph.
     edges: Vec<(Transform, usize)>,
 }
 
 impl Node {
-    fn new(bytes: Vec<u8>) -> Self {
+    fn new(graph: Aig) -> Self {
         Node {
-            bytes,
+            graph,
             edges: Vec::new(),
         }
     }
@@ -39,11 +37,10 @@ impl Node {
 /// Where a [`RecipeMemo::walk`] ended.
 #[derive(Debug)]
 pub struct Walk {
-    /// The node holding the result. `None` when the memo is disabled
-    /// or the result could not be stored.
+    /// The node holding the result. `None` when the memo is disabled.
     pub node: Option<usize>,
     /// The result, when the walk's last step computed it. A walk served
-    /// from the store leaves decoding to [`RecipeMemo::graph`].
+    /// from the store leaves copying it to [`RecipeMemo::graph`].
     pub graph: Option<Aig>,
     /// Whether the walk's input differed from the base, so the store
     /// started over on it: node ids handed out before now name other
@@ -63,9 +60,7 @@ pub struct Walk {
 /// * **Exact.** A walk of `recipe` from `g` reaches exactly what
 ///   [`Recipe::apply_with`]`(g, cache)` returns, for every `g`. This
 ///   rests on the primitives' purity contract (see [`apply_with`]): a
-///   primitive's result depends only on its input's content. A result
-///   is stored only if its bytes decode back to the very graph they
-///   encode.
+///   primitive's result depends only on its input's content.
 /// * **Keyed on content.** Each walk compares its graph with the base
 ///   ([`Aig`]'s content equality) and starts over when they differ, so
 ///   callers need no invalidation hooks, and a caller that moves to a
@@ -73,9 +68,13 @@ pub struct Walk {
 ///   equals a held graph joins that node, so no two nodes hold equal
 ///   graphs, and a walk whose primitives change nothing ends at the
 ///   base.
-/// * **Compact.** Nodes other than the base are binary AIGER
-///   ([`aiger::to_binary`], about 2.6 bytes per AND), one per distinct
-///   graph reached from the base.
+/// * **Held as graphs.** Each node holds its graph as the [`Aig`] the
+///   primitive returned: a result is interned by content comparison
+///   and served as a clone, with no encoding or decoding. A held graph
+///   costs 8 bytes per node of fanin lanes plus 14–28 bytes per AND of
+///   structural-hash slots, about 22–36 bytes per AND where binary
+///   AIGER took about 2.6, one graph per distinct result reached from
+///   the base.
 /// * **Ids per base.** A node id names one graph until a walk reports
 ///   [`Walk::rebased`]. A caller that keeps facts about nodes, such as
 ///   the SA loop's prices, indexes them by id and drops them then.
@@ -88,9 +87,8 @@ pub struct Walk {
 #[derive(Debug)]
 pub struct RecipeMemo {
     enabled: bool,
-    /// The graph every walk starts from (node [`MEMO_BASE`]).
-    base: Option<Aig>,
-    /// The distinct graphs reached from the base, the base first.
+    /// The distinct graphs reached from the base, the base (node
+    /// [`MEMO_BASE`]) first.
     nodes: Vec<Node>,
     hits: u64,
     misses: u64,
@@ -108,7 +106,6 @@ impl RecipeMemo {
     pub fn new() -> Self {
         RecipeMemo {
             enabled: true,
-            base: None,
             nodes: Vec::new(),
             hits: 0,
             misses: 0,
@@ -172,83 +169,57 @@ impl RecipeMemo {
                 rebased: false,
             };
         }
-        let rebased = self.base.as_ref() != Some(aig);
+        let rebased = self.nodes.first().map(|base| &base.graph) != Some(aig);
         if rebased {
             self.nodes.clear();
-            self.nodes.push(Node::new(Vec::new()));
-            self.base = Some(aig.clone());
+            self.nodes.push(Node::new(aig.clone()));
         }
-        let mut node = Some(MEMO_BASE);
-        // The graph at `node`, when the walk has it in hand; always
-        // `Some` once the walk has left the store.
+        let mut node = MEMO_BASE;
+        // The last step's result, when the walk computed it.
         let mut graph: Option<Aig> = None;
         for &t in &recipe.0 {
-            let edge = node.and_then(|n| {
-                let edges = &self.nodes[n].edges;
-                edges.iter().find(|&&(e, _)| e == t).map(|&(_, to)| to)
-            });
-            if let Some(to) = edge {
+            let edges = &self.nodes[node].edges;
+            if let Some(&(_, to)) = edges.iter().find(|&&(e, _)| e == t) {
                 self.hits += 1;
-                node = Some(to);
+                node = to;
                 graph = None;
                 continue;
             }
-            let next = match (&graph, node) {
-                (Some(g), _) => apply_with(g, t, cache),
-                (None, Some(MEMO_BASE)) => apply_with(aig, t, cache),
-                (None, Some(n)) => apply_with(&self.graph(n), t, cache),
-                (None, None) => unreachable!("a walk off the store carries its graph"),
-            };
+            let next = apply_with(&self.nodes[node].graph, t, cache);
             self.misses += 1;
-            node = node.and_then(|from| {
-                let to = self.intern(&next)?;
-                self.nodes[from].edges.push((t, to));
-                Some(to)
-            });
+            let to = self.intern(&next);
+            self.nodes[node].edges.push((t, to));
+            node = to;
             graph = Some(next);
         }
-        if node == Some(MEMO_BASE) && !recipe.0.is_empty() {
+        if node == MEMO_BASE && !recipe.0.is_empty() {
             self.identity_walks += 1;
         }
         Walk {
-            node,
+            node: Some(node),
             graph,
             rebased,
         }
     }
 
-    /// The graph held by `node` (decoded; the base is copied).
+    /// A copy of the graph held by `node`.
     ///
     /// # Panics
     ///
     /// Panics if the store holds no such node.
     pub fn graph(&self, node: usize) -> Aig {
-        match node {
-            MEMO_BASE => self.base.clone().expect("the store has a base"),
-            _ => aiger::from_binary(&self.nodes[node].bytes)
-                .expect("nodes are verified to decode when stored"),
-        }
+        self.nodes[node].graph.clone()
     }
 
-    /// The node holding `g`, added if the store holds no equal graph;
-    /// `None` if `g` does not survive a binary AIGER round trip.
-    fn intern(&mut self, g: &Aig) -> Option<usize> {
-        if self.base.as_ref() == Some(g) {
-            return Some(MEMO_BASE);
-        }
-        let bytes = aiger::to_binary(g);
-        if !aiger::from_binary(&bytes).is_ok_and(|back| back == *g) {
-            return None;
-        }
-        // Verified encodings are equal exactly when their graphs are.
-        let held = self.nodes.iter().skip(1).position(|n| n.bytes == bytes);
-        Some(match held {
-            Some(k) => k + 1,
+    /// The node holding a graph equal to `g`, added if there is none.
+    fn intern(&mut self, g: &Aig) -> usize {
+        match self.nodes.iter().position(|n| n.graph == *g) {
+            Some(held) => held,
             None => {
-                self.nodes.push(Node::new(bytes));
+                self.nodes.push(Node::new(g.clone()));
                 self.nodes.len() - 1
             }
-        })
+        }
     }
 }
 

@@ -193,13 +193,19 @@ pub fn apply(aig: &Aig, t: Transform) -> Aig {
 ///
 /// # Purity contract
 ///
-/// [`crate::RecipeMemo`] hands out stored results in place of
-/// recomputed ones. That is exact because every primitive keeps three
-/// properties, which a new primitive must keep too:
+/// [`crate::RecipeMemo`] hands out copies of stored results in place
+/// of recomputed ones, and runs the next primitive on the graph it
+/// holds rather than on the one the caller passed. That is exact
+/// because every primitive keeps three properties, which a new
+/// primitive must keep too:
 ///
 /// * it is a deterministic function of its input graph's content (the
 ///   fields [`Aig`]'s equality compares): each one starts from
-///   [`Aig::sweep`] of its input and builds a fresh graph;
+///   [`Aig::sweep`] of its input, a clone when the input is already
+///   swept, and reads nothing else of it. What a clone carries beyond
+///   the content (the structural-hash table's layout, reserved
+///   capacity, a cached topological order) answers every query as a
+///   fresh build would;
 /// * the randomized primitives, `rs` and `pt`, use fixed seeds, so
 ///   their diversity comes from the input's structure alone;
 /// * its result does not depend on the `cache` state (cached

@@ -399,6 +399,14 @@ enum Candidate {
 /// shallower) replacement is found, and cost estimates upper-bound
 /// the nodes actually created.
 ///
+/// A candidate structure is priced only up to what could still apply:
+/// its cost count stops past the best candidate's and past the node's
+/// own cost (one below it without `zero_cost`). A node whose own AND
+/// already exists in the rebuild prices no structure without
+/// `zero_cost`, since none can be strictly cheaper; its cuts are still
+/// checked for a constant function. Stopping early changes no choice,
+/// so the result is the same as pricing every candidate in full.
+///
 /// The cache may be carried across calls, SA iterations and graphs;
 /// results are byte-identical to a fresh or a
 /// [`ResynthCache::disabled`] cache because cached structures are
@@ -463,6 +471,14 @@ pub fn resynthesize_with(aig: &Aig, opts: &ResynthOptions, cache: &ResynthCache)
         let b = map[f1.var() as usize].complement_if(f1.is_complement());
         let default_cost = usize::from(new.find_and(a, b).is_none());
         let default_depth = old_levels.level[id as usize];
+        // The highest cost a structure can have and still apply: only a
+        // strictly cheaper one without `zero_cost`, so none when the
+        // node's own AND is free.
+        let limit = if opts.zero_cost {
+            Some(default_cost)
+        } else {
+            default_cost.checked_sub(1)
+        };
 
         let mut best: Option<Candidate> = None;
         let mut best_rank = (usize::MAX, u32::MAX);
@@ -487,18 +503,23 @@ pub fn resynthesize_with(aig: &Aig, opts: &ResynthOptions, cache: &ResynthCache)
                         *m = map[l as usize];
                     }
                     debug_assert!(mapped[..nv].iter().all(|&l| l != Lit::INVALID));
-                    let structure = cache.structure_for(nv, tt);
                     if perturb_here {
                         // `best` is discarded whenever the pool is
                         // non-empty, so a pooled cut needs no price.
-                        pool.push((structure, mapped, nv));
+                        pool.push((cache.structure_for(nv, tt), mapped, nv));
                         continue;
                     }
+                    // No structure can apply: only a constant cut, which
+                    // the shrink finds, can still change the node.
+                    let Some(limit) = limit else {
+                        continue;
+                    };
+                    let structure = cache.structure_for(nv, tt);
                     // A candidate replaces `best` only below its rank,
-                    // and is applied only at or below the default
-                    // cost: past the smaller of the two it can do
-                    // neither, so its count stops there.
-                    let bound = best_rank.0.min(default_cost);
+                    // and is applied only at or below `limit`: past the
+                    // smaller of the two it can do neither, so its count
+                    // stops there.
+                    let bound = best_rank.0.min(limit);
                     let cost = structure.dry_cost(&new, &mapped[..nv], bound);
                     if cost > bound {
                         continue;

@@ -22,7 +22,8 @@
 #      (analysis, cut database, SA step, STA, ground-truth eval,
 #      feature maintenance) >= 5x over their full-recompute
 #      counterparts, batched GBT inference >= 2x over the per-row
-#      tree walk, the accepted fresh-cone append loop >= 2x over the
+#      tree walk, the sweep of an already swept graph >= 3x over the
+#      rebuild, the accepted fresh-cone append loop >= 2x over the
 #      reset-rebuild policy, and work bounds: the DP rows the cutoff
 #      recomputed on the append replay and the PO features recomputed
 #      on the feature replay must stay well below their fallbacks'
@@ -144,6 +145,10 @@ gates = [
     (comp, "components/map_dp_watermark_ex28", "components/map_dp_cutoff_ex28", 2.0),
     (comp, "components/feat_full_ex28", "components/feat_incr_edit_ex28", 5.0),
     (comp, "components/gbt_scalar_predict", "components/gbt_batch_predict", 2.0),
+    # `Aig::sweep` returns a clone of a graph already in swept form: a
+    # form check that always fell back to the rebuild reads about 1x
+    # (measured 8.8x).
+    (comp, "components/sweep_rebuild_ex28", "components/sweep_swept_ex28", 3.0),
     # Work-bound: across the fixed 64-step incremental feature replay,
     # most per-sync PO evaluations must be served from the cache, not
     # recomputed (measured 6.8x; deterministic counters, immune to
